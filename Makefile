@@ -34,7 +34,7 @@ MMSYNTH     := _build/default/bin/mmsynth.exe
 .PHONY: all build test smoke smoke-fault smoke-serve smoke-ladder \
   smoke-prove smoke-map smoke-xbar smoke-resyn smoke-atlas smoke-cluster \
   check bench bench-ladder bench-prove bench-map bench-xbar bench-resyn \
-  bench-robustness bench-serve bench-storm bench-atlas clean
+  bench-robustness bench-serve bench-storm bench-atlas perf-ab clean
 
 all: build
 
@@ -268,6 +268,14 @@ bench-storm:
 
 bench-atlas:
 	dune exec bench/main.exe -- atlas
+
+# Paired A/B run of perfbench: the working tree against BASE (default the
+# last commit), e.g. `make perf-ab BASE=HEAD~1 WORKLOAD=minimize PAIRS=10`.
+BASE ?= HEAD
+WORKLOAD ?= minimize
+PAIRS ?= 10
+perf-ab:
+	bash scripts/perf-ab.sh $(BASE) $(WORKLOAD) $(PAIRS)
 
 clean:
 	dune clean

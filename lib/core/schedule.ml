@@ -31,21 +31,23 @@ let plan c =
           c.Circuit.legs;
         be)
   in
-  (* literal cells for R-op literal inputs *)
+  (* literal cells for literals read by R-ops or tapped by outputs *)
   let module LS = Set.Make (struct
     type t = Literal.t
 
     let compare = Stdlib.compare
   end) in
   let lit_inputs = ref LS.empty in
+  let add_literal = function
+    | Circuit.From_literal l -> lit_inputs := LS.add l !lit_inputs
+    | Circuit.From_leg _ | Circuit.From_vop _ | Circuit.From_rop _ -> ()
+  in
   Array.iter
     (fun { Circuit.in1; in2 } ->
-      List.iter
-        (function
-          | Circuit.From_literal l -> lit_inputs := LS.add l !lit_inputs
-          | Circuit.From_leg _ | Circuit.From_vop _ | Circuit.From_rop _ -> ())
-        [ in1; in2 ])
+      add_literal in1;
+      add_literal in2)
     c.Circuit.rops;
+  Array.iter add_literal c.Circuit.outputs;
   let lits = LS.elements !lit_inputs in
   let n_rops = Circuit.n_rops c in
   let roles =

@@ -3,8 +3,9 @@
     A plan assigns each circuit element to a physical cell, mirroring the
     paper's experimental demonstration (Section V): leg devices first, then
     R-op output cells (preset to the R-op's neutral state), then cells
-    holding literals fed directly to R-ops (loaded in the initialization
-    phase, which — as in the paper — is excluded from the recorded trace).
+    holding literals fed directly to R-ops or tapped directly by outputs
+    (loaded in the initialization phase, which — as in the paper — is
+    excluded from the recorded trace).
     Execution then drives one V-op cycle per step (shared BE rail, dummy
     TE = BE on inactive cells), one cycle per R-op (MAGIC NOR or the
     IMPLY-family NIMP, per the circuit's R-op kind), and one readout cycle

@@ -1,11 +1,10 @@
 type t = {
-  prio : int -> float;
   mutable heap : int array; (* heap of variables *)
   mutable size : int;
   mutable indices : int array; (* var -> position in heap, or -1 *)
 }
 
-let create ~prio = { prio; heap = [||]; size = 0; indices = [||] }
+let create () = { heap = [||]; size = 0; indices = [||] }
 
 let ensure t v =
   let cap = Array.length t.indices in
@@ -19,37 +18,38 @@ let ensure t v =
 let in_heap t v = v < Array.length t.indices && t.indices.(v) >= 0
 
 let is_empty t = t.size = 0
-let size t = t.size
-
-let better t a b = t.prio a > t.prio b
 
 let place t v pos =
   t.heap.(pos) <- v;
   t.indices.(v) <- pos
 
-let rec up t v pos =
+let rec up t (act : float array) v pos =
   if pos = 0 then place t v pos
   else
     let parent = (pos - 1) / 2 in
-    if better t v t.heap.(parent) then begin
-      place t t.heap.(parent) pos;
-      up t v parent
+    let u = t.heap.(parent) in
+    if act.(v) > act.(u) then begin
+      place t u pos;
+      up t act v parent
     end
     else place t v pos
 
-let rec down t v pos =
+let rec down t (act : float array) v pos =
   let l = (2 * pos) + 1 in
   if l >= t.size then place t v pos
   else
     let r = l + 1 in
-    let child = if r < t.size && better t t.heap.(r) t.heap.(l) then r else l in
-    if better t t.heap.(child) v then begin
-      place t t.heap.(child) pos;
-      down t v child
+    let child =
+      if r < t.size && act.(t.heap.(r)) > act.(t.heap.(l)) then r else l
+    in
+    let u = t.heap.(child) in
+    if act.(u) > act.(v) then begin
+      place t u pos;
+      down t act v child
     end
     else place t v pos
 
-let insert t v =
+let insert t act v =
   ensure t v;
   if not (in_heap t v) then begin
     if t.size = Array.length t.heap then begin
@@ -59,15 +59,15 @@ let insert t v =
       t.heap <- heap
     end;
     t.size <- t.size + 1;
-    up t v (t.size - 1)
+    up t act v (t.size - 1)
   end
 
-let notify_increased t v = if in_heap t v then up t v t.indices.(v)
+let notify_increased t act v = if in_heap t v then up t act v t.indices.(v)
 
-let remove_max t =
+let remove_max t act =
   if t.size = 0 then raise Not_found;
   let top = t.heap.(0) in
   t.indices.(top) <- -1;
   t.size <- t.size - 1;
-  if t.size > 0 then down t t.heap.(t.size) 0;
+  if t.size > 0 then down t act t.heap.(t.size) 0;
   top

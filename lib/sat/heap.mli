@@ -1,26 +1,25 @@
-(** Indexed binary heap over variables, ordered by a caller-supplied
-    priority relation (VSIDS activity). Supports O(log n) insert/removal and
-    priority increase notification. *)
+(** Indexed binary heap over variables, ordered by decreasing VSIDS
+    activity. Supports O(log n) insert/removal and priority increase
+    notification.
+
+    The heap does not own the activities: every operation that compares
+    reads them from the [act] array it is given (indexed by variable), so
+    callers mutate that array and then call {!notify_increased}. Passing
+    the array keeps comparisons unboxed float reads. *)
 
 type t
 
-(** [create ~prio] orders variables by decreasing [prio]; [prio] is read at
-    comparison time, so callers may mutate the underlying activity array and
-    then call {!notify_increased}. *)
-val create : prio:(int -> float) -> t
-
-(** [ensure t v] makes room for variables up to [v]. *)
-val ensure : t -> int -> unit
+val create : unit -> t
 
 val in_heap : t -> int -> bool
-val insert : t -> int -> unit
+val insert : t -> float array -> int -> unit
 
-(** [notify_increased t v] restores the heap property after [prio v] grew. *)
-val notify_increased : t -> int -> unit
+(** [notify_increased t act v] restores the heap property after
+    [act.(v)] grew. *)
+val notify_increased : t -> float array -> int -> unit
 
-(** Extract the variable with the largest priority. Raises [Not_found] when
-    empty. *)
-val remove_max : t -> int
+(** Extract the variable with the largest activity. Raises [Not_found]
+    when empty. *)
+val remove_max : t -> float array -> int
 
 val is_empty : t -> bool
-val size : t -> int

@@ -68,8 +68,8 @@ let test_implication_chain () =
     Alcotest.(check bool) (Printf.sprintf "x%d" i) true (Solver.value_var s i)
   done
 
-let php ~pigeons ~holes =
-  let s = Solver.create () in
+let php ?config ~pigeons ~holes () =
+  let s = Solver.create ?config () in
   let var p h = p * holes + h in
   ignore (Solver.new_vars s (pigeons * holes));
   for p = 0 to pigeons - 1 do
@@ -85,15 +85,15 @@ let php ~pigeons ~holes =
   s
 
 let test_php_unsat () =
-  Alcotest.check result "php(5,4)" Solver.Unsat (Solver.solve (php ~pigeons:5 ~holes:4));
-  Alcotest.check result "php(7,6)" Solver.Unsat (Solver.solve (php ~pigeons:7 ~holes:6))
+  Alcotest.check result "php(5,4)" Solver.Unsat (Solver.solve (php ~pigeons:5 ~holes:4 ()));
+  Alcotest.check result "php(7,6)" Solver.Unsat (Solver.solve (php ~pigeons:7 ~holes:6 ()))
 
 let test_php_sat () =
-  let s = php ~pigeons:5 ~holes:5 in
+  let s = php ~pigeons:5 ~holes:5 () in
   Alcotest.check result "php(5,5)" Solver.Sat (Solver.solve s)
 
 let test_budget_unknown () =
-  let s = php ~pigeons:9 ~holes:8 in
+  let s = php ~pigeons:9 ~holes:8 () in
   Alcotest.check result "conflict budget" Solver.Unknown
     (Solver.solve ~max_conflicts:10 s);
   (* a second call with full budget still completes correctly *)
@@ -252,7 +252,7 @@ let prop_random_cnf =
       | Solver.Unknown -> false)
 
 let test_stats () =
-  let s = php ~pigeons:5 ~holes:4 in
+  let s = php ~pigeons:5 ~holes:4 () in
   ignore (Solver.solve s);
   let st = Solver.stats s in
   Alcotest.(check bool) "conflicts happened" true (st.Solver.conflicts > 0);
@@ -261,6 +261,245 @@ let test_stats () =
     (st.Solver.peak_learnts > 0);
   Alcotest.(check bool) "propagation throughput tracked" true
     (st.Solver.props_per_s >= 0.)
+
+(* --- search identity ---
+
+   The solver's storage layout must never change its search: the same
+   clause stream and config must replay the same decisions, conflicts,
+   propagations, learnt DB and failed-assumption cores. The pinned values
+   below were recorded with the boxed-clause solver that preceded the flat
+   clause arena; any change to them is a change of search, not of speed. *)
+
+(* A 63-bit LCG, so the seeded instances do not depend on Stdlib.Random. *)
+let lcg seed =
+  let s = ref seed in
+  fun bound ->
+    s := ((!s * 2862933555777941757) + 3037000493) land max_int;
+    (!s lsr 20) mod bound
+
+(* A random DIMACS literal over [vars] variables. *)
+let random_literal rand vars =
+  let v = rand vars in
+  if rand 2 = 1 then v + 1 else -(v + 1)
+
+(* A random 3-clause satisfied by the assignment [hidden]. *)
+let rec planted_clause rand hidden =
+  let c = List.init 3 (fun _ -> random_literal rand (Array.length hidden)) in
+  if List.exists (fun d -> hidden.(abs d - 1) = (d > 0)) c then c
+  else planted_clause rand hidden
+
+(* [clauses] planted 3-clauses, the hidden assignment drawn from the same
+   stream. *)
+let planted_3sat ~seed ~vars ~clauses =
+  let rand = lcg seed in
+  let hidden = Array.init vars (fun _ -> rand 2 = 1) in
+  List.init clauses (fun _ -> planted_clause rand hidden)
+
+let load s clauses =
+  List.iter (fun c -> Solver.add_clause s (List.map Lit.of_dimacs c)) clauses
+
+let search_counts s =
+  let st = Solver.stats s in
+  [ st.Solver.conflicts; st.decisions; st.propagations; st.peak_learnts ]
+
+let result_code = function Solver.Sat -> 1 | Solver.Unsat -> 0 | Solver.Unknown -> -1
+
+let pin name expected actual =
+  Alcotest.(check (list int)) name expected actual
+
+(* php(7,6) stops short of the first learnt-DB reduction (657 learnts
+   against a floor of 1000); php(8,7) runs two [reduce_db] rounds that drop
+   1785 learnts, which also compacts the clause arena. *)
+let test_identity_php () =
+  let s = php ~pigeons:7 ~holes:6 () in
+  Alcotest.check result "php(7,6)" Solver.Unsat (Solver.solve s);
+  pin "php(7,6) search" [ 662; 798; 8171; 657 ] (search_counts s);
+  let s = php ~pigeons:8 ~holes:7 () in
+  Alcotest.check result "php(8,7)" Solver.Unsat (Solver.solve s);
+  pin "php(8,7) search" [ 3813; 4662; 51517; 2024 ] (search_counts s)
+
+(* Verdict codes (1 Sat, 0 Unsat) of the sweep, each refutation followed by
+   -999 and its failed-assumption core in DIMACS form. *)
+let planted_trace =
+  [
+    0; -999; -183; 81; 113; 158; 32; -171; 115; -208; 168; 17; -21; -223; 174; -160;
+    0; -999; 8; -34; 1; 182; -242; 179; 37; -134; 192; 70; 152; 221; 28;
+    0; -999; -205; -233; 186; -49; 227; 108; 201; 190; -109; 128; -38; 204; 154; 146;
+    0; -999; 23; 233; 30; -53; 191; -127; -132; 55; -232; -101; -11; 131; 105; -20;
+    1;
+    0; -999; 246; 99; -6; -115; 62; 102; -113; 221; -13; -76; -174; -95; 171;
+    0; -999; -88; -228; 76; -183; 222; 226; 38; -146; 233; -227; -188; -201; 125; -152;
+    0; -999; 54; -54;
+    0; -999; 63; -63;
+    0; -999; 54; 20; 37; -152; -2; -135; -43; 41; -172; -124; -205; 17; 137; -76;
+    0; -999; 13; -182; 43; -146; 93; -138; 160; 79; 156; 126; 80; 81; -220;
+    0; -999; 232; -181; -242; 247; 161; -238; -202; -152; -99; -219; 94; 120; 155; 107
+  ]
+
+(* One solve without assumptions, then a sweep of seeded assumption sets
+   (some refuted, with cores) on the same solver. *)
+let test_identity_planted () =
+  let vars = 250 in
+  let s = Solver.create () in
+  ignore (Solver.new_vars s vars);
+  load s (planted_3sat ~seed:2024 ~vars ~clauses:1050);
+  Alcotest.check result "planted" Solver.Sat (Solver.solve s);
+  pin "planted: first solve" [ 2034; 2721; 96457; 1583 ] (search_counts s);
+  let rand = lcg 77 in
+  let round _ =
+    let assumption _ =
+      let v = rand vars in
+      Lit.make v (rand 2 = 1)
+    in
+    let assumptions = List.init 14 assumption in
+    match Solver.solve ~assumptions s with
+    | Solver.Unsat -> 0 :: -999 :: List.map Lit.to_dimacs (Solver.failed_assumptions s)
+    | r -> [ result_code r ]
+  in
+  pin "planted: verdicts and cores" planted_trace (List.concat_map round (List.init 12 Fun.id));
+  pin "planted: after sweep" [ 9683; 12107; 449717; 1854 ] (search_counts s)
+
+let test_identity_diversified () =
+  let config =
+    {
+      Solver.default_config with
+      seed = 11;
+      random_polarity = 0.05;
+      var_jitter = 0.3;
+      restart = Solver.Geometric;
+    }
+  in
+  let s = php ~config ~pigeons:8 ~holes:7 () in
+  Alcotest.check result "php(8,7) diversified" Solver.Unsat (Solver.solve s);
+  pin "diversified search" [ 3724; 4469; 50352; 1438 ] (search_counts s)
+
+(* Per point: legs, steps, R-ops, verdict (1 Sat, 0 Unsat), conflicts,
+   decisions, propagations. *)
+let ladder_trace =
+  [
+    1; 3; 0; 0; 102; 326; 6427;
+    2; 3; 1; 0; 1870; 3179; 139701;
+    3; 3; 2; 1; 1157; 2654; 92706;
+    3; 1; 2; 0; 189; 411; 12520;
+    3; 2; 2; 0; 3133; 4884; 263748
+  ]
+
+(* The incremental ladder of Synth.minimize: every point's verdict and
+   search counts. Failed-assumption cores decide which later points are
+   refuted by a recorded certificate (zero counts) instead of the solver. *)
+let test_identity_ladder () =
+  let spec =
+    Mm_boolfun.Spec.make ~name:"0069" [| Mm_boolfun.Truth_table.of_int 4 0x0069 |]
+  in
+  let r =
+    Mm_core.Synth.minimize ~timeout_per_call:60. ~max_rops:4 ~max_steps:3 spec
+  in
+  let row (a : Mm_core.Synth.attempt) =
+    let st = a.Mm_core.Synth.solver_stats in
+    [
+      a.n_legs;
+      a.steps_per_leg;
+      a.n_rops;
+      (match a.verdict with Mm_core.Synth.Sat _ -> 1 | Unsat -> 0 | Timeout -> -1);
+      st.Solver.conflicts;
+      st.decisions;
+      st.propagations;
+    ]
+  in
+  pin "ladder points" ladder_trace (List.concat_map row r.Mm_core.Synth.attempts)
+
+(* --- storage stress ---
+
+   Seeded incremental sessions over planted 3-SAT: clauses are added
+   between solve calls and every other call flips the polarity of the
+   previous assumption set. The 250-variable sessions run long enough for
+   repeated learnt-DB reductions and arena compactions (each runs 8
+   reductions and 4 compactions). Every model must satisfy every
+   clause and the assumptions, every core must lie within the assumptions,
+   and assumptions that agree with the hidden assignment must be
+   satisfiable. On the 20-variable sessions Dpll must agree on every
+   verdict and refute the clauses plus each core. *)
+
+let stress_session ~seed ~vars ~initial ~rounds ~added ~n_assume ~oracle =
+  let rand = lcg seed in
+  let hidden = Array.init vars (fun _ -> rand 2 = 1) in
+  let s = Solver.create () in
+  ignore (Solver.new_vars s vars);
+  let clauses = ref [] in
+  let add () =
+    let c = planted_clause rand hidden in
+    clauses := c :: !clauses;
+    Solver.add_clause s (List.map Lit.of_dimacs c)
+  in
+  for _ = 1 to initial do
+    add ()
+  done;
+  let prev = ref [] in
+  for round = 1 to rounds do
+    let assumptions =
+      if round mod 2 = 0 then List.map (fun d -> -d) !prev
+      else List.init n_assume (fun _ -> random_literal rand vars)
+    in
+    prev := assumptions;
+    let agrees = List.for_all (fun d -> hidden.(abs d - 1) = (d > 0)) assumptions in
+    let name = Printf.sprintf "seed %d round %d" seed round in
+    let dpll extra = Mm_sat.Dpll.solve ~num_vars:vars (List.map (fun d -> [ d ]) extra @ !clauses) in
+    (match Solver.solve ~assumptions:(List.map Lit.of_dimacs assumptions) s with
+     | Solver.Sat ->
+       let holds d = Solver.value s (Lit.of_dimacs d) in
+       Alcotest.(check bool) (name ^ ": model satisfies clauses") true
+         (List.for_all (List.exists holds) !clauses);
+       Alcotest.(check bool) (name ^ ": model satisfies assumptions") true
+         (List.for_all holds assumptions);
+       if oracle then
+         Alcotest.(check bool) (name ^ ": Dpll agrees (sat)") true
+           (match dpll assumptions with Mm_sat.Dpll.Sat _ -> true | _ -> false)
+     | Solver.Unsat ->
+       let core = List.map Lit.to_dimacs (Solver.failed_assumptions s) in
+       Alcotest.(check bool) (name ^ ": assumptions were satisfiable") false agrees;
+       Alcotest.(check bool) (name ^ ": core within assumptions") true
+         (List.for_all (fun d -> List.mem d assumptions) core);
+       if oracle then begin
+         Alcotest.(check bool) (name ^ ": Dpll agrees (unsat)") true
+           (dpll assumptions = Mm_sat.Dpll.Unsat);
+         Alcotest.(check bool) (name ^ ": Dpll refutes clauses + core") true
+           (dpll core = Mm_sat.Dpll.Unsat)
+       end
+     | Solver.Unknown -> Alcotest.fail (name ^ ": Unknown without a budget"));
+    for _ = 1 to added do
+      add ()
+    done
+  done;
+  Solver.stats s
+
+(* A lower bound on the [reduce_db] rounds a session ran, from public
+   stats alone: every non-root conflict records one learnt clause, at most
+   [vars] of them are units, and one round removes at most half (rounded
+   up) of a DB that never exceeds [peak_learnts]. *)
+let min_reductions (st : Solver.stats) ~vars =
+  let removed = st.conflicts - 1 - vars - st.learnt_clauses in
+  let per_round = (st.peak_learnts + 1) / 2 in
+  if removed <= 0 then 0 else (removed + per_round - 1) / per_round
+
+let test_stress_large () =
+  List.iter
+    (fun seed ->
+      let vars = 250 in
+      let st =
+        stress_session ~seed ~vars ~initial:1050 ~rounds:60 ~added:4 ~n_assume:16
+          ~oracle:false
+      in
+      Alcotest.(check bool) "several learnt-DB reductions" true
+        (min_reductions st ~vars >= 2))
+    [ 1; 2 ]
+
+let test_stress_small () =
+  List.iter
+    (fun seed ->
+      ignore
+        (stress_session ~seed ~vars:20 ~initial:70 ~rounds:60 ~added:1 ~n_assume:6
+           ~oracle:true))
+    [ 3; 4; 5; 6 ]
 
 (* --- DIMACS --- *)
 
@@ -324,6 +563,18 @@ let () =
           Alcotest.test_case "value without model" `Quick test_value_without_model;
           Alcotest.test_case "stats" `Quick test_stats;
           qtest prop_random_cnf;
+        ] );
+      ( "identity",
+        [
+          Alcotest.test_case "pigeonhole 7->6" `Quick test_identity_php;
+          Alcotest.test_case "planted 3-SAT with cores" `Quick test_identity_planted;
+          Alcotest.test_case "diversified config" `Quick test_identity_diversified;
+          Alcotest.test_case "minimize ladder" `Quick test_identity_ladder;
+        ] );
+      ( "stress",
+        [
+          Alcotest.test_case "incremental, 250 vars" `Quick test_stress_large;
+          Alcotest.test_case "incremental vs Dpll, 20 vars" `Quick test_stress_small;
         ] );
       ( "dimacs",
         [

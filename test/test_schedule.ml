@@ -57,6 +57,39 @@ let test_literal_cells () =
   in
   Alcotest.(check (list int)) "verified" [] (Sch.verify p spec)
 
+let test_output_literal_cells () =
+  (* an output that taps a literal no R-op reads gets a literal cell of
+     its own *)
+  let c =
+    C.make ~arity:2
+      ~legs:[| [| vop (Literal.Pos 1) Literal.Const0 |] |]
+      ~rops:[||]
+      ~outputs:[| C.From_leg 0; C.From_literal (Literal.Pos 2) |]
+      ()
+  in
+  let p = Sch.plan c in
+  Alcotest.(check int) "cells: 1 leg + 1 literal" 2 (Sch.n_cells p);
+  let spec =
+    Spec.of_fun ~name:"x1,x2" ~arity:2 ~outputs:2 (fun ~row ~output ->
+        Mm_boolfun.Truth_table.input_bit 2 row (output + 1))
+  in
+  (match C.realizes c spec with
+   | Ok () -> ()
+   | Error row -> Alcotest.failf "logic model wrong on row %d" row);
+  Alcotest.(check (list int)) "verified" [] (Sch.verify p spec);
+  (* a circuit whose only output is a literal still plans a cell *)
+  let c =
+    C.make ~arity:1 ~legs:[||] ~rops:[||]
+      ~outputs:[| C.From_literal (Literal.Neg 1) |]
+      ()
+  in
+  let p = Sch.plan c in
+  Alcotest.(check int) "cells: 1 literal" 1 (Sch.n_cells p);
+  let spec =
+    Spec.of_fun ~name:"not" ~arity:1 ~outputs:1 (fun ~row ~output:_ -> row = 0)
+  in
+  Alcotest.(check (list int)) "literal-only verified" [] (Sch.verify p spec)
+
 let test_execute_cycles () =
   let p = Sch.plan (xor2_circuit ()) in
   let r = Sch.execute p ~input:0b10 () in
@@ -184,6 +217,7 @@ let () =
         [
           Alcotest.test_case "roles" `Quick test_plan_roles;
           Alcotest.test_case "literal cells" `Quick test_literal_cells;
+          Alcotest.test_case "output literal cells" `Quick test_output_literal_cells;
           Alcotest.test_case "nimp schedulable" `Quick test_nimp_schedulable;
           Alcotest.test_case "unshared BE rejected" `Quick test_unshared_be_rejected;
           Alcotest.test_case "multi-tap physicalized" `Quick test_multi_tap_plan;
