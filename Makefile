@@ -270,7 +270,8 @@ bench-atlas:
 	dune exec bench/main.exe -- atlas
 
 # Paired A/B run of perfbench: the working tree against BASE (default the
-# last commit), e.g. `make perf-ab BASE=HEAD~1 WORKLOAD=minimize PAIRS=10`.
+# last commit), e.g. `make perf-ab BASE=HEAD~1 WORKLOAD=minimize PAIRS=10`;
+# WORKLOAD may be a comma list or `all`.
 BASE ?= HEAD
 WORKLOAD ?= minimize
 PAIRS ?= 10

@@ -28,44 +28,45 @@ let pp_cube n ppf c =
     Format.pp_print_string ppf
       (String.concat "*" (List.map Literal.to_string lits))
 
-(* Classic QMC. Implicants are (value, dc) pairs with [value land dc = 0];
-   two implicants with equal [dc] merge when their values differ in exactly
-   one bit. Implicants never marked as merged are prime. *)
-let prime_implicants n minterms =
-  let module S = Set.Make (struct
-    type t = int * int
+module Int_tbl = Hashtbl.Make (Int)
 
-    let compare = Stdlib.compare
-  end) in
-  let primes = ref S.empty in
-  let current = ref (List.map (fun m -> (m, 0)) minterms) in
-  let continue = ref true in
-  while !continue do
-    let level = List.sort_uniq Stdlib.compare !current in
-    let merged = Hashtbl.create 64 in
-    let next = ref S.empty in
-    let arr = Array.of_list level in
-    let len = Array.length arr in
-    for i = 0 to len - 1 do
-      for j = i + 1 to len - 1 do
-        let v1, d1 = arr.(i) and v2, d2 = arr.(j) in
-        if d1 = d2 then begin
-          let diff = v1 lxor v2 in
-          if diff <> 0 && diff land (diff - 1) = 0 then begin
-            Hashtbl.replace merged arr.(i) ();
-            Hashtbl.replace merged arr.(j) ();
-            next := S.add (v1 land v2, d1 lor diff) !next
-          end
-        end
-      done
-    done;
-    List.iter
-      (fun imp -> if not (Hashtbl.mem merged imp) then primes := S.add imp !primes)
-      level;
-    if S.is_empty !next then continue := false else current := S.elements !next
-  done;
+(* Classic QMC over packed implicants [value lsl n lor dc] with
+   [value land dc = 0]. Two implicants of a level merge when their [dc]
+   masks are equal and their values differ in exactly one bit, so the only
+   partner of [(v, dc)] across a free bit [b] with [v land b = 0] is
+   [(v lor b, dc)], one hash lookup per free 0-bit. Implicants never
+   merged are prime. The prime set of a function is unique and returned
+   sorted by [(value, dc)] — the packed order, as [dc < 2^n] — so the
+   cover [minimize] picks from it does not depend on hash order. *)
+let prime_implicants n minterms =
   let full = (1 lsl n) - 1 in
-  List.map (fun (v, dc) -> { care = full land lnot dc; value = v }) (S.elements !primes)
+  let pack v dc = (v lsl n) lor dc in
+  let primes = ref [] in
+  let level = ref (List.map (fun m -> pack m 0) minterms) in
+  while !level <> [] do
+    (* implicant -> merged flag *)
+    let merged = Int_tbl.create (2 * List.length !level) in
+    List.iter (fun p -> Int_tbl.replace merged p false) !level;
+    let next = Int_tbl.create 64 in
+    List.iter
+      (fun p ->
+        let v = p lsr n and dc = p land full in
+        for i = 0 to n - 1 do
+          let b = 1 lsl i in
+          let partner = pack (v lor b) dc in
+          if (v lor dc) land b = 0 && Int_tbl.mem merged partner then begin
+            Int_tbl.replace merged p true;
+            Int_tbl.replace merged partner true;
+            Int_tbl.replace next (pack v (dc lor b)) ()
+          end
+        done)
+      !level;
+    Int_tbl.iter (fun p m -> if not m then primes := p :: !primes) merged;
+    level := Int_tbl.fold (fun p () acc -> p :: acc) next []
+  done;
+  List.map
+    (fun p -> { care = full land lnot (p land full); value = p lsr n })
+    (List.sort Int.compare !primes)
 
 let minimize tt =
   let n = Truth_table.arity tt in

@@ -53,43 +53,83 @@ let make ~arity ?(rop_kind = Rop.Nor) ~legs ~rops ~outputs () =
   validate t;
   t
 
-let leg_value t ~leg ~step =
-  let ops = t.legs.(leg) in
-  let acc = ref (Tt.const t.arity false) in
-  for s = 0 to step do
-    let { te; be } = ops.(s) in
-    acc := Vop.apply ~n:t.arity !acc ~te ~be
-  done;
-  !acc
+(* One-pass evaluation. A literal's table is built at most once and only
+   when something reads it (tiny circuits pay for nothing they don't use);
+   a leg is replayed once, keeping the table after every step; R-ops are
+   computed once each, in order. *)
+type evaluator = {
+  circuit : t;
+  literals : Tt.t option array;  (* by [Literal.to_index] *)
+  prefixes : Tt.t array option array;  (* [.(l).(s)]: leg [l] after step [s] *)
+}
 
-(* R-op values are computed in order; each call recomputes the chain. *)
-let rop_values t =
-  let values = Array.make (Array.length t.rops) (Tt.const t.arity false) in
-  let source_val = function
-    | From_literal l -> Literal.table t.arity l
-    | From_leg l -> leg_value t ~leg:l ~step:(Array.length t.legs.(l) - 1)
-    | From_vop (l, s) -> leg_value t ~leg:l ~step:s
-    | From_rop r -> values.(r)
-  in
+let evaluator c =
+  {
+    circuit = c;
+    literals = Array.make (Literal.count c.arity) None;
+    prefixes = Array.make (Array.length c.legs) None;
+  }
+
+let literal_table ev l =
+  let i = Literal.to_index ev.circuit.arity l in
+  match ev.literals.(i) with
+  | Some tt -> tt
+  | None ->
+    let tt = Literal.table ev.circuit.arity l in
+    ev.literals.(i) <- Some tt;
+    tt
+
+let leg_table ev ~leg ~step =
+  if step < 0 then literal_table ev Literal.Const0
+  else
+    match ev.prefixes.(leg) with
+    | Some p -> p.(step)
+    | None ->
+      let acc = ref (literal_table ev Literal.Const0) in
+      let p =
+        Array.map
+          (fun { te; be } ->
+            acc :=
+              Vop.apply_fn !acc ~te:(literal_table ev te)
+                ~be:(literal_table ev be);
+            !acc)
+          ev.circuit.legs.(leg)
+      in
+      ev.prefixes.(leg) <- Some p;
+      p.(step)
+
+let source_table ev rops = function
+  | From_literal l -> literal_table ev l
+  | From_leg l ->
+    leg_table ev ~leg:l ~step:(Array.length ev.circuit.legs.(l) - 1)
+  | From_vop (l, s) -> leg_table ev ~leg:l ~step:s
+  | From_rop r -> rops.(r)
+
+let rop_tables ev =
+  let c = ev.circuit in
+  let values = Array.make (Array.length c.rops) (literal_table ev Literal.Const0) in
   Array.iteri
     (fun i { in1; in2 } ->
-      values.(i) <- Rop.apply t.rop_kind (source_val in1) (source_val in2))
-    t.rops;
+      values.(i) <-
+        Rop.apply c.rop_kind (source_table ev values in1)
+          (source_table ev values in2))
+    c.rops;
   values
 
-let source_value_with t values = function
-  | From_literal l -> Literal.table t.arity l
-  | From_leg l -> leg_value t ~leg:l ~step:(Array.length t.legs.(l) - 1)
-  | From_vop (l, s) -> leg_value t ~leg:l ~step:s
-  | From_rop r -> values.(r)
+let leg_value t ~leg ~step = leg_table (evaluator t) ~leg ~step
 
-let source_value t src = source_value_with t (rop_values t) src
+let rop_values t = rop_tables (evaluator t)
 
 let rop_value t i = (rop_values t).(i)
 
+let source_value t src =
+  let ev = evaluator t in
+  source_table ev (rop_tables ev) src
+
 let output_tables t =
-  let values = rop_values t in
-  Array.map (source_value_with t values) t.outputs
+  let ev = evaluator t in
+  let values = rop_tables ev in
+  Array.map (source_table ev values) t.outputs
 
 let eval t row =
   let tables = output_tables t in

@@ -52,7 +52,11 @@ val make :
     (performed by {!make}). *)
 val validate : t -> unit
 
-(** {2 Evaluation} *)
+(** {2 Evaluation}
+
+    Every evaluator below makes one pass over the circuit: each literal's
+    table is built at most once, and only if read; each leg is replayed
+    once with every step's table kept; each R-op is computed once. *)
 
 (** Truth table of a leg after step [s] (0-based); [s = -1] gives the
     initial const-0. *)
@@ -61,7 +65,10 @@ val leg_value : t -> leg:int -> step:int -> Tt.t
 (** Truth table produced by a source. *)
 val source_value : t -> source -> Tt.t
 
-(** Truth table of R-op [i]'s output. *)
+(** Truth tables of all R-op outputs, [.(i)] for R-op [i]. *)
+val rop_values : t -> Tt.t array
+
+(** Truth table of R-op [i]'s output ([(rop_values t).(i)]). *)
 val rop_value : t -> int -> Tt.t
 
 (** Truth tables of all outputs. *)

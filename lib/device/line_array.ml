@@ -7,6 +7,21 @@ type cell_obs = {
   current : float;
 }
 
+type drive =
+  | Vop of { v_te : Float.Array.t; v_be : float }
+  | Gate of {
+      in1 : int;
+      in2 : int;
+      out : int;
+      in_te : float;
+      in_be : float;
+      out_te : float;
+      out_be : float;
+    }
+  | Read of { cell : int; v_read : float }
+
+type cycle = { drive : drive; resistances : Float.Array.t }
+
 let create ~rng ~n ?(params = Device.default_params) ?(v0 = 9.0) () =
   if n <= 0 then invalid_arg "Line_array.create";
   { devices = Array.init n (fun _ -> Device.create ~rng params); params; v0 }
@@ -21,21 +36,20 @@ let states t = Array.map Device.state t.devices
 
 let set_states t l = List.iter (fun (i, b) -> Device.set_state (device t i) b) l
 
-let obs ~v_te ~v_be d =
-  let r = Device.resistance d in
-  { v_te; v_be; resistance = r; current = Float.abs ((v_te -. v_be) /. r) }
+let snapshot t drive =
+  { drive; resistances = Float.Array.map_from_array Device.resistance t.devices }
 
 let vop_cycle t ~te ~be =
   let vw = t.params.Device.v_write in
   let v_be = if be then vw else 0.0 in
-  Array.mapi
+  let v_te = Float.Array.create (size t) in
+  Array.iteri
     (fun i d ->
-      let v_te =
-        match te i with Some true -> vw | Some false -> 0.0 | None -> v_be
-      in
-      let (_ : float) = Device.apply d ~v_te ~v_be in
-      obs ~v_te ~v_be d)
-    t.devices
+      let v = match te i with Some true -> vw | Some false -> 0.0 | None -> v_be in
+      Float.Array.set v_te i v;
+      ignore (Device.apply d ~v_te:v ~v_be : float))
+    t.devices;
+  snapshot t (Vop { v_te; v_be })
 
 (* Quasi-transient divider: the output device is designed to switch first;
    once it has settled, the remaining node-voltage stress lands on the
@@ -61,14 +75,17 @@ let magic_nor t ~in1 ~in2 ~out =
   let v_n = node_voltage () in
   Device.apply_across d1 (-.(t.v0 -. v_n));
   Device.apply_across d2 (-.(t.v0 -. v_n));
-  let involved i = i = in1 || i = in2 || i = out in
-  Array.mapi
-    (fun i d ->
-      if involved i then
-        if i = out then obs ~v_te:(t.v0 -. v_n) ~v_be:(t.v0 -. v_n -. v_n) d
-        else obs ~v_te:t.v0 ~v_be:v_n d
-      else obs ~v_te:0.0 ~v_be:0.0 d)
-    t.devices
+  snapshot t
+    (Gate
+       {
+         in1;
+         in2;
+         out;
+         in_te = t.v0;
+         in_be = v_n;
+         out_te = t.v0 -. v_n;
+         out_be = t.v0 -. v_n -. v_n;
+       })
 
 (* NIMP(in1, in2) = in1 ∧ ¬in2: the output (preset HRS) sees
    v0 · R2 / (R1 + R2) in SET polarity — large only when in1 is LRS (small
@@ -91,14 +108,9 @@ let magic_nimp t ~in1 ~in2 ~out =
      while variation can still push it over the threshold *)
   Device.apply_across d1 ((v0n -. v_n) /. 2.0);
   Device.apply_across d2 ((v0n -. v_n) /. 2.0);
-  let involved i = i = in1 || i = in2 || i = out in
-  Array.mapi
-    (fun i d ->
-      if involved i then
-        if i = out then obs ~v_te:v_n ~v_be:0.0 d
-        else obs ~v_te:v0n ~v_be:v_n d
-      else obs ~v_te:0.0 ~v_be:0.0 d)
-    t.devices
+  snapshot t
+    (Gate
+       { in1; in2; out; in_te = v0n; in_be = v_n; out_te = v_n; out_be = 0.0 })
 
 let read t i =
   let d = device t i in
@@ -106,11 +118,24 @@ let read t i =
   (Device.state d, current)
 
 let read_cycle t i =
-  let vr = t.params.Device.v_read in
-  Array.mapi
-    (fun j d ->
-      if j = i then obs ~v_te:vr ~v_be:0.0 d else obs ~v_te:0.0 ~v_be:0.0 d)
-    t.devices
+  if i < 0 || i >= size t then invalid_arg "Line_array.read_cycle";
+  snapshot t (Read { cell = i; v_read = t.params.Device.v_read })
+
+(* The electrode voltages of cell [i] in a cycle. *)
+let voltages drive i =
+  match drive with
+  | Vop { v_te; v_be } -> (Float.Array.get v_te i, v_be)
+  | Gate { in1; in2; out; in_te; in_be; out_te; out_be } ->
+    if i = out then (out_te, out_be)
+    else if i = in1 || i = in2 then (in_te, in_be)
+    else (0.0, 0.0)
+  | Read { cell; v_read } -> if i = cell then (v_read, 0.0) else (0.0, 0.0)
+
+let observe { drive; resistances } =
+  Array.init (Float.Array.length resistances) (fun i ->
+      let v_te, v_be = voltages drive i in
+      let r = Float.Array.get resistances i in
+      { v_te; v_be; resistance = r; current = Float.abs ((v_te -. v_be) /. r) })
 
 let total_switches t =
   Array.fold_left (fun acc d -> acc + Device.switch_count d) 0 t.devices

@@ -11,13 +11,35 @@
 
 type t
 
-(** Per-cell observation of one cycle, consumed by {!Waveform}. *)
+(** Per-cell observation of one cycle, as {!Waveform} renders it. *)
 type cell_obs = {
   v_te : float;
   v_be : float;
   resistance : float;  (** after the cycle *)
   current : float;  (** |I| at the applied bias through the final resistance *)
 }
+
+(** The electrode voltages a cycle applied, in compact form. *)
+type drive =
+  | Vop of { v_te : Float.Array.t; v_be : float }
+      (** per-cell TE voltages and the shared BE rail *)
+  | Gate of {
+      in1 : int;
+      in2 : int;
+      out : int;
+      in_te : float;
+      in_be : float;  (** seen by both input cells *)
+      out_te : float;
+      out_be : float;  (** seen by the output cell *)
+    }  (** a stateful R-op; uninvolved cells see 0 V *)
+  | Read of { cell : int; v_read : float }
+      (** readout of one cell; the others see 0 V *)
+
+(** One cycle: its drive and every cell's resistance after it. *)
+type cycle = { drive : drive; resistances : Float.Array.t }
+
+(** [observe c] expands a cycle into one {!cell_obs} per cell. *)
+val observe : cycle -> cell_obs array
 
 (** [create ~rng ~n ()] builds [n] devices.
     @param params device parameters (default {!Device.default_params})
@@ -39,7 +61,7 @@ val set_states : t -> (int * bool) list -> unit
 (** [vop_cycle t ~te ~be] applies one parallel V-op cycle: cell [i] receives
     a TE pulse according to [te i] ([None] = dummy cycle, TE mirrors BE so
     the cell holds), and every cell sees the shared BE pulse [be]. *)
-val vop_cycle : t -> te:(int -> bool option) -> be:bool -> cell_obs array
+val vop_cycle : t -> te:(int -> bool option) -> be:bool -> cycle
 
 (** [magic_nor t ~in1 ~in2 ~out] executes one stateful NOR: [out] (expected
     preset to LRS) receives the divider voltage in RESET polarity; after the
@@ -47,20 +69,21 @@ val vop_cycle : t -> te:(int -> bool option) -> be:bool -> cell_obs array
     reproducing both correct MAGIC behaviour and its input-disturb failure
     mode under variation. [in1 = in2] degenerates to the 2-device MAGIC NOT;
     the output cell must be distinct from both inputs. *)
-val magic_nor : t -> in1:int -> in2:int -> out:int -> cell_obs array
+val magic_nor : t -> in1:int -> in2:int -> out:int -> cycle
 
 (** [magic_nimp t ~in1 ~in2 ~out] executes one stateful negated implication
     (the Ta₂O₅/IMPLY-family R-op): [out] (expected preset to HRS) is
     conditionally SET through the divider when [in1] is LRS and [in2] is
     HRS. Residual stress lands on the inputs in SET polarity, giving the
     analogous disturb failure mode under variation. *)
-val magic_nimp : t -> in1:int -> in2:int -> out:int -> cell_obs array
+val magic_nimp : t -> in1:int -> in2:int -> out:int -> cycle
 
 (** [read t i] reads cell [i]: (logical value, |I| at v_read). *)
 val read : t -> int -> bool * float
 
-(** Observation array for a readout cycle of cell [i] (other cells idle). *)
-val read_cycle : t -> int -> cell_obs array
+(** The readout cycle of cell [i] (other cells idle). Raises
+    [Invalid_argument] when [i] is not a cell. *)
+val read_cycle : t -> int -> cycle
 
 (** Total switching events across all cells (endurance accounting). *)
 val total_switches : t -> int

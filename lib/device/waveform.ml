@@ -1,15 +1,24 @@
 type row = { cycle : int; label : string; cells : Line_array.cell_obs array }
 
-type t = { mutable rev_rows : row list; mutable next_cycle : int }
+(* Cycles are kept compact (drive + resistances); the per-cell
+   observations of [row] are only built when a row is asked for. *)
+type t = {
+  mutable rev_cycles : (string * Line_array.cycle) list;
+  mutable length : int;
+}
 
-let create () = { rev_rows = []; next_cycle = 1 }
+let create () = { rev_cycles = []; length = 0 }
 
-let record t ~label cells =
-  t.rev_rows <- { cycle = t.next_cycle; label; cells } :: t.rev_rows;
-  t.next_cycle <- t.next_cycle + 1
+let record t ~label c =
+  t.rev_cycles <- (label, c) :: t.rev_cycles;
+  t.length <- t.length + 1
 
-let rows t = List.rev t.rev_rows
-let length t = List.length t.rev_rows
+let rows t =
+  List.mapi
+    (fun i (label, c) -> { cycle = i + 1; label; cells = Line_array.observe c })
+    (List.rev t.rev_cycles)
+
+let length t = t.length
 
 let pp ppf t =
   let rows = rows t in
@@ -49,11 +58,9 @@ let pp ppf t =
     Format.fprintf ppf "@]"
 
 let final_states ~params t =
-  match t.rev_rows with
+  match t.rev_cycles with
   | [] -> None
-  | last :: _ ->
+  | (_, last) :: _ ->
     let mid = sqrt (params.Device.r_lrs *. params.Device.r_hrs) in
     Some
-      (Array.map
-         (fun c -> c.Line_array.resistance < mid)
-         last.cells)
+      (Float.Array.map_to_array (fun r -> r < mid) last.Line_array.resistances)

@@ -14,10 +14,14 @@ type t
 
 val create : unit -> t
 
-(** [record t ~label obs] appends a cycle. *)
-val record : t -> label:string -> Line_array.cell_obs array -> unit
+(** [record t ~label c] appends a cycle. *)
+val record : t -> label:string -> Line_array.cycle -> unit
 
+(** The recorded cycles in order, each expanded into per-cell
+    observations. *)
 val rows : t -> row list
+
+(** Number of recorded cycles, O(1). *)
 val length : t -> int
 
 (** Render in a Fig.-2-like layout. [`Resistance] prints MΩ, [`Current]

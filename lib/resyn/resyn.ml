@@ -44,13 +44,13 @@ let sweep_merge (c : Circuit.t) =
       | s -> s
     in
     let merged = ref 0 in
+    let values = Circuit.rop_values c in
     let rops' = Array.make n_r c.Circuit.rops.(0) in
     for i = 0 to n_r - 1 do
       let r = c.Circuit.rops.(i) in
       rops'.(i) <-
         { Circuit.in1 = resolve r.Circuit.in1; in2 = resolve r.Circuit.in2 };
-      let tt = Circuit.rop_value c i in
-      let k = Tt.to_string tt in
+      let k = Tt.to_string values.(i) in
       match Hashtbl.find_opt map k with
       | Some s ->
         subst.(i) <- Some s;

@@ -332,6 +332,63 @@ let test_qmc_covers () =
   Alcotest.(check bool) "covers" true (Qmc.covers c 0b1100);
   Alcotest.(check bool) "not covers" false (Qmc.covers c 0b1110)
 
+(* Brute-force prime check: every cube of the cover is an implicant of
+   [tt], dropping any one of its literals breaks that, and the cover is
+   exact. *)
+let check_prime_cover name tt =
+  let n = Tt.arity tt in
+  let implicant c =
+    List.for_all
+      (fun q -> (not (Qmc.covers c q)) || Tt.eval tt q)
+      (List.init (Tt.rows tt) Fun.id)
+  in
+  let cubes = Qmc.minimize tt in
+  List.iter
+    (fun c ->
+      if not (implicant c) then
+        Alcotest.failf "%s: %s is not an implicant" name
+          (Format.asprintf "%a" (Qmc.pp_cube n) c);
+      for i = 0 to n - 1 do
+        let b = 1 lsl i in
+        if c.Qmc.care land b <> 0 then begin
+          let wider = { Qmc.care = c.Qmc.care land lnot b; value = c.Qmc.value land lnot b } in
+          if implicant wider then
+            Alcotest.failf "%s: %s is not prime" name
+              (Format.asprintf "%a" (Qmc.pp_cube n) c)
+        end
+      done)
+    cubes;
+  if not (Tt.equal tt (Qmc.sop_table n cubes)) then
+    Alcotest.failf "%s: cover is not exact" name
+
+let test_qmc_primes () =
+  for v = 0 to 255 do
+    check_prime_cover (Printf.sprintf "n=3 v=%d" v) (Tt.of_int 3 v)
+  done;
+  let st = Random.State.make [| 14 |] in
+  for n = 4 to 7 do
+    for k = 1 to 40 do
+      (* vary the ON-set density so sparse and dense functions both occur *)
+      let density = Random.State.float st 1.0 in
+      let tt = Tt.of_fun n (fun _ -> Random.State.float st 1.0 < density) in
+      check_prime_cover (Printf.sprintf "n=%d #%d" n k) tt
+    done
+  done
+
+(* Identity pin: the covers of all 65,536 4-input functions, recorded
+   before the hashed-merge implementation replaced the pairwise one. *)
+let test_qmc_identity () =
+  let b = Buffer.create (1 lsl 20) in
+  for v = 0 to 65535 do
+    List.iter
+      (fun { Qmc.care; value } -> Printf.bprintf b "%x/%x," care value)
+      (Qmc.minimize (Tt.of_int 4 v));
+    Buffer.add_char b ';'
+  done;
+  Alcotest.(check string) "digest of all 4-input covers"
+    "4df2b2288723f314c488751b90f13b1b"
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
 let () =
   Alcotest.run "boolfun"
     [
@@ -378,5 +435,7 @@ let () =
           qtest prop_qmc_exact;
           Alcotest.test_case "corner cases" `Quick test_qmc_corner_cases;
           Alcotest.test_case "covers" `Quick test_qmc_covers;
+          Alcotest.test_case "prime oracle" `Quick test_qmc_primes;
+          Alcotest.test_case "identity pin" `Quick test_qmc_identity;
         ] );
     ]

@@ -1,5 +1,7 @@
 module C = Mm_core.Circuit
 module Rop = Mm_core.Rop
+module Vop = Mm_core.Vop
+module Spec = Mm_boolfun.Spec
 module Reference = Mm_core.Reference
 module Emit = Mm_core.Emit
 module Tt = Mm_boolfun.Truth_table
@@ -147,6 +149,143 @@ let test_physicalize_multi_tap () =
   Alcotest.(check bool) "same function" true
     (Tt.equal (C.output_tables c).(0) (C.output_tables p).(0))
 
+(* --- evaluator oracle --- *)
+
+(* A seeded random valid circuit: arity 1-7, up to 4 legs of one common
+   length of at most 6 steps, at most 12 R-ops of either kind, sources
+   drawn from every literal (constants included), leg finals, mid-leg taps
+   and earlier R-ops. *)
+let random_circuit st =
+  let pick l = List.nth l (Random.State.int st (List.length l)) in
+  let arity = 1 + Random.State.int st 7 in
+  let lits = Literal.all arity in
+  let n_legs = Random.State.int st 5 in
+  let steps = Random.State.int st 7 in
+  let legs =
+    Array.init n_legs (fun _ ->
+        Array.init steps (fun _ -> vop (pick lits) (pick lits)))
+  in
+  let source ~rops =
+    let kinds =
+      [ `Lit ] @ (if n_legs > 0 then [ `Leg ] else [])
+      @ (if n_legs > 0 && steps > 0 then [ `Vop ] else [])
+      @ if rops > 0 then [ `Rop ] else []
+    in
+    match pick kinds with
+    | `Lit -> C.From_literal (pick lits)
+    | `Leg -> C.From_leg (Random.State.int st n_legs)
+    | `Vop -> C.From_vop (Random.State.int st n_legs, Random.State.int st steps)
+    | `Rop -> C.From_rop (Random.State.int st rops)
+  in
+  let n_rops = Random.State.int st 13 in
+  let rops =
+    Array.init n_rops (fun i -> { C.in1 = source ~rops:i; in2 = source ~rops:i })
+  in
+  let outputs = Array.init (1 + Random.State.int st 3) (fun _ -> source ~rops:n_rops) in
+  C.make ~arity ~rop_kind:(pick Rop.all_kinds) ~legs ~rops ~outputs ()
+
+(* Row-by-row replay on bools with Table I and the R-op truth table. *)
+let replay c row =
+  let lit l = Literal.eval c.C.arity l row in
+  let leg_after l s =
+    let st = ref false in
+    for i = 0 to s do
+      let { C.te; be } = c.C.legs.(l).(i) in
+      st := Vop.next !st ~te:(lit te) ~be:(lit be)
+    done;
+    !st
+  in
+  let rops = Array.make (C.n_rops c) false in
+  let source = function
+    | C.From_literal l -> lit l
+    | C.From_leg l -> leg_after l (Array.length c.C.legs.(l) - 1)
+    | C.From_vop (l, s) -> leg_after l s
+    | C.From_rop r -> rops.(r)
+  in
+  Array.iteri
+    (fun i { C.in1; in2 } -> rops.(i) <- Rop.eval c.C.rop_kind (source in1) (source in2))
+    c.C.rops;
+  (leg_after, source)
+
+let all_sources c =
+  List.map (fun l -> C.From_literal l) (Literal.all c.C.arity)
+  @ List.concat
+      (List.init (C.n_legs c) (fun l ->
+           C.From_leg l
+           :: List.init (C.steps_per_leg c) (fun s -> C.From_vop (l, s))))
+  @ List.init (C.n_rops c) (fun r -> C.From_rop r)
+
+let test_evaluator_oracle () =
+  let st = Random.State.make [| 20261017 |] in
+  for k = 1 to 400 do
+    let c = random_circuit st in
+    let name what = Printf.sprintf "circuit %d: %s" k what in
+    let rows = 1 lsl c.C.arity in
+    let replays = Array.init rows (replay c) in
+    let check_table what tt expect =
+      for q = 0 to rows - 1 do
+        if Tt.eval tt q <> expect q then
+          Alcotest.failf "%s wrong on row %d" (name what) q
+      done
+    in
+    let values = C.rop_values c in
+    Alcotest.(check int) (name "rop_values length") (C.n_rops c) (Array.length values);
+    Array.iteri
+      (fun i tt ->
+        let expect q = snd replays.(q) (C.From_rop i) in
+        check_table (Printf.sprintf "rop_values.(%d)" i) tt expect;
+        check_table (Printf.sprintf "rop_value %d" i) (C.rop_value c i) expect)
+      values;
+    List.iter
+      (fun src ->
+        check_table
+          (Format.asprintf "source_value %a" C.pp_source src)
+          (C.source_value c src)
+          (fun q -> snd replays.(q) src))
+      (all_sources c);
+    for l = 0 to C.n_legs c - 1 do
+      for s = -1 to C.steps_per_leg c - 1 do
+        check_table
+          (Printf.sprintf "leg_value %d %d" l s)
+          (C.leg_value c ~leg:l ~step:s)
+          (fun q -> fst replays.(q) l s)
+      done
+    done;
+    let tables = C.output_tables c in
+    Array.iteri
+      (fun o tt ->
+        check_table (Printf.sprintf "output %d" o) tt (fun q ->
+            snd replays.(q) c.C.outputs.(o)))
+      tables;
+    let word q =
+      let w = ref 0 in
+      Array.iteri
+        (fun o src -> if snd replays.(q) src then w := !w lor (1 lsl o))
+        c.C.outputs;
+      !w
+    in
+    for q = 0 to rows - 1 do
+      Alcotest.(check int) (name (Printf.sprintf "eval row %d" q)) (word q) (C.eval c q)
+    done;
+    let spec_of f =
+      Spec.of_fun ~name:"oracle" ~arity:c.C.arity ~outputs:(C.n_outputs c) f
+    in
+    let truth ~row ~output = (word row lsr output) land 1 = 1 in
+    (match C.realizes c (spec_of truth) with
+     | Ok () -> ()
+     | Error row -> Alcotest.failf "%s on row %d" (name "realizes") row);
+    (* flip two rows of one output: the first of them is reported *)
+    let o = Random.State.int st (C.n_outputs c) in
+    let r1 = Random.State.int st rows and r2 = Random.State.int st rows in
+    let flipped ~row ~output =
+      truth ~row ~output <> (output = o && (row = r1 || row = r2))
+    in
+    Alcotest.(check (result unit int))
+      (name "realizes mismatch")
+      (Error (min r1 r2))
+      (C.realizes c (spec_of flipped))
+  done
+
 let test_emit () =
   let c = xor2_circuit () in
   let dot = Emit.to_dot c in
@@ -172,5 +311,6 @@ let () =
           Alcotest.test_case "physicalize" `Quick test_physicalize;
           Alcotest.test_case "physicalize multi-tap" `Quick test_physicalize_multi_tap;
           Alcotest.test_case "emit" `Quick test_emit;
+          Alcotest.test_case "evaluator oracle" `Quick test_evaluator_oracle;
         ] );
     ]

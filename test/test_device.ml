@@ -219,6 +219,16 @@ let test_read () =
   Alcotest.(check bool) "cell1 = 0" false v1;
   Alcotest.(check bool) "current contrast" true (i0 > 10.0 *. i1)
 
+let test_read_cycle_bad_cell () =
+  let arr = make_array 2 in
+  List.iter
+    (fun i ->
+      Alcotest.check_raises
+        (Printf.sprintf "cell %d" i)
+        (Invalid_argument "Line_array.read_cycle")
+        (fun () -> ignore (Line_array.read_cycle arr i)))
+    [ -1; 2; 99 ]
+
 let test_total_switches () =
   let arr = make_array 2 in
   Alcotest.(check int) "fresh" 0 (Line_array.total_switches arr);
@@ -282,6 +292,7 @@ let () =
           Alcotest.test_case "magic nor bad cells" `Quick test_magic_nor_bad_cells;
           Alcotest.test_case "magic not degenerate" `Quick test_magic_not_degenerate;
           Alcotest.test_case "read" `Quick test_read;
+          Alcotest.test_case "read cycle bad cell" `Quick test_read_cycle_bad_cell;
           Alcotest.test_case "total switches" `Quick test_total_switches;
         ] );
       ("waveform", [ Alcotest.test_case "record/render" `Quick test_waveform ]);

@@ -38,6 +38,40 @@ let test_aig_of_spec () =
         tables)
     aig_specs
 
+(* Identity pins: the fanins and outputs of [Aig.of_spec], both
+   constructions, recorded before the hashed-merge QMC replaced the
+   pairwise one. *)
+let test_aig_identity () =
+  let digest ~balance spec =
+    let g = Aig.of_spec ~balance spec in
+    let b = Buffer.create 4096 in
+    Printf.bprintf b "%d/%d:" (Aig.n_inputs g) (Aig.n_ands g);
+    for v = Aig.n_inputs g + 1 to Aig.n_nodes g - 1 do
+      let x, y = Aig.fanins g v in
+      Printf.bprintf b "%d,%d;" x y
+    done;
+    Array.iter (Printf.bprintf b "o%d") (Aig.outputs g);
+    Digest.to_hex (Digest.string (Buffer.contents b))
+  in
+  List.iter
+    (fun (spec, plain, balanced) ->
+      Alcotest.(check string) (Spec.name spec) plain (digest ~balance:false spec);
+      Alcotest.(check string)
+        (Spec.name spec ^ " balanced")
+        balanced (digest ~balance:true spec))
+    [ (Arith.adder_bits 2, "869da0196b2c412c7819d1d2602a0939",
+       "6a160ff0687d93b0a03dec5c9b4a4b47");
+      (Arith.adder_bits 3, "0787064eaa7637754414d74fde47a443",
+       "3ce98feead9df2198ce5bd6030830b0f");
+      (Arith.adder_bits 4, "33a6eb3547c0cabe789c76ac836c624e",
+       "10d3e2886fee3e5be08fa04f386548c5");
+      (Arith.majority 5, "d0ffc51f83d084a39294aa1d6748c25f",
+       "d0ffc51f83d084a39294aa1d6748c25f");
+      (Arith.majority 6, "dcb7f6c9ab7a6c5c9b0d32cecfe5f426",
+       "dcb7f6c9ab7a6c5c9b0d32cecfe5f426");
+      (Arith.majority 7, "ec3b5f41a047617cba6c7396e9bbbf45",
+       "ec3b5f41a047617cba6c7396e9bbbf45") ]
+
 let test_aig_of_exprs () =
   let e = Expr.parse_exn "(x1 ^ x2) & ~(x3 | x4)" in
   let aig = Aig.of_exprs ~n:4 [ e ] in
@@ -174,6 +208,7 @@ let () =
           Alcotest.test_case "of_spec tables" `Quick test_aig_of_spec;
           Alcotest.test_case "of_exprs tables" `Quick test_aig_of_exprs;
           Alcotest.test_case "strash + const prop" `Quick test_aig_strash;
+          Alcotest.test_case "of_spec identity pin" `Quick test_aig_identity;
         ] );
       ( "cut",
         [ Alcotest.test_case "cut tables vs oracle" `Slow test_cut_tables ] );

@@ -182,6 +182,76 @@ let test_error_rate_deterministic () =
   let e2 = Sch.error_rate p xor2_spec ~variation:Variation.moderate ~trials:5 ~seed:7 in
   Alcotest.(check (float 0.0)) "same seed same estimate" e1 e2
 
+(* --- simulator identity --- *)
+
+let nimp_circuit () =
+  C.make ~arity:3 ~rop_kind:Rop.Nimp
+    ~legs:
+      [|
+        [| vop (Literal.Pos 1) Literal.Const0; vop (Literal.Pos 2) Literal.Const1 |];
+        [| vop (Literal.Neg 3) Literal.Const0; vop (Literal.Pos 1) Literal.Const1 |];
+      |]
+    ~rops:
+      [|
+        { C.in1 = C.From_leg 0; in2 = C.From_leg 1 };
+        { C.in1 = C.From_literal (Literal.Pos 3); in2 = C.From_rop 0 };
+        { C.in1 = C.From_rop 1; in2 = C.From_leg 1 };
+      |]
+    ~outputs:[| C.From_rop 2; C.From_leg 0; C.From_rop 0 |]
+    ()
+
+(* Seeded executions of every input row under harsh D2D/C2C variation with
+   one stuck cell. The digest covers every waveform observation printed
+   with %h; all values were recorded before cycles became compact
+   (drive + resistances). *)
+let test_simulator_identity () =
+  let params = Variation.apply Variation.harsh Mm_device.Device.default_params in
+  List.iter
+    (fun (name, c, fault, digest, outs, err) ->
+      let plan = Sch.plan c in
+      let trace = Buffer.create 65536 and words = Buffer.create 64 in
+      for input = 0 to (1 lsl c.C.arity) - 1 do
+        let r =
+          Sch.execute ~params ~rng:(Rng.create (100 + input)) ~faults:[ fault ]
+            plan ~input ()
+        in
+        let rows = Mm_device.Waveform.rows r.Sch.waveform in
+        Alcotest.(check int) (name ^ ": length = rows")
+          (List.length rows)
+          (Mm_device.Waveform.length r.Sch.waveform);
+        Printf.bprintf trace "row %d cycles %d\n" input r.Sch.cycles;
+        List.iter
+          (fun { Mm_device.Waveform.cycle; label; cells } ->
+            Printf.bprintf trace "%d %s" cycle label;
+            Array.iter
+              (fun { Mm_device.Line_array.v_te; v_be; resistance; current } ->
+                Printf.bprintf trace " %h %h %h %h" v_te v_be resistance current)
+              cells;
+            Buffer.add_char trace '\n')
+          rows;
+        Array.iter
+          (fun o -> Buffer.add_char words (if o then '1' else '0'))
+          r.Sch.outputs;
+        Printf.bprintf words "/%d " r.Sch.cycles
+      done;
+      Alcotest.(check string) (name ^ ": observations") digest
+        (Digest.to_hex (Digest.string (Buffer.contents trace)));
+      Alcotest.(check string) (name ^ ": outputs/cycles") outs (Buffer.contents words);
+      let spec = Spec.make ~name (C.output_tables c) in
+      Alcotest.(check string) (name ^ ": error rate") err
+        (Printf.sprintf "%h"
+           (Sch.error_rate plan spec ~variation:Variation.harsh ~trials:4 ~seed:17)))
+    [
+      ( "nor", Reference.gf4_mul_circuit (), (7, Mm_device.Device.Stuck_at false),
+        "c0dc2c1ce1db2ccc7d8350d65a877d1d",
+        "01/9 10/9 00/9 01/9 01/9 01/9 11/9 11/9 00/9 11/9 11/9 01/9 11/9 11/9 \
+         11/9 01/9 ",
+        "0x1.fp-2" );
+      ( "nimp", nimp_circuit (), (3, Mm_device.Device.Stuck_at true),
+        "8daaac5380b50db24a33c57d198dff7c",
+        "101/8 100/8 100/8 100/8 000/8 101/8 010/8 111/8 ", "0x1p-4" );
+    ]
+
 (* --- reliability study --- *)
 
 let test_rop_depth () =
@@ -229,6 +299,7 @@ let () =
           Alcotest.test_case "Fig. 2 scenario" `Quick test_fig2_scenario;
           Alcotest.test_case "error rates" `Slow test_error_rates;
           Alcotest.test_case "deterministic" `Quick test_error_rate_deterministic;
+          Alcotest.test_case "simulator identity" `Quick test_simulator_identity;
         ] );
       ( "reliability",
         [
