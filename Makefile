@@ -145,7 +145,8 @@ smoke-map: build
 # cross-check the outputs against the 1D line-array backend row by row —
 # `map --target xbar` exits non-zero unless both the simulator validation
 # and the backend diff pass, and the grep makes the full row counts an
-# explicit gate rather than trusting the exit code alone.
+# explicit gate rather than trusting the exit code alone. Resynthesis is a
+# line-target pass, so `--target xbar --resyn` must be refused by name.
 smoke-xbar: build
 	@set -e; \
 	out=$$(dune exec bin/mmsynth.exe -- map --workload adder2 --effort 1 \
@@ -154,6 +155,11 @@ smoke-xbar: build
 	  || { echo "smoke-xbar: simulator validation failed"; exit 1; }; \
 	echo "$$out" | grep -q "cross-check vs 1D backend: 32/32 rows agree" \
 	  || { echo "smoke-xbar: backend diff failed"; exit 1; }; \
+	if err=$$($(MMSYNTH) map --workload adder2 --effort 1 --target xbar \
+	  --resyn 2>&1); then \
+	  echo "smoke-xbar: --target xbar --resyn was accepted"; exit 1; fi; \
+	echo "$$err" | grep -q -e "--resyn" \
+	  || { echo "smoke-xbar: rejection does not name --resyn"; exit 1; }; \
 	rm -f $(XBAR_CACHE); \
 	echo "smoke-xbar: OK (crossbar schedule verified and matches the 1D backend on all rows)"
 
@@ -179,7 +185,7 @@ smoke-resyn: build
 	  || { echo "smoke-resyn: could not parse step totals"; exit 1; }; \
 	[ "$$total" -le "$$plain" ] \
 	  || { echo "smoke-resyn: resyn regressed ($$plain -> $$total steps)"; exit 1; }; \
-	$(MMSYNTH) resyn $(RESYN_ART) --effort 1 --cache $(RESYN_CACHE) \
+	$(MMSYNTH) resyn $(RESYN_ART) \
 	  | grep -q "rows correct" \
 	  || { echo "smoke-resyn: artifact round trip failed"; exit 1; }; \
 	rm -f $(RESYN_CACHE) $(RESYN_ART); \

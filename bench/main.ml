@@ -18,9 +18,13 @@ module Reference = Mm_core.Reference
 module Schedule = Mm_core.Schedule
 module Reliability = Mm_core.Reliability
 module Table = Mm_report.Table
+module Json = Mm_report.Json
 module Variation = Mm_device.Variation
 module Xbar = Mm_core.Xbar_schedule
 module Heuristic = Mm_core.Heuristic
+
+(* wall times in the BENCH files, to 0.1 ms *)
+let json_s x = Json.Float (Float.round (x *. 1e4) /. 1e4)
 
 let section title = Printf.printf "\n=== %s ===\n\n%!" title
 
@@ -808,125 +812,96 @@ let xbar_bench ?(budget = 0.5) ?(rows = 16) ?(ports = 4) () =
     !wins !total
 
 (* ------------------------------------------------------------------ *)
-(* Resyn: windowed SAT-sweeping resynthesis over stitched schedules    *)
+(* Resyn: post-mapping resynthesis of stitched schedules               *)
 (* ------------------------------------------------------------------ *)
 
-let resyn_bench ?(budget = 0.5) ?(passes = 4) ?(rows = 16) ?(ports = 4) () =
+let resyn_bench ?(budget = 0.5) ?(passes = 4) () =
   let module Engine = Mm_engine.Engine in
   let module Cache = Mm_engine.Cache in
   let module Stitch = Mm_map.Stitch in
-  let module Xstitch = Mm_map.Xstitch in
   let module Resyn = Mm_resyn.Resyn in
   section "Resyn: post-mapping resynthesis of stitched schedules";
   Printf.printf
     "Each workload is mapped and stitched, then re-optimized after the cut\n\
      boundaries are gone: semantic sweeping redirects R-ops that duplicate\n\
-     an earlier signal, every legal window is re-synthesized exactly\n\
-     (atlas-first) and spliced only when strictly cheaper AND re-verified,\n\
-     and the shared-BE-rail schedule is compacted to the shortest common\n\
-     supersequence of the legs' real-op rails. The crossbar schedule is\n\
-     re-optimized at cover level (producer-into-consumer merges). The\n\
-     gate: mapped+resyn must never exceed the Shannon heuristic.\n\n%!";
+     an earlier signal, dead R-ops are dropped, and the shared-BE-rail\n\
+     schedule is compacted to the shortest common supersequence of the\n\
+     legs' real-op rails. The gate: mapped+resyn must never exceed the\n\
+     Shannon heuristic.\n\n%!";
   let t =
     Table.create
-      [ "function"; "n"; "map"; "resyn"; "heur"; "win a/t"; "merged"; "dead";
-        "V saved"; "xbar cyc"; "time [s]"; "verified" ]
+      [ "function"; "n"; "map"; "resyn"; "heur"; "merged"; "dead"; "V saved";
+        "time [s]"; "verified" ]
   in
   let cache = Cache.create () in
   let cfg =
     Engine.config ~timeout_per_call:budget ~max_rops:8 ~domains:1
       ~taps:E.Final_only ~cache ()
   in
-  let results = ref [] and wins = ref 0 and total = ref 0 in
+  let wins = ref 0 in
   let case spec =
     let t0 = Unix.gettimeofday () in
     let st = (Stitch.compile cfg spec).Stitch.stitched in
-    let r = Resyn.optimize ~max_passes:passes cfg spec st.Stitch.circuit in
+    let r = Resyn.run ~max_passes:passes spec st.Stitch.circuit in
     let s = r.Resyn.stats in
     let c = r.Resyn.circuit in
-    let plan = Schedule.plan c in
-    let failures = Schedule.verify plan spec in
+    let failures = Schedule.verify (Schedule.plan c) spec in
     let hc, _ = Heuristic.synthesize ~timeout_per_block:budget spec in
-    let xr = Xstitch.compile ~rows ~ports cfg spec in
-    let x = Resyn.optimize_xbar ~rows ~ports cfg spec xr in
-    let xs = x.Resyn.xstats in
     let dt = Unix.gettimeofday () -. t0 in
     let gate = C.n_steps c <= C.n_steps hc in
-    let ok =
-      failures = [] && x.Resyn.result.Xstitch.verified
-      && s.Resyn.steps_after <= s.Resyn.steps_before
-      && xs.Resyn.cycles_after <= xs.Resyn.cycles_before
-    in
-    incr total;
+    let ok = failures = [] && s.Resyn.steps_after <= s.Resyn.steps_before in
     if gate && ok then incr wins;
     Table.add_row t
-      [
-        Spec.name spec;
+      [ Spec.name spec;
         string_of_int (Spec.arity spec);
         string_of_int s.Resyn.steps_before;
         string_of_int s.Resyn.steps_after;
         string_of_int (C.n_steps hc);
-        Printf.sprintf "%d/%d" s.Resyn.windows_accepted s.Resyn.windows_attempted;
         string_of_int s.Resyn.sweep_merged;
         string_of_int s.Resyn.dce_removed;
         string_of_int s.Resyn.v_steps_saved;
-        Printf.sprintf "%d->%d" xs.Resyn.cycles_before xs.Resyn.cycles_after;
         Printf.sprintf "%.1f" dt;
-        (if ok then "yes" else "NO");
-      ];
-    results :=
-      Printf.sprintf
-        "    { \"function\": %S, \"n\": %d, \"mapped_total\": %d,\n\
-        \      \"resyn_total\": %d, \"heuristic_total\": %d,\n\
-        \      \"windows_attempted\": %d, \"windows_accepted\": %d,\n\
-        \      \"trivial_hits\": %d, \"atlas_hits\": %d, \"solver_hits\": %d,\n\
-        \      \"sweep_merged\": %d, \"dce_removed\": %d, \"v_steps_saved\": %d,\n\
-        \      \"passes\": %d, \"fixed_point\": %b,\n\
-        \      \"xbar_cycles_before\": %d, \"xbar_cycles_after\": %d,\n\
-        \      \"xbar_merges_accepted\": %d,\n\
-        \      \"mapped_le_heuristic\": %b, \"time_s\": %.2f, \"verified\": %b }"
-        (Spec.name spec) (Spec.arity spec) s.Resyn.steps_before
-        s.Resyn.steps_after (C.n_steps hc) s.Resyn.windows_attempted
-        s.Resyn.windows_accepted s.Resyn.trivial_hits s.Resyn.atlas_hits
-        s.Resyn.solver_hits s.Resyn.sweep_merged s.Resyn.dce_removed
-        s.Resyn.v_steps_saved s.Resyn.passes s.Resyn.fixed_point
-        xs.Resyn.cycles_before xs.Resyn.cycles_after xs.Resyn.merges_accepted
-        gate dt ok
-      :: !results
+        (if ok then "yes" else "NO") ];
+    Json.Obj
+      [ ("function", Json.String (Spec.name spec));
+        ("n", Json.Int (Spec.arity spec));
+        ("mapped_total", Json.Int s.Resyn.steps_before);
+        ("resyn_total", Json.Int s.Resyn.steps_after);
+        ("heuristic_total", Json.Int (C.n_steps hc));
+        ("sweep_merged", Json.Int s.Resyn.sweep_merged);
+        ("dce_removed", Json.Int s.Resyn.dce_removed);
+        ("v_steps_saved", Json.Int s.Resyn.v_steps_saved);
+        ("passes", Json.Int s.Resyn.passes);
+        ("fixed_point", Json.Bool s.Resyn.fixed_point);
+        ("mapped_le_heuristic", Json.Bool gate);
+        ("time_s", json_s dt);
+        ("verified", Json.Bool ok) ]
   in
-  case (Arith.adder_bits 2);
-  case (Arith.adder_bits 3);
-  case (Arith.adder_bits 4);
-  case (Arith.majority 5);
-  case (Arith.majority 6);
-  case (Arith.majority 7);
-  case (Arith.parity 5);
-  case (Arith.parity 6);
-  case (Arith.parity 7);
-  case (Arith.parity 8);
+  (* in order: the workloads share one cache *)
+  let results =
+    List.map case
+      [ Arith.adder_bits 2; Arith.adder_bits 3; Arith.adder_bits 4;
+        Arith.majority 5; Arith.majority 6; Arith.majority 7;
+        Arith.parity 5; Arith.parity 6; Arith.parity 7; Arith.parity 8 ]
+  in
   Table.print t;
   let json =
-    Printf.sprintf
-      "{\n\
-      \  \"workload\": \"post-mapping resynthesis (sweep + window rewrite + \
-       leg compaction) vs Shannon heuristic\",\n\
-      \  \"host_cores\": %d,\n\
-      \  \"probe_budget_s\": %.2f,\n\
-      \  \"resyn_passes\": %d,\n\
-      \  \"rows\": %d,\n\
-      \  \"ports\": %d,\n\
-      \  \"cost_metric\": \"V-steps per leg + R-ops (total schedule \
-       steps)\",\n\
-      \  \"mapped_le_heuristic\": %d,\n\
-      \  \"workloads\": %d,\n\
-      \  \"results\": [\n%s\n  ]\n\
-       }"
-      (Domain.recommended_domain_count ())
-      budget passes rows ports !wins !total
-      (String.concat ",\n" (List.rev !results))
+    Json.Obj
+      [ ( "workload",
+          Json.String
+            "post-mapping resynthesis (sweep + dce + leg compaction) vs \
+             Shannon heuristic" );
+        ("host_cores", Json.Int (Domain.recommended_domain_count ()));
+        ("probe_budget_s", Json.Float budget);
+        ("resyn_passes", Json.Int passes);
+        ( "cost_metric",
+          Json.String "V-steps per leg + R-ops (total schedule steps)" );
+        ("mapped_le_heuristic", Json.Int !wins);
+        ("workloads", Json.Int (List.length results));
+        ("results", Json.List results) ]
   in
   let oc = open_out "BENCH_resyn.json" in
-  output_string oc json;
+  output_string oc (Json.to_string_pretty json);
   output_char oc '\n';
   close_out oc;
   Printf.printf
@@ -934,7 +909,7 @@ let resyn_bench ?(budget = 0.5) ?(passes = 4) ?(rows = 16) ?(ports = 4) () =
      sweeps absorb cross-block duplication and SCS rail compaction\n\
      reclaims the stitcher's serialization padding; written to\n\
      BENCH_resyn.json\n"
-    !wins !total
+    !wins (List.length results)
 
 (* ------------------------------------------------------------------ *)
 (* Engine: NPN-canonicalizing, cached, multicore batch synthesis       *)
@@ -1054,13 +1029,13 @@ let ladder_bench ?(budget = 60.) ?(limit = 24) () =
         Spec.make ~name:(Printf.sprintf "npn-%04x" v) [| Tt.of_int 4 v |])
       sample
   in
-  (* identical caps on every mode keep the sweeps point-for-point
+  (* identical caps on both paths keep the sweeps point-for-point
      comparable: same budget points, same verdicts, different solvers *)
-  let sweep ~incremental ~racing spec =
+  let sweep ~incremental spec =
     let t0 = Unix.gettimeofday () in
     let r =
       Synth.minimize ~timeout_per_call:budget ~max_rops:4 ~max_steps:3
-        ~incremental ~racing spec
+        ~incremental spec
     in
     let wall = Unix.gettimeofday () -. t0 in
     let conflicts =
@@ -1082,12 +1057,32 @@ let ladder_bench ?(budget = 60.) ?(limit = 24) () =
   in
   let t =
     Table.create
-      [ "class"; "verdict"; "mono(s)"; "inc(s)"; "race(s)"; "confl mono";
-        "confl inc"; "match" ]
+      [ "class"; "verdict"; "mono(s)"; "inc(s)"; "confl mono"; "confl inc";
+        "match" ]
   in
-  let rows = ref [] in
+  let per_class = ref [] in
+  (* (monolithic wall, incremental wall, monolithic conflicts, incremental
+     conflicts) of every class that finished inside the budget *)
+  let finished = ref [] in
   let mismatches = ref 0 in
   let skipped = ref 0 in
+  let record name verdict ~wm ~wi ~cm ~ci ~same ~excluded =
+    per_class :=
+      Json.Obj
+        [ ("class", Json.String name);
+          ("verdict", Json.String verdict);
+          ("monolithic_wall_s", json_s wm);
+          ("incremental_wall_s", json_s wi);
+          ("monolithic_conflicts", Json.Int cm);
+          ("incremental_conflicts", Json.Int ci);
+          ("verdicts_match", Json.Bool same);
+          ("excluded_over_budget", Json.Bool excluded) ]
+      :: !per_class
+  in
+  let over_budget name =
+    incr skipped;
+    record name "budget" ~wm:0. ~wi:0. ~cm:0 ~ci:0 ~same:true ~excluded:true
+  in
   Array.iter
     (fun spec ->
       (* The incremental sweep runs first as a screen: a class that cannot
@@ -1095,31 +1090,25 @@ let ladder_bench ?(budget = 60.) ?(limit = 24) () =
          the aggregate — walls of budget-capped runs measure the budget,
          not the solver, and a timeout verdict is nondeterministic across
          paths so it cannot participate in the differential check either. *)
-      let ri, wi, ci = sweep ~incremental:true ~racing:false spec in
+      let name = Spec.name spec in
+      let ri, wi, ci = sweep ~incremental:true spec in
       if timed_out ri then begin
-        incr skipped;
+        over_budget name;
         Table.add_row t
-          [ Spec.name spec; "budget"; "-"; Printf.sprintf "%.2f" wi; "-"; "-";
-            string_of_int ci; "t/o" ];
-        rows := (Spec.name spec, "budget", 0., 0., 0., 0, 0, 0, true, true)
-                :: !rows
+          [ name; "budget"; "-"; Printf.sprintf "%.2f" wi; "-";
+            string_of_int ci; "t/o" ]
       end
       else begin
-        let rm, wm, cm = sweep ~incremental:false ~racing:false spec in
-        let rr, wr, cr = sweep ~incremental:true ~racing:true spec in
-        if timed_out rm || timed_out rr then begin
-          incr skipped;
+        let rm, wm, cm = sweep ~incremental:false spec in
+        if timed_out rm then begin
+          over_budget name;
           Table.add_row t
-            [ Spec.name spec; "budget"; Printf.sprintf "%.2f" wm;
-              Printf.sprintf "%.2f" wi; Printf.sprintf "%.2f" wr;
-              string_of_int cm; string_of_int ci; "t/o" ];
-          rows := (Spec.name spec, "budget", 0., 0., 0., 0, 0, 0, true, true)
-                  :: !rows
+            [ name; "budget"; Printf.sprintf "%.2f" wm;
+              Printf.sprintf "%.2f" wi; string_of_int cm; string_of_int ci;
+              "t/o" ]
         end
         else begin
-          let same =
-            fingerprint rm = fingerprint ri && fingerprint rm = fingerprint rr
-          in
+          let same = fingerprint rm = fingerprint ri in
           if not same then incr mismatches;
           let verdict =
             match rm.Synth.best with
@@ -1129,81 +1118,48 @@ let ladder_bench ?(budget = 60.) ?(limit = 24) () =
             | None -> "none"
           in
           Table.add_row t
-            [ Spec.name spec; verdict; Printf.sprintf "%.2f" wm;
-              Printf.sprintf "%.2f" wi; Printf.sprintf "%.2f" wr;
-              string_of_int cm; string_of_int ci;
+            [ name; verdict; Printf.sprintf "%.2f" wm;
+              Printf.sprintf "%.2f" wi; string_of_int cm; string_of_int ci;
               (if same then "yes" else "NO") ];
-          rows :=
-            (Spec.name spec, verdict, wm, wi, wr, cm, ci, cr, same, false)
-            :: !rows
+          record name verdict ~wm ~wi ~cm ~ci ~same ~excluded:false;
+          finished := (wm, wi, cm, ci) :: !finished
         end
       end)
     specs;
   Table.print t;
-  let rows = List.rev !rows in
-  let done_rows =
-    List.filter (fun (_, _, _, _, _, _, _, _, _, skip) -> not skip) rows
-  in
-  let tot f = List.fold_left (fun acc r -> acc +. f r) 0. done_rows in
-  let wall_mono = tot (fun (_, _, w, _, _, _, _, _, _, _) -> w) in
-  let wall_inc = tot (fun (_, _, _, w, _, _, _, _, _, _) -> w) in
-  let wall_race = tot (fun (_, _, _, _, w, _, _, _, _, _) -> w) in
-  let toti f = List.fold_left (fun acc r -> acc + f r) 0 done_rows in
-  let confl_mono = toti (fun (_, _, _, _, _, c, _, _, _, _) -> c) in
-  let confl_inc = toti (fun (_, _, _, _, _, _, c, _, _, _) -> c) in
-  let confl_race = toti (fun (_, _, _, _, _, _, _, c, _, _) -> c) in
+  let wall_mono = List.fold_left (fun acc (w, _, _, _) -> acc +. w) 0. !finished in
+  let wall_inc = List.fold_left (fun acc (_, w, _, _) -> acc +. w) 0. !finished in
+  let confl_mono = List.fold_left (fun acc (_, _, c, _) -> acc + c) 0 !finished in
+  let confl_inc = List.fold_left (fun acc (_, _, _, c) -> acc + c) 0 !finished in
   let speedup_inc = if wall_inc > 0. then wall_mono /. wall_inc else 0. in
-  let speedup_race = if wall_race > 0. then wall_mono /. wall_race else 0. in
-  let per_class =
-    String.concat ",\n"
-      (List.map
-         (fun (name, verdict, wm, wi, wr, cm, ci, cr, same, skip) ->
-           Printf.sprintf
-             "    { \"class\": \"%s\", \"verdict\": \"%s\", \
-              \"monolithic_wall_s\": %.4f, \"incremental_wall_s\": %.4f, \
-              \"racing_wall_s\": %.4f, \"monolithic_conflicts\": %d, \
-              \"incremental_conflicts\": %d, \"racing_conflicts\": %d, \
-              \"verdicts_match\": %b, \"excluded_over_budget\": %b }"
-             name verdict wm wi wr cm ci cr same skip)
-         rows)
-  in
   let json =
-    Printf.sprintf
-      "{\n\
-      \  \"schema\": \"mmsynth-bench-ladder-v1\",\n\
-      \  \"workload\": \"4-input NPN class representatives, minimize sweep \
-       (max_rops=4, max_steps=3)\",\n\
-      \  \"host_cores\": %d,\n\
-      \  \"cores\": %d,\n\
-      \  \"budget_per_call_s\": %.1f,\n\
-      \  \"classes_total\": %d,\n\
-      \  \"classes_sampled\": %d,\n\
-      \  \"classes_over_budget\": %d,\n\
-      \  \"monolithic_wall_s\": %.3f,\n\
-      \  \"incremental_wall_s\": %.3f,\n\
-      \  \"racing_wall_s\": %.3f,\n\
-      \  \"monolithic_conflicts\": %d,\n\
-      \  \"incremental_conflicts\": %d,\n\
-      \  \"racing_conflicts\": %d,\n\
-      \  \"speedup_incremental\": %.2f,\n\
-      \  \"speedup_racing\": %.2f,\n\
-      \  \"verdict_mismatches\": %d,\n\
-      \  \"per_class\": [\n%s\n  ]\n\
-       }"
-      (Domain.recommended_domain_count ())
-      (Domain.recommended_domain_count ())
-      budget n_total limit !skipped wall_mono wall_inc wall_race confl_mono
-      confl_inc confl_race speedup_inc speedup_race !mismatches per_class
+    Json.Obj
+      [ ("schema", Json.String "mmsynth-bench-ladder-v2");
+        ( "workload",
+          Json.String
+            "4-input NPN class representatives, minimize sweep (max_rops=4, \
+             max_steps=3)" );
+        ("host_cores", Json.Int (Domain.recommended_domain_count ()));
+        ("budget_per_call_s", Json.Float budget);
+        ("classes_total", Json.Int n_total);
+        ("classes_sampled", Json.Int limit);
+        ("classes_over_budget", Json.Int !skipped);
+        ("monolithic_wall_s", json_s wall_mono);
+        ("incremental_wall_s", json_s wall_inc);
+        ("monolithic_conflicts", Json.Int confl_mono);
+        ("incremental_conflicts", Json.Int confl_inc);
+        ("speedup_incremental", Json.Float (Float.round (speedup_inc *. 100.) /. 100.));
+        ("verdict_mismatches", Json.Int !mismatches);
+        ("per_class", Json.List (List.rev !per_class)) ]
   in
   let oc = open_out "BENCH_ladder.json" in
-  output_string oc json;
+  output_string oc (Json.to_string_pretty json);
   output_char oc '\n';
   close_out oc;
   Printf.printf
-    "\nincremental %.2fx, incremental+racing %.2fx vs monolithic \
-     (%d/%d classes, %d over budget, %d mismatches); written to \
-     BENCH_ladder.json\n"
-    speedup_inc speedup_race limit n_total !skipped !mismatches
+    "\nincremental %.2fx vs monolithic (%d/%d classes, %d over budget, %d \
+     mismatches); written to BENCH_ladder.json\n"
+    speedup_inc limit n_total !skipped !mismatches
 
 (* ------------------------------------------------------------------ *)
 (* Prove: portfolio / cube-and-conquer orchestration vs single core    *)
@@ -1536,7 +1492,6 @@ let serve_bench () =
   let module Server = Mm_serve.Server in
   let module Client = Mm_serve.Client in
   let module Wire = Mm_serve.Wire in
-  let module Json = Mm_report.Json in
   section "Serve: resident daemon under concurrent load, warm vs cold";
   let tmp name =
     Filename.concat (Filename.get_temp_dir_name ())
@@ -1849,7 +1804,6 @@ let storm_bench () =
   let module Wire = Mm_serve.Wire in
   let module Router = Mm_cluster.Router in
   let module Rng = Mm_device.Rng in
-  let module Json = Mm_report.Json in
   section "Storm: open-loop arrivals on 4 shards, one killed mid-run";
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ -> ());
@@ -2083,7 +2037,6 @@ let storm_bench () =
 
 let atlas_bench () =
   let module Atlas = Mm_atlas.Atlas in
-  let module Json = Mm_report.Json in
   section "Atlas: offline NPN universe build per effort tier, lookup speed";
   let tmp name =
     Filename.concat (Filename.get_temp_dir_name ())
@@ -2308,9 +2261,8 @@ let usage () =
     \               -> BENCH_map.json; --budget SECONDS per library probe\n\
     \  xbar         crossbar row-parallel scheduling vs 1D steps on the map\n\
     \               workloads -> BENCH_xbar.json; --budget SECONDS per probe\n\
-    \  resyn        post-mapping resynthesis (sweep + window rewrite + leg\n\
-    \               compaction) vs heuristic -> BENCH_resyn.json; --budget\n\
-    \               SECONDS per probe\n\
+    \  resyn        post-mapping resynthesis (sweep + dce + leg compaction)\n\
+    \               vs heuristic -> BENCH_resyn.json; --budget SECONDS per probe\n\
     \  engine       batch engine: NPN classes + cache + domain pool -> BENCH_engine.json\n\
     \  ladder       incremental assumption sweep vs monolithic -> BENCH_ladder.json;\n\
     \               --budget SECONDS, --limit N classes\n\

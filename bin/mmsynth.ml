@@ -617,10 +617,10 @@ let batch_cmd =
   in
   let batch_resyn_flag =
     Arg.(value & flag & info [ "resyn" ]
-           ~doc:"Run windowed resynthesis (see $(b,mmsynth map --resyn)) on \
-                 every cover produced by $(b,--map-large); each optimized \
-                 schedule is re-verified row-by-row and never worse than \
-                 the stitched one.")
+           ~doc:"Run post-mapping resynthesis (see $(b,mmsynth map \
+                 --resyn)) on every cover produced by $(b,--map-large); \
+                 each optimized schedule is re-verified row-by-row and never \
+                 worse than the stitched one.")
   in
   let run exprs pla tables workload arity name timeout batch_arity jobs
       cache_file cache_shards atlas no_npn final no_inc stats limit deadline
@@ -781,7 +781,7 @@ let batch_cmd =
               let c, resyn_note =
                 if not batch_resyn then (c, "")
                 else
-                  match Mm_resyn.Resyn.optimize map_cfg spec c with
+                  match Mm_resyn.Resyn.run spec c with
                   | t ->
                     ( t.Mm_resyn.Resyn.circuit,
                       Printf.sprintf " (resyn: %d -> %d steps)"
@@ -1378,12 +1378,64 @@ let cluster_cmd =
         $ probe_interval $ max_pending $ max_batch $ jobs $ inject
         $ inject_seed $ chaos_kill_after $ chaos_shard $ quiet))
 
+(* ---- line-array report, shared by map (line target) and resyn ---------- *)
+
+(* The report [map] (line target) and [resyn] share on a finished
+   line-array circuit: the [resyn: ] line when resynthesis ran, the
+   row-by-row simulator check, and the JSON artifact that [mmsynth resyn]
+   reads back, with [extra] members after the spec header. Returns the
+   failing rows and the artifact. *)
+let line_report ?(extra = []) spec c (resyn : Mm_resyn.Resyn.stats option) =
+  let module Resyn = Mm_resyn.Resyn in
+  let module Artifact = Mm_resyn.Artifact in
+  Option.iter
+    (fun (s : Resyn.stats) ->
+      Printf.printf
+        "resyn: %d -> %d steps; %d merged, %d dead, %d V-step(s) compacted, \
+         %d pass(es)%s [%.2fs]\n"
+        s.Resyn.steps_before s.Resyn.steps_after s.Resyn.sweep_merged
+        s.Resyn.dce_removed s.Resyn.v_steps_saved s.Resyn.passes
+        (if s.Resyn.fixed_point then ", fixed point" else "")
+        s.Resyn.wall_s)
+    resyn;
+  let failures = Schedule.verify (Schedule.plan c) spec in
+  let rows = 1 lsl Spec.arity spec in
+  Printf.printf "simulator validation: %d/%d rows correct\n"
+    (rows - List.length failures) rows;
+  let resyn_json (s : Resyn.stats) =
+    Json.Obj
+      [ ("passes", Json.Int s.Resyn.passes);
+        ("fixed_point", Json.Bool s.Resyn.fixed_point);
+        ("rejected", Json.Int s.Resyn.rejected);
+        ("sweep_merged", Json.Int s.Resyn.sweep_merged);
+        ("dce_removed", Json.Int s.Resyn.dce_removed);
+        ("v_steps_saved", Json.Int s.Resyn.v_steps_saved);
+        ("steps_before", Json.Int s.Resyn.steps_before);
+        ("steps_after", Json.Int s.Resyn.steps_after) ]
+  in
+  ( failures,
+    Json.Obj
+      ([ ("spec", Json.String (Spec.name spec));
+         ("arity", Json.Int (Spec.arity spec));
+         ("outputs", Json.Int (Spec.output_count spec)) ]
+      @ extra
+      @ [ ( "circuit",
+            Json.Obj
+              [ ("legs", Json.Int (C.n_legs c));
+                ("steps_per_leg", Json.Int (C.steps_per_leg c));
+                ("rops", Json.Int (C.n_rops c));
+                ("total_steps", Json.Int (C.n_steps c));
+                ("devices", Json.Int (C.n_devices c)) ] );
+          ("resyn", Option.fold ~none:Json.Null ~some:resyn_json resyn);
+          ("verified", Json.Bool (failures = []));
+          ("circuit_ir", Artifact.circuit_to_json c);
+          ("spec_tables", Artifact.spec_to_json spec) ]) )
+
 (* ---- map: cut-based technology mapping onto SAT-optimal blocks --------- *)
 
 let map_cmd =
   let module Cache = Mm_engine.Cache in
   let module Resyn = Mm_resyn.Resyn in
-  let module Artifact = Mm_resyn.Artifact in
   let module Stitch = Mm_map.Stitch in
   let module Blocklib = Mm_map.Blocklib in
   let module Mapper = Mm_map.Mapper in
@@ -1443,32 +1495,28 @@ let map_cmd =
   in
   let resyn_flag =
     Arg.(value & flag & info [ "resyn" ]
-           ~doc:"Windowed SAT-sweeping resynthesis over the stitched \
-                 result: re-synthesize fanout-free windows of the committed \
-                 schedule exactly (atlas-first) and splice in \
-                 strictly-cheaper verified replacements, to a fixed point. \
-                 On the xbar target, merge single-consumer blocks and keep \
-                 a rebuilt schedule only when the simulator-verified cycle \
-                 count strictly improves.")
+           ~doc:"Post-mapping resynthesis of the stitched schedule: \
+                 semantic sweeping, dead-code elimination and \
+                 shared-BE-rail leg compaction, to a fixed point; every \
+                 change is re-verified against the spec (line target \
+                 only).")
   in
   let resyn_passes_arg =
     Arg.(value & opt int 4 & info [ "resyn-passes" ] ~docv:"N"
-           ~doc:"Cleanup/window-sweep alternations before giving up on a \
-                 fixed point (--resyn).")
-  in
-  let resyn_width_arg =
-    Arg.(value & opt int 6 & info [ "resyn-width" ] ~docv:"W"
-           ~doc:"Largest window re-synthesized, in member R-ops (--resyn).")
+           ~doc:"Cleanup passes before giving up on a fixed point \
+                 (--resyn).")
   in
   let run exprs pla tables workload arity name k cut_limit passes cache_file
       cache_shards atlas effort stats json dot target rows ports no_polish
-      resyn resyn_passes resyn_width =
+      resyn resyn_passes =
     match spec_of_inputs name exprs arity pla tables workload with
     | Error msg -> `Error (false, msg)
     | Ok spec ->
       if k < 2 || k > 4 then `Error (false, "--k must be 2..4")
       else if effort < 1 || effort > 3 then
         `Error (false, "--effort must be 1..3")
+      else if resyn && target = `Xbar then
+        `Error (false, "--resyn applies to --target line")
       else begin
         let timeout_per_call, max_rops =
           match effort with
@@ -1538,17 +1586,7 @@ let map_cmd =
             with
             | exception (Invalid_argument msg | Failure msg) ->
               `Error (false, msg)
-            | xr0 ->
-              let xres =
-                if resyn then
-                  Some
-                    (Resyn.optimize_xbar ~max_passes:resyn_passes ~rows ~ports
-                       ~polish:(not no_polish) cfg spec xr0)
-                else None
-              in
-              let xr =
-                match xres with Some x -> x.Resyn.result | None -> xr0
-              in
+            | xr ->
               Option.iter Cache.flush cache;
               let xst = xr.Xstitch.stitch in
               let sc = xr.Xstitch.sched in
@@ -1572,16 +1610,6 @@ let map_cmd =
                  polish -%d\n\n"
                 xr.Xstitch.cycles sc.Xsched.v_cycles sc.Xsched.r_cycles
                 sc.Xsched.t_cycles xr.Xstitch.readout sc.Xsched.polish_gain;
-              (match xres with
-               | None -> ()
-               | Some x ->
-                 let s = x.Resyn.xstats in
-                 Printf.printf
-                   "resyn: %d -> %d cycles (%d merge candidate(s), %d \
-                    absorbed, %d rebuild(s) rejected, %d pass(es))\n\n"
-                   s.Resyn.cycles_before s.Resyn.cycles_after
-                   s.Resyn.merges_attempted s.Resyn.merges_accepted
-                   s.Resyn.rebuilds_rejected s.Resyn.xpasses);
               if stats then print_blocks xst.Stitch.stitched.Stitch.placed;
               (* zero-trust: replay the schedule on the crossbar simulator
                  for every input row *)
@@ -1679,23 +1707,6 @@ let map_cmd =
                           ("transfers", Json.Int xr.Xstitch.transfers);
                           ("readout", Json.Int xr.Xstitch.readout);
                           ("polish_gain", Json.Int sc.Xsched.polish_gain);
-                          ( "resyn",
-                            match xres with
-                            | None -> Json.Null
-                            | Some x ->
-                              let s = x.Resyn.xstats in
-                              Json.Obj
-                                [ ("passes", Json.Int s.Resyn.xpasses);
-                                  ( "merges_attempted",
-                                    Json.Int s.Resyn.merges_attempted );
-                                  ( "merges_accepted",
-                                    Json.Int s.Resyn.merges_accepted );
-                                  ( "rebuilds_rejected",
-                                    Json.Int s.Resyn.rebuilds_rejected );
-                                  ( "cycles_before",
-                                    Json.Int s.Resyn.cycles_before );
-                                  ( "cycles_after",
-                                    Json.Int s.Resyn.cycles_after ) ] );
                           ("verified", Json.Bool (failures = []));
                           ( "agrees_with_line",
                             Json.Bool (!disagree = []) );
@@ -1715,20 +1726,14 @@ let map_cmd =
           end
         | `Line -> begin
           let st = r.Stitch.stitched in
-          let resyn_t =
-            if not resyn then Ok None
-            else
-              match
-                Resyn.optimize ~max_width:resyn_width
-                  ~max_passes:resyn_passes cfg spec st.Stitch.circuit
-              with
-              | t -> Ok (Some t)
-              | exception Invalid_argument msg -> Error msg
-              | exception Failure msg -> Error msg
-          in
-          match resyn_t with
-          | Error msg -> `Error (false, "resyn: " ^ msg)
-          | Ok resyn_t ->
+          match
+            if resyn then
+              Some (Resyn.run ~max_passes:resyn_passes spec st.Stitch.circuit)
+            else None
+          with
+          | exception (Invalid_argument msg | Failure msg) ->
+            `Error (false, "resyn: " ^ msg)
+          | resyn_t ->
             Option.iter Cache.flush cache;
             let c =
               match resyn_t with
@@ -1744,92 +1749,32 @@ let map_cmd =
               st.Stitch.shared_inverters;
             Printf.printf
               "library: %d lookups, %d memo hits; block DAG critical-path \
-               depth %d\n"
+               depth %d\n\n"
               r.Stitch.lib_lookups r.Stitch.lib_memo_hits
               r.Stitch.dag.Mapper.depth;
-            (match resyn_t with
-            | None -> print_newline ()
-            | Some t ->
-              let s = t.Resyn.stats in
-              Printf.printf
-                "resyn: %d -> %d steps; %d/%d window(s) accepted (%d \
-                 trivial, %d atlas, %d solver), %d merged, %d dead, %d \
-                 V-step(s) compacted, %d probe call(s), %d pass(es)%s \
-                 [%.2fs]\n\n"
-                s.Resyn.steps_before s.Resyn.steps_after
-                s.Resyn.windows_accepted s.Resyn.windows_attempted
-                s.Resyn.trivial_hits s.Resyn.atlas_hits s.Resyn.solver_hits
-                s.Resyn.sweep_merged s.Resyn.dce_removed
-                s.Resyn.v_steps_saved s.Resyn.probe_calls s.Resyn.passes
-                (if s.Resyn.fixed_point then ", fixed point" else "")
-                s.Resyn.wall_s);
             if stats then print_blocks st.Stitch.placed;
             print_circuit ~json:false ~dot c;
-            let plan = Schedule.plan c in
-            let failures = Schedule.verify plan spec in
-            Printf.printf "simulator validation: %d/%d rows correct\n"
-              ((1 lsl Spec.arity spec) - List.length failures)
-              (1 lsl Spec.arity spec);
-            if json then begin
-              print_endline
-                (Json.to_string_pretty
-                   (Json.Obj
-                      [ ("spec", Json.String (Spec.name spec));
-                        ("arity", Json.Int (Spec.arity spec));
-                        ("outputs", Json.Int (Spec.output_count spec));
-                        ( "aig",
-                          Json.Obj
-                            [ ("inputs", Json.Int r.Stitch.aig_inputs);
-                              ("ands", Json.Int r.Stitch.aig_ands) ] );
-                        ( "library",
-                          Json.Obj
-                            [ ("lookups", Json.Int r.Stitch.lib_lookups);
-                              ("memo_hits", Json.Int r.Stitch.lib_memo_hits);
-                              ("exact", Json.Int r.Stitch.lib_exact);
-                              ("fallbacks", Json.Int r.Stitch.lib_fallbacks)
-                            ] );
-                        ( "circuit",
-                          Json.Obj
-                            [ ("legs", Json.Int (C.n_legs c));
-                              ("steps_per_leg", Json.Int (C.steps_per_leg c));
-                              ("rops", Json.Int (C.n_rops c));
-                              ("total_steps", Json.Int (C.n_steps c));
-                              ("devices", Json.Int (C.n_devices c)) ] );
-                        ("inverters", Json.Int st.Stitch.inverters);
-                        ( "shared_inverters",
-                          Json.Int st.Stitch.shared_inverters );
-                        ("block_depth", Json.Int r.Stitch.dag.Mapper.depth);
-                        ( "resyn",
-                          match resyn_t with
-                          | None -> Json.Null
-                          | Some t ->
-                            let s = t.Resyn.stats in
-                            Json.Obj
-                              [ ("passes", Json.Int s.Resyn.passes);
-                                ( "fixed_point",
-                                  Json.Bool s.Resyn.fixed_point );
-                                ( "windows_attempted",
-                                  Json.Int s.Resyn.windows_attempted );
-                                ( "windows_accepted",
-                                  Json.Int s.Resyn.windows_accepted );
-                                ("trivial_hits", Json.Int s.Resyn.trivial_hits);
-                                ("atlas_hits", Json.Int s.Resyn.atlas_hits);
-                                ("solver_hits", Json.Int s.Resyn.solver_hits);
-                                ("probe_calls", Json.Int s.Resyn.probe_calls);
-                                ("rejected", Json.Int s.Resyn.rejected);
-                                ("sweep_merged", Json.Int s.Resyn.sweep_merged);
-                                ("dce_removed", Json.Int s.Resyn.dce_removed);
-                                ( "v_steps_saved",
-                                  Json.Int s.Resyn.v_steps_saved );
-                                ("steps_before", Json.Int s.Resyn.steps_before);
-                                ("steps_after", Json.Int s.Resyn.steps_after)
-                              ] );
-                        ("verified", Json.Bool (failures = []));
-                        ( "blocks",
-                          Json.List (List.map block_json st.Stitch.placed) );
-                        ("circuit_ir", Artifact.circuit_to_json c);
-                        ("spec_tables", Artifact.spec_to_json spec) ]))
-            end;
+            let failures, artifact =
+              line_report spec c
+                (Option.map (fun (t : Resyn.t) -> t.Resyn.stats) resyn_t)
+                ~extra:
+                  [ ( "aig",
+                      Json.Obj
+                        [ ("inputs", Json.Int r.Stitch.aig_inputs);
+                          ("ands", Json.Int r.Stitch.aig_ands) ] );
+                    ( "library",
+                      Json.Obj
+                        [ ("lookups", Json.Int r.Stitch.lib_lookups);
+                          ("memo_hits", Json.Int r.Stitch.lib_memo_hits);
+                          ("exact", Json.Int r.Stitch.lib_exact);
+                          ("fallbacks", Json.Int r.Stitch.lib_fallbacks) ] );
+                    ("inverters", Json.Int st.Stitch.inverters);
+                    ("shared_inverters", Json.Int st.Stitch.shared_inverters);
+                    ("block_depth", Json.Int r.Stitch.dag.Mapper.depth);
+                    ( "blocks",
+                      Json.List (List.map block_json st.Stitch.placed) ) ]
+            in
+            if json then print_endline (Json.to_string_pretty artifact);
             if failures = [] then `Ok 0
             else `Error (false, "schedule simulation disagrees with the spec")
           end
@@ -1847,174 +1792,73 @@ let map_cmd =
         (const run $ exprs $ pla_file $ tables_file $ workload_t $ arity
         $ name_t $ k_arg $ cut_limit $ passes $ cache_file $ cache_shards_arg
         $ atlas_arg $ effort $ stats_flag $ json_flag $ dot_out $ target_arg
-        $ rows_arg $ ports_arg $ no_polish $ resyn_flag $ resyn_passes_arg
-        $ resyn_width_arg))
+        $ rows_arg $ ports_arg $ no_polish $ resyn_flag $ resyn_passes_arg))
 
 (* ---- resyn: re-optimize a previously emitted map artifact -------------- *)
 
 let resyn_cmd =
   let module Resyn = Mm_resyn.Resyn in
   let module Artifact = Mm_resyn.Artifact in
-  let module Cache = Mm_engine.Cache in
   let artifact_arg =
     Arg.(required & pos 0 (some file) None & info [] ~docv:"ARTIFACT"
            ~doc:"A $(b,map --json) artifact. The human-readable report may \
                  precede the JSON object; parsing starts at the first \
                  '{'.")
   in
-  let cache_file =
-    Arg.(value & opt (some string) None & info [ "cache" ] ~docv:"FILE"
-           ~doc:"Persistent library cache shared with $(b,map) / \
-                 $(b,batch); window probes hit across runs.")
-  in
-  let effort =
-    Arg.(value & opt int 2 & info [ "effort" ] ~docv:"LEVEL"
-           ~doc:"Window-probe budget: $(b,1) = 50ms/call, $(b,2) = 0.5s, \
-                 $(b,3) = 5s uncapped.")
-  in
   let passes_arg =
     Arg.(value & opt int 4 & info [ "resyn-passes" ] ~docv:"N"
-           ~doc:"Cleanup/window-sweep alternations before giving up on a \
-                 fixed point.")
-  in
-  let width_arg =
-    Arg.(value & opt int 6 & info [ "resyn-width" ] ~docv:"W"
-           ~doc:"Largest window re-synthesized, in member R-ops.")
+           ~doc:"Cleanup passes before giving up on a fixed point.")
   in
   let out_arg =
     Arg.(value & opt (some string) None & info [ "o"; "out" ] ~docv:"FILE"
            ~doc:"Write the re-optimized artifact JSON to FILE (same shape \
                  as $(b,map --json), so it can be re-fed to this command).")
   in
-  let run artifact cache_file cache_shards atlas effort passes width json out
-      =
-    if effort < 1 || effort > 3 then `Error (false, "--effort must be 1..3")
-    else begin
-      let text =
-        In_channel.with_open_bin artifact In_channel.input_all
-      in
-      match String.index_opt text '{' with
-      | None -> `Error (false, artifact ^ ": no JSON object found")
-      | Some i -> (
-        match
-          Json.of_string (String.sub text i (String.length text - i))
-        with
-        | Error msg -> `Error (false, artifact ^ ": " ^ msg)
-        | Ok root -> (
-          match (Json.member "circuit_ir" root,
-                 Json.member "spec_tables" root) with
-          | None, _ | _, None ->
-            `Error
-              ( false,
-                artifact
-                ^ ": not a resynthesizable artifact (missing circuit_ir / \
-                   spec_tables — emit it with map --json)" )
-          | Some cj, Some sj -> (
-            match (Artifact.circuit_of_json cj, Artifact.spec_of_json sj) with
-            | Error msg, _ | _, Error msg -> `Error (false, msg)
-            | Ok c0, Ok spec -> (
-              let timeout_per_call, max_rops =
-                match effort with
-                | 1 -> (0.05, Some 5)
-                | 2 -> (0.5, Some 8)
-                | _ -> (5.0, None)
+  let run artifact passes json out =
+    let text = In_channel.with_open_bin artifact In_channel.input_all in
+    match String.index_opt text '{' with
+    | None -> `Error (false, artifact ^ ": no JSON object found")
+    | Some i -> (
+      match Json.of_string (String.sub text i (String.length text - i)) with
+      | Error msg -> `Error (false, artifact ^ ": " ^ msg)
+      | Ok root -> (
+        match (Json.member "circuit_ir" root, Json.member "spec_tables" root) with
+        | None, _ | _, None ->
+          `Error
+            ( false,
+              artifact
+              ^ ": not a resynthesizable artifact (missing circuit_ir / \
+                 spec_tables — emit it with map --json)" )
+        | Some cj, Some sj -> (
+          match (Artifact.circuit_of_json cj, Artifact.spec_of_json sj) with
+          | Error msg, _ | _, Error msg -> `Error (false, msg)
+          | Ok c0, Ok spec -> (
+            match Resyn.run ~max_passes:passes spec c0 with
+            | exception (Invalid_argument msg | Failure msg) ->
+              `Error (false, msg)
+            | t ->
+              let failures, artifact_json =
+                line_report spec t.Resyn.circuit (Some t.Resyn.stats)
               in
-              let cache =
-                open_store ?cache_file ?shards:cache_shards ?atlas ()
-              in
-              let cfg =
-                Engine.config ~timeout_per_call ?max_rops ~domains:1
-                  ~taps:E.Final_only ?cache ()
-              in
-              match
-                Resyn.optimize ~max_width:width ~max_passes:passes cfg spec
-                  c0
-              with
-              | exception Invalid_argument msg -> `Error (false, msg)
-              | exception Failure msg -> `Error (false, msg)
-              | t ->
-                Option.iter Cache.flush cache;
-                let c = t.Resyn.circuit in
-                let s = t.Resyn.stats in
-                Printf.printf
-                  "resyn %s: %d -> %d steps; %d/%d window(s) accepted (%d \
-                   trivial, %d atlas, %d solver), %d merged, %d dead, %d \
-                   V-step(s) compacted, %d probe call(s), %d pass(es)%s \
-                   [%.2fs]\n"
-                  (Spec.name spec) s.Resyn.steps_before s.Resyn.steps_after
-                  s.Resyn.windows_accepted s.Resyn.windows_attempted
-                  s.Resyn.trivial_hits s.Resyn.atlas_hits
-                  s.Resyn.solver_hits s.Resyn.sweep_merged
-                  s.Resyn.dce_removed s.Resyn.v_steps_saved
-                  s.Resyn.probe_calls s.Resyn.passes
-                  (if s.Resyn.fixed_point then ", fixed point" else "")
-                  s.Resyn.wall_s;
-                let plan = Schedule.plan c in
-                let failures = Schedule.verify plan spec in
-                Printf.printf "simulator validation: %d/%d rows correct\n"
-                  ((1 lsl Spec.arity spec) - List.length failures)
-                  (1 lsl Spec.arity spec);
-                let artifact_json =
-                  Json.Obj
-                    [ ("spec", Json.String (Spec.name spec));
-                      ("arity", Json.Int (Spec.arity spec));
-                      ("outputs", Json.Int (Spec.output_count spec));
-                      ( "circuit",
-                        Json.Obj
-                          [ ("legs", Json.Int (C.n_legs c));
-                            ("steps_per_leg", Json.Int (C.steps_per_leg c));
-                            ("rops", Json.Int (C.n_rops c));
-                            ("total_steps", Json.Int (C.n_steps c));
-                            ("devices", Json.Int (C.n_devices c)) ] );
-                      ( "resyn",
-                        Json.Obj
-                          [ ("passes", Json.Int s.Resyn.passes);
-                            ("fixed_point", Json.Bool s.Resyn.fixed_point);
-                            ( "windows_attempted",
-                              Json.Int s.Resyn.windows_attempted );
-                            ( "windows_accepted",
-                              Json.Int s.Resyn.windows_accepted );
-                            ("trivial_hits", Json.Int s.Resyn.trivial_hits);
-                            ("atlas_hits", Json.Int s.Resyn.atlas_hits);
-                            ("solver_hits", Json.Int s.Resyn.solver_hits);
-                            ("probe_calls", Json.Int s.Resyn.probe_calls);
-                            ("rejected", Json.Int s.Resyn.rejected);
-                            ("sweep_merged", Json.Int s.Resyn.sweep_merged);
-                            ("dce_removed", Json.Int s.Resyn.dce_removed);
-                            ( "v_steps_saved",
-                              Json.Int s.Resyn.v_steps_saved );
-                            ("steps_before", Json.Int s.Resyn.steps_before);
-                            ("steps_after", Json.Int s.Resyn.steps_after) ]
-                      );
-                      ("verified", Json.Bool (failures = []));
-                      ("circuit_ir", Artifact.circuit_to_json c);
-                      ("spec_tables", Artifact.spec_to_json spec) ]
-                in
-                (match out with
-                | Some path ->
-                  Out_channel.with_open_bin path (fun oc ->
-                      output_string oc (Json.to_string_pretty artifact_json);
-                      output_char oc '\n')
-                | None -> ());
-                if json then
-                  print_endline (Json.to_string_pretty artifact_json);
-                if failures = [] then `Ok 0
-                else
-                  `Error
-                    (false, "schedule simulation disagrees with the spec")))))
-    end
+              (match out with
+              | Some path ->
+                Out_channel.with_open_bin path (fun oc ->
+                    output_string oc (Json.to_string_pretty artifact_json);
+                    output_char oc '\n')
+              | None -> ());
+              if json then print_endline (Json.to_string_pretty artifact_json);
+              if failures = [] then `Ok 0
+              else
+                `Error (false, "schedule simulation disagrees with the spec")))))
   in
   Cmd.v
     (Cmd.info "resyn"
        ~doc:"Re-optimize a previously emitted $(b,map --json) artifact: \
-             semantic sweeping, shared-BE-rail leg compaction and windowed \
-             SAT resynthesis over the committed schedule, without \
-             re-running the mapper. The result is re-verified row-by-row \
-             before it is reported.")
-    Term.(
-      ret
-        (const run $ artifact_arg $ cache_file $ cache_shards_arg
-        $ atlas_arg $ effort $ passes_arg $ width_arg $ json_flag $ out_arg))
+             semantic sweeping, dead-code elimination and shared-BE-rail \
+             leg compaction over the committed schedule, without re-running \
+             the mapper. The result is re-verified row-by-row before it is \
+             reported.")
+    Term.(ret (const run $ artifact_arg $ passes_arg $ json_flag $ out_arg))
 
 (* ---- cache info / gc --------------------------------------------------- *)
 

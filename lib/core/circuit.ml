@@ -20,10 +20,13 @@ type t = {
   outputs : source array;
 }
 
-let check_source t ~rop_bound = function
-  | From_literal (Literal.Pos i | Literal.Neg i) ->
+let check_literal t = function
+  | Literal.Pos i | Literal.Neg i ->
     if i < 1 || i > t.arity then invalid_arg "Circuit: literal out of range"
-  | From_literal (Literal.Const0 | Literal.Const1) -> ()
+  | Literal.Const0 | Literal.Const1 -> ()
+
+let check_source t ~rop_bound = function
+  | From_literal l -> check_literal t l
   | From_leg l ->
     if l < 0 || l >= Array.length t.legs then invalid_arg "Circuit: bad leg index"
   | From_vop (l, s) ->
@@ -41,6 +44,9 @@ let validate t =
      let len = Array.length t.legs.(0) in
      if not (Array.for_all (fun leg -> Array.length leg = len) t.legs) then
        invalid_arg "Circuit: ragged legs");
+  Array.iter
+    (Array.iter (fun { te; be } -> check_literal t te; check_literal t be))
+    t.legs;
   Array.iteri
     (fun i { in1; in2 } ->
       check_source t ~rop_bound:i in1;

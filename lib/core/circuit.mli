@@ -47,8 +47,8 @@ val make :
   unit ->
   t
 
-(** Structural sanity: equal leg lengths, R-ops reference earlier R-ops
-    only, sources in range. Raises [Invalid_argument] otherwise
+(** Structural sanity: equal leg lengths, every V-op TE/BE literal within
+    [arity], R-ops reference earlier R-ops only, sources in range. Raises [Invalid_argument] otherwise
     (performed by {!make}). *)
 val validate : t -> unit
 

@@ -19,23 +19,6 @@ let default_legs ?(adder = false) spec ~n_rops =
   let base = n_rops + Spec.output_count spec in
   max 1 (if adder then base - 1 else base)
 
-(* BENCH_ladder measured racing at ~1.0x on a 1-core host: the speculative
-   ladder just steals the core from the frontier one. Silently burning the
-   caller's budget is worse than refusing, so racing degrades to the plain
-   sweep there — warning once per process, not once per call. *)
-let racing_warned = Atomic.make false
-
-let racing_usable ~racing =
-  if not racing then false
-  else if Domain.recommended_domain_count () >= 2 then true
-  else begin
-    if not (Atomic.exchange racing_warned true) then
-      Printf.eprintf
-        "mmsynth: warning: --racing disabled (only %d core available)\n%!"
-        (Domain.recommended_domain_count ());
-    false
-  end
-
 let solve_instance ?timeout (cfg : Encode.config) spec =
   let solver = Solver.create () in
   let builder = Builder.create ~solver () in
@@ -92,15 +75,10 @@ let pp_attempt ppf a =
    With [incremental] (the default) both phases run as assumption-restricted
    points of one max-budget {!Ladder} encoding on a single solver; the
    monolithic fresh-solver-per-point path is retained as the
-   differential-testing oracle. [racing] additionally overlaps each frontier
-   point with its successor on a second, independent ladder instance running
-   in its own domain — the speculation is consumed when the frontier answer
-   is UNSAT/timeout (the sweep was going to solve it next anyway) and
-   cancelled through the solver's [stop] hook when the frontier answer is
-   SAT. *)
+   differential-testing oracle. *)
 let minimize ?(timeout_per_call = 60.) ?max_rops ?(max_steps = 0) ?legs_of
     ?(rop_kind = Rop.Nor) ?(taps = Encode.Any_vop) ?(symmetry_breaking = true)
-    ?(incremental = true) ?(racing = false) ?prove ?lookup ?store spec =
+    ?(incremental = true) ?prove ?lookup ?store spec =
   let max_steps =
     if max_steps > 0 then max_steps else Spec.arity spec + 2
   in
@@ -112,9 +90,6 @@ let minimize ?(timeout_per_call = 60.) ?max_rops ?(max_steps = 0) ?legs_of
     | Some f -> f
     | None -> fun n_rops -> default_legs spec ~n_rops
   in
-  (* A prove orchestrator already runs its own workers on the pool; racing
-     a speculative ladder on top would oversubscribe it. *)
-  let racing = racing_usable ~racing && incremental && prove = None in
   let make_ladder enc_rops =
     let max_legs = ref 0 in
     for r = 0 to enc_rops do
@@ -133,28 +108,21 @@ let minimize ?(timeout_per_call = 60.) ?max_rops ?(max_steps = 0) ?legs_of
      happens when the out-of-range point is first requested), so
      over-shooting the new cap buys no extra reuse and only re-introduces
      the oversized-encoding tax for the remaining points. *)
-  let ladder_for cell ~n_rops =
-    match !cell with
+  let ladder = ref None in
+  let ladder_for ~n_rops =
+    match !ladder with
     | Some (enc, l) when n_rops <= enc -> l
     | _ ->
       let enc = min max_rops (max 2 n_rops) in
       let l = make_ladder enc in
-      cell := Some (enc, l);
+      ladder := Some (enc, l);
       l
   in
-  let ladder = ref None in
-  (* the racing instance: same encoding, its own solver, touched only by
-     the speculative domain *)
-  let race_ladder = ref None in
   let attempts = ref [] in
   (* Dimensions answered once in this call are never re-solved: a custom
      [legs_of] can map different N_R to the same (N_L, N_VS, N_R) request,
      and an UNSAT certificate for those dimensions stays valid. *)
   let memo : (int * int * int, attempt) Hashtbl.t = Hashtbl.create 8 in
-  let record (n_legs, steps, n_rops) a =
-    Hashtbl.replace memo (n_legs, steps, n_rops) a;
-    attempts := a :: !attempts
-  in
   let run ~n_rops ~steps =
     let n_legs = legs_of n_rops in
     match Hashtbl.find_opt memo (n_legs, steps, n_rops) with
@@ -175,80 +143,25 @@ let minimize ?(timeout_per_call = 60.) ?max_rops ?(max_steps = 0) ?legs_of
             | None ->
               if incremental then
                 Ladder.solve_point ~timeout:timeout_per_call
-                  (ladder_for ladder ~n_rops) ~n_legs ~steps ~n_rops
+                  (ladder_for ~n_rops) ~n_legs ~steps ~n_rops
               else solve_instance ~timeout:timeout_per_call cfg spec
           in
           (match store with Some g -> g cfg a | None -> ());
           a
       in
-      record (n_legs, steps, n_rops) a;
+      Hashtbl.replace memo (n_legs, steps, n_rops) a;
+      attempts := a :: !attempts;
       a
-  in
-  (* Speculative solve of a successor point. The domain touches only the
-     racing ladder; all shared bookkeeping happens after the join, on the
-     calling domain. *)
-  let race_next ~n_rops ~steps =
-    let n_legs = legs_of n_rops in
-    if (not racing) || Hashtbl.mem memo (n_legs, steps, n_rops) then None
-    else begin
-      let stop = Atomic.make false in
-      let dom =
-        Domain.spawn (fun () ->
-            try
-              Ok
-                (Ladder.solve_point
-                   ~stop:(fun () -> Atomic.get stop)
-                   ~timeout:timeout_per_call
-                   (ladder_for race_ladder ~n_rops)
-                   ~n_legs ~steps ~n_rops)
-            with e -> Error e)
-      in
-      Some (stop, dom, (n_legs, steps, n_rops))
-    end
-  in
-  let join_race ~cancel (stop, dom, key) =
-    if cancel then Atomic.set stop true;
-    match Domain.join dom with
-    | Error e -> raise e
-    | Ok a ->
-      if cancel then None
-      else begin
-        let n_legs, steps, n_rops = key in
-        let cfg =
-          Encode.config ~rop_kind ~taps ~symmetry_breaking ~n_legs
-            ~steps_per_leg:steps ~n_rops ()
-        in
-        (match store with Some g -> g cfg a | None -> ());
-        record key a;
-        Some a
-      end
   in
   (* Phase 1: minimal N_R at generous N_VS *)
   let rec find_rops n_rops all_proven =
     if n_rops > max_rops then (None, all_proven)
-    else begin
-      let speculation =
-        if n_rops + 1 <= max_rops then
-          race_next ~n_rops:(n_rops + 1) ~steps:max_steps
-        else None
-      in
+    else
       let a = run ~n_rops ~steps:max_steps in
       match a.verdict with
-      | Sat c ->
-        Option.iter (fun h -> ignore (join_race ~cancel:true h)) speculation;
-        (Some (n_rops, c, a), all_proven)
-      | Unsat | Timeout -> (
-        let proven =
-          all_proven && (match a.verdict with Unsat -> true | _ -> false)
-        in
-        match Option.bind speculation (join_race ~cancel:false) with
-        | None -> find_rops (n_rops + 1) proven
-        | Some a2 -> (
-          match a2.verdict with
-          | Sat c -> (Some (n_rops + 1, c, a2), proven)
-          | Unsat -> find_rops (n_rops + 2) proven
-          | Timeout -> find_rops (n_rops + 2) false))
-    end
+      | Sat c -> (Some (n_rops, c, a), all_proven)
+      | Unsat -> find_rops (n_rops + 1) all_proven
+      | Timeout -> find_rops (n_rops + 1) false
   in
   match find_rops 0 true with
   | None, proven ->
@@ -258,28 +171,12 @@ let minimize ?(timeout_per_call = 60.) ?max_rops ?(max_steps = 0) ?legs_of
     (* Phase 2: minimal N_VS for this N_R *)
     let rec find_steps steps all_proven =
       if steps >= max_steps then (None, all_proven)
-      else begin
-        let speculation =
-          if steps + 1 < max_steps then race_next ~n_rops ~steps:(steps + 1)
-          else None
-        in
+      else
         let a = run ~n_rops ~steps in
         match a.verdict with
-        | Sat c ->
-          Option.iter (fun h -> ignore (join_race ~cancel:true h)) speculation;
-          (Some (c, a), all_proven)
-        | Unsat | Timeout -> (
-          let proven =
-            all_proven && (match a.verdict with Unsat -> true | _ -> false)
-          in
-          match Option.bind speculation (join_race ~cancel:false) with
-          | None -> find_steps (steps + 1) proven
-          | Some a2 -> (
-            match a2.verdict with
-            | Sat c -> (Some (c, a2), proven)
-            | Unsat -> find_steps (steps + 2) proven
-            | Timeout -> find_steps (steps + 2) false))
-      end
+        | Sat c -> (Some (c, a), all_proven)
+        | Unsat -> find_steps (steps + 1) all_proven
+        | Timeout -> find_steps (steps + 1) false
     in
     let best, steps_proven =
       match find_steps 1 true with

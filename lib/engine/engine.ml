@@ -528,24 +528,6 @@ let probe_class ?(r_only = false) (cfg : config) spec =
             && report.Synth.steps_proven_minimal }
     | Error _ -> None)
 
-let probe_window (cfg : config) ~budget_rops (tt : Tt.t) =
-  let n = Tt.arity tt in
-  if budget_rops < 1 || n < 1 || n > 4 then None
-  else begin
-    let cap =
-      match cfg.max_rops with
-      | Some m -> min m budget_rops
-      | None -> budget_rops
-    in
-    let cfg = { cfg with max_rops = Some cap } in
-    let spec =
-      Spec.make ~name:(Printf.sprintf "win-%s" (Tt.to_string tt)) [| tt |]
-    in
-    match probe_class ~r_only:true cfg spec with
-    | Some p when Circuit.n_rops p.probe_circuit <= budget_rops -> Some p
-    | Some _ | None -> None
-  end
-
 let empty_summary =
   { functions = 0; classes = 0; sat = 0; atlas = 0; unsat = 0; timeout = 0;
     fallbacks = 0; retries_used = 0; deadline_hit = false; wall_s = 0.;

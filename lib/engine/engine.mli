@@ -182,16 +182,6 @@ type probe = {
     the decanonicalized circuit fails row verification. *)
 val probe_class : ?r_only:bool -> config -> Spec.t -> probe option
 
-(** [probe_window cfg ~budget_rops tt] — the resynthesis-window entry: a
-    0-leg ([r_only]) probe of a single (arity 1–4) table under a strict
-    R-op budget. [cfg.max_rops] is clamped to [budget_rops], and an answer
-    needing more than [budget_rops] R-ops (possible when a cached/atlas
-    record was recorded under a looser cap) is dropped rather than
-    returned. Atlas-first like {!probe_class}: most windows of an already
-    published atlas cost zero solver calls. [None] when no circuit fits
-    the budget. *)
-val probe_window : config -> budget_rops:int -> Tt.t -> probe option
-
 (** The all-zero summary — identity of {!add_summary}. *)
 val empty_summary : summary
 

@@ -3,12 +3,6 @@ module Tt = Mm_boolfun.Truth_table
 module Spec = Mm_boolfun.Spec
 module Literal = Mm_boolfun.Literal
 module Engine = Mm_engine.Engine
-module Stitch = Mm_map.Stitch
-module Xstitch = Mm_map.Xstitch
-module Mapper = Mm_map.Mapper
-module Blocklib = Mm_map.Blocklib
-module Cut = Mm_map.Cut
-module Aig = Mm_map.Aig
 
 (* ------------------------------------------------------------------ *)
 (* Cleanup sweeps                                                      *)
@@ -352,7 +346,7 @@ let compact_legs (c : Circuit.t) =
   end
 
 (* ------------------------------------------------------------------ *)
-(* 1D driver                                                           *)
+(* Fixed-point loop                                                    *)
 (* ------------------------------------------------------------------ *)
 
 type stats = {
@@ -360,10 +354,6 @@ type stats = {
   fixed_point : bool;
   windows_attempted : int;
   windows_accepted : int;
-  trivial_hits : int;
-  atlas_hits : int;
-  solver_hits : int;
-  probe_calls : int;
   rejected : int;
   sweep_merged : int;
   dce_removed : int;
@@ -375,44 +365,23 @@ type stats = {
 
 type t = {
   circuit : Circuit.t;
-  splices : Rewrite.candidate list;
   stats : stats;
 }
 
-let optimize ?(max_width = 6) ?(max_live = 6) ?(max_passes = 4)
-    (cfg : Engine.config) (spec : Spec.t) (circuit0 : Circuit.t) : t =
+let run ?(max_passes = 4) (spec : Spec.t) (circuit0 : Circuit.t) : t =
   (match Circuit.realizes circuit0 spec with
   | Ok () -> ()
   | Error row ->
     invalid_arg
-      (Printf.sprintf "Resyn.optimize: input circuit wrong on row %d" row));
+      (Printf.sprintf "Resyn.run: input circuit wrong on row %d" row));
   let t0 = Unix.gettimeofday () in
   let steps_before = Circuit.n_steps circuit0 in
-  let memo : (string * int, Engine.probe option) Hashtbl.t =
-    Hashtbl.create 64
-  in
-  let probe_calls = ref 0 in
-  let probe ~budget_rops tt =
-    let key = (Tt.to_string tt, budget_rops) in
-    match Hashtbl.find_opt memo key with
-    | Some r -> r
-    | None ->
-      incr probe_calls;
-      let r = Engine.probe_window cfg ~budget_rops tt in
-      Hashtbl.add memo key r;
-      r
-  in
-  let attempted = ref 0
-  and accepted = ref 0
-  and trivial = ref 0
-  and atlas = ref 0
-  and solver = ref 0
-  and rejected = ref 0
+  let rejected = ref 0
   and merged_total = ref 0
   and dced_total = ref 0
   and v_saved_total = ref 0 in
-  let splices = ref [] in
   let circuit = ref circuit0 in
+  (* one pass of every sweep; [true] when any of them changed something *)
   let cleanup () =
     let c, m = sweep_merge !circuit in
     let c, d = dce c in
@@ -423,85 +392,32 @@ let optimize ?(max_width = 6) ?(max_live = 6) ?(max_passes = 4)
     if m + d + v > 0 then
       (* redirects point backwards and dead-code removal only drops
          unreachable ops, so this cannot fire; zero-trust anyway *)
-      match Circuit.realizes c spec with
+      (match Circuit.realizes c spec with
       | Ok () -> circuit := c
-      | Error _ -> incr rejected
-  in
-  let record (cand : Rewrite.candidate) =
-    splices := cand :: !splices;
-    incr accepted;
-    match cand.Rewrite.origin with
-    | Rewrite.Trivial -> incr trivial
-    | Rewrite.Atlas -> incr atlas
-    | Rewrite.Solver -> incr solver
-  in
-  (* One sweep: scan all windows (widest first — biggest budgets give the
-     solver the most room), splice the first acceptable rewrite, then
-     re-enumerate on the rewritten circuit and repeat. Every acceptance
-     strictly decreases the R-op count, so the loop terminates; probe
-     memoization keeps re-scanned windows cheap. *)
-  let sweep () =
-    let accepted_here = ref 0 in
-    let continue_scan = ref true in
-    while !continue_scan do
-      let ws =
-        Window.enumerate ~max_width ~max_live !circuit
-        |> List.sort (fun a b ->
-               if Window.width a <> Window.width b then
-                 compare (Window.width b) (Window.width a)
-               else compare a.Window.live_out b.Window.live_out)
-      in
-      let rec scan = function
-        | [] -> continue_scan := false
-        | w :: rest -> (
-          incr attempted;
-          match Rewrite.attempt ~probe !circuit w with
-          | None -> scan rest
-          | Some (c', cand) -> (
-            match Circuit.realizes c' spec with
-            | Ok () ->
-              circuit := c';
-              record cand;
-              incr accepted_here
-            | Error _ ->
-              incr rejected;
-              scan rest))
-      in
-      scan ws
-    done;
-    !accepted_here
+      | Error _ -> incr rejected);
+    m + d + v > 0
   in
   let passes = ref 0 in
   let fixed_point = ref false in
-  (try
-     while !passes < max_passes && not !fixed_point do
-       incr passes;
-       let m0 = !merged_total + !dced_total + !v_saved_total in
-       cleanup ();
-       let got = sweep () in
-       if got = 0 && !merged_total + !dced_total + !v_saved_total = m0 then
-         fixed_point := true
-     done
-   with e -> raise e);
-  cleanup ();
+  while !passes < max_passes && not !fixed_point do
+    incr passes;
+    fixed_point := not (cleanup ())
+  done;
+  (* the pass cap ends the loop, not the work already found *)
+  if not !fixed_point then ignore (cleanup ());
   let steps_after = Circuit.n_steps !circuit in
   (match Circuit.realizes !circuit spec with
   | Ok () -> ()
   | Error row ->
-    failwith (Printf.sprintf "Resyn.optimize: result wrong on row %d" row));
+    failwith (Printf.sprintf "Resyn.run: result wrong on row %d" row));
   {
     circuit = !circuit;
-    splices = List.rev !splices;
     stats =
       {
         passes = !passes;
         fixed_point = !fixed_point;
-        windows_attempted = !attempted;
-        windows_accepted = !accepted;
-        trivial_hits = !trivial;
-        atlas_hits = !atlas;
-        solver_hits = !solver;
-        probe_calls = !probe_calls;
+        windows_attempted = 0;
+        windows_accepted = 0;
         rejected = !rejected;
         sweep_merged = !merged_total;
         dce_removed = !dced_total;
@@ -512,244 +428,4 @@ let optimize ?(max_width = 6) ?(max_live = 6) ?(max_passes = 4)
       };
   }
 
-(* ------------------------------------------------------------------ *)
-(* Crossbar driver (cover level)                                       *)
-(* ------------------------------------------------------------------ *)
-
-type xstats = {
-  xpasses : int;
-  merges_attempted : int;
-  merges_accepted : int;
-  rebuilds_rejected : int;
-  cycles_before : int;
-  cycles_after : int;
-  xwall_s : float;
-}
-
-type xresult = {
-  result : Xstitch.result;
-  xstats : xstats;
-}
-
-type merge_candidate = {
-  consumer : int;  (* index into the blocks array *)
-  producer : int;
-  mblock : Mapper.block;  (* the merged replacement *)
-  gain : float;
-}
-
-(* Merge candidates over one cover: absorb a producer block consumed by
-   exactly one other block (and not feeding an output) into its consumer,
-   when the composed function fits the ≤4-support library universe. *)
-let merge_candidates ~v_weight (lib : Blocklib.t) (m : Mapper.mapping) :
-    int * merge_candidate list =
-  let aig = m.Mapper.aig in
-  let n_in = Aig.n_inputs aig in
-  let blocks = Array.of_list m.Mapper.blocks in
-  let idx_of_root = Hashtbl.create 32 in
-  Array.iteri
-    (fun i (b : Mapper.block) -> Hashtbl.replace idx_of_root b.Mapper.root i)
-    blocks;
-  let consumers = Hashtbl.create 32 in
-  Array.iter
-    (fun (b : Mapper.block) ->
-      Array.iter
-        (fun l ->
-          Hashtbl.replace consumers l
-            (1 + Option.value ~default:0 (Hashtbl.find_opt consumers l)))
-        b.Mapper.cut.Cut.leaves)
-    blocks;
-  let out_nodes = Hashtbl.create 8 in
-  Array.iter
-    (fun lit -> Hashtbl.replace out_nodes (Aig.lit_node lit) ())
-    (Aig.outputs aig);
-  let cost (e : Blocklib.entry) =
-    (v_weight *. float_of_int e.Blocklib.steps) +. float_of_int e.Blocklib.rops
-  in
-  let attempted = ref 0 in
-  let cands = ref [] in
-  Array.iteri
-    (fun bi (b : Mapper.block) ->
-      Array.iter
-        (fun l ->
-          if l > n_in then
-            match Hashtbl.find_opt idx_of_root l with
-            | None -> ()
-            | Some pi ->
-              let p = blocks.(pi) in
-              if
-                Hashtbl.find_opt consumers l = Some 1
-                && not (Hashtbl.mem out_nodes l)
-              then begin
-                incr attempted;
-                let ext =
-                  Array.to_list b.Mapper.cut.Cut.leaves
-                  |> List.filter (fun x -> x <> l)
-                  |> List.append (Array.to_list p.Mapper.cut.Cut.leaves)
-                  |> List.sort_uniq compare
-                in
-                if List.length ext <= 6 then begin
-                  let ext_a = Array.of_list ext in
-                  let me = Array.length ext_a in
-                  let pos = Hashtbl.create 8 in
-                  Array.iteri (fun i x -> Hashtbl.replace pos x i) ext_a;
-                  let eval_block (blk : Mapper.block) extra q =
-                    let bits =
-                      Array.map
-                        (fun leaf ->
-                          match extra leaf with
-                          | Some v -> v
-                          | None ->
-                            Tt.input_bit me q (Hashtbl.find pos leaf + 1))
-                        blk.Mapper.cut.Cut.leaves
-                    in
-                    let row = ref 0 in
-                    let k = Array.length bits in
-                    Array.iteri
-                      (fun i v -> if v then row := !row lor (1 lsl (k - 1 - i)))
-                      bits;
-                    Tt.eval blk.Mapper.cut.Cut.tt !row
-                  in
-                  let raw =
-                    Tt.of_fun me (fun q ->
-                        let pv = eval_block p (fun _ -> None) q in
-                        eval_block b
-                          (fun leaf -> if leaf = l then Some pv else None)
-                          q)
-                  in
-                  let sup = Tt.support raw in
-                  let nsup = List.length sup in
-                  if nsup >= 1 && nsup <= 4 then begin
-                    let tt = Tt.project raw sup in
-                    let leaves =
-                      Array.of_list (List.map (fun v -> ext_a.(v - 1)) sup)
-                    in
-                    let kind =
-                      if Array.for_all (fun x -> x <= n_in) leaves then
-                        Blocklib.Mixed
-                      else Blocklib.R_only
-                    in
-                    let entry = Blocklib.lookup lib kind tt in
-                    let gain =
-                      cost b.Mapper.entry +. cost p.Mapper.entry -. cost entry
-                    in
-                    if gain > 0.0 then
-                      cands :=
-                        {
-                          consumer = bi;
-                          producer = pi;
-                          mblock =
-                            {
-                              Mapper.root = b.Mapper.root;
-                              cut = { Cut.leaves; tt };
-                              entry;
-                            };
-                          gain;
-                        }
-                        :: !cands
-                  end
-                end
-              end)
-        b.Mapper.cut.Cut.leaves)
-    blocks;
-  (!attempted, List.sort (fun a b -> compare b.gain a.gain) !cands)
-
-let apply_merges (m : Mapper.mapping) (picked : merge_candidate list) :
-    Mapper.mapping =
-  let blocks = Array.of_list m.Mapper.blocks in
-  let drop = Hashtbl.create 8 in
-  List.iter
-    (fun c ->
-      blocks.(c.consumer) <- c.mblock;
-      Hashtbl.replace drop c.producer ())
-    picked;
-  let blocks' =
-    Array.to_list blocks
-    |> List.filteri (fun i _ -> not (Hashtbl.mem drop i))
-    |> List.sort (fun (a : Mapper.block) b -> compare a.Mapper.root b.Mapper.root)
-  in
-  { m with Mapper.blocks = blocks' }
-
-let optimize_xbar ?(max_passes = 4) ?(rows = 16) ?(ports = 4) ?(polish = true)
-    ?(v_weight = 2.0) (cfg : Engine.config) (spec : Spec.t)
-    (r0 : Xstitch.result) : xresult =
-  let t0 = Unix.gettimeofday () in
-  let lib = Blocklib.create cfg in
-  let attempted = ref 0
-  and accepted = ref 0
-  and rejects = ref 0 in
-  let best = ref r0 in
-  let passes = ref 0 in
-  let continue_loop = ref true in
-  while !continue_loop && !passes < max_passes do
-    incr passes;
-    let mapping = !best.Xstitch.stitch.Stitch.mapping in
-    let att, cands = merge_candidates ~v_weight lib mapping in
-    attempted := !attempted + att;
-    (* greedy disjoint pick by gain *)
-    let used = Hashtbl.create 8 in
-    let picked =
-      List.filter
-        (fun c ->
-          if Hashtbl.mem used c.consumer || Hashtbl.mem used c.producer then
-            false
-          else begin
-            Hashtbl.replace used c.consumer ();
-            Hashtbl.replace used c.producer ();
-            true
-          end)
-        cands
-    in
-    let try_rebuild picked =
-      if picked = [] then None
-      else
-        match
-          let mapping' = apply_merges mapping picked in
-          let stitched' = Stitch.lower spec mapping' in
-          let stitch' =
-            {
-              !best.Xstitch.stitch with
-              Stitch.stitched = stitched';
-              mapping = mapping';
-              dag = Mapper.dag mapping';
-            }
-          in
-          Xstitch.of_stitch ~rows ~ports ~polish stitch' spec
-        with
-        | r'
-          when r'.Xstitch.verified && r'.Xstitch.cycles < !best.Xstitch.cycles
-          ->
-          Some (r', List.length picked)
-        | _ -> None
-        | exception _ -> None
-    in
-    match try_rebuild picked with
-    | Some (r', n) ->
-      best := r';
-      accepted := !accepted + n
-    | None -> (
-      if picked <> [] then incr rejects;
-      (* the batch failed or did not improve; try just the best merge *)
-      match
-        match picked with [] -> None | best_one :: _ -> try_rebuild [ best_one ]
-      with
-      | Some (r', n) ->
-        best := r';
-        accepted := !accepted + n
-      | None ->
-        if List.length picked > 1 then incr rejects;
-        continue_loop := false)
-  done;
-  {
-    result = !best;
-    xstats =
-      {
-        xpasses = !passes;
-        merges_attempted = !attempted;
-        merges_accepted = !accepted;
-        rebuilds_rejected = !rejects;
-        cycles_before = r0.Xstitch.cycles;
-        cycles_after = !best.Xstitch.cycles;
-        xwall_s = Unix.gettimeofday () -. t0;
-      };
-  }
+let optimize ?max_width:_ (_ : Engine.config) spec circuit = run spec circuit

@@ -1,44 +1,26 @@
-(** Windowed SAT-sweeping resynthesis over stitched schedules.
+(** Post-mapping resynthesis of stitched schedules.
 
-    Post-mapping optimization: the mapper's cut boundaries hide cross-block
-    sharing, so the committed implementation is re-examined {e after}
-    stitching, where the boundaries are gone. Three cooperating mechanisms
-    (cleanup = sweeps + {!compact_legs} leg compaction):
+    The mapper's cut boundaries hide cross-block sharing, so the committed
+    implementation is re-examined {e after} stitching, where the
+    boundaries are gone. {!run} repeats three cleanup sweeps to a fixed
+    point (or a pass cap):
 
-    + {b cleanup sweeps} — semantic sweeping by complete simulation (the
-      arity here is small enough that a truth table is cheaper than a SAT
+    + {!sweep_merge} — semantic sweeping by complete simulation (the arity
+      here is small enough that a truth table is cheaper than a SAT
       sweep): any R-op whose global function duplicates an earlier signal
-      (literal, final leg value, or earlier R-op) is redirected onto it,
-      then dead R-ops are eliminated. This alone captures most cross-block
-      inverter/leaf duplication the stitcher could not see.
-    + {b window rewrites} — every legal {!Window.t} is extracted
-      ({!Extract}) and re-synthesized exactly under its own budget
-      ({!Rewrite} through {!Mm_engine.Engine.probe_window}, atlas-first);
-      strictly-cheaper replacements are spliced in.
+      (literal, final leg value, or earlier R-op) is redirected onto it;
+    + {!dce} — dead R-ops are eliminated;
+    + {!compact_legs} — the stitcher's hold padding is squeezed out of the
+      legs under the line array's shared-BE-rail constraint.
 
-    Acceptance criterion (1D): a splice is committed only when the rebuilt
-    circuit passes [Circuit.realizes] against the full specification — a
-    rewrite bug becomes a rejected splice, never a wrong answer — and the
-    step count is strictly lower by construction. The loop alternates
-    cleanup and window sweeps to a fixed point or a pass cap; steps are
-    monotonically non-increasing throughout.
-
-    The crossbar variant works at cover level: the cycle-accurate schedule
-    is a function of the block cover, so {!optimize_xbar} merges
-    single-consumer producer blocks into their consumers (re-synthesizing
-    the composed ≤4-support function through {!Mm_map.Blocklib}), rebuilds
-    placement + schedule, replays it on the device simulator
-    ({!Mm_map.Xstitch.verify}), and accepts only verified schedules with
-    strictly fewer cycles. *)
+    Every changed circuit is re-checked with [Circuit.realizes] against
+    the full specification before it is kept, and steps never increase. *)
 
 module Circuit = Mm_core.Circuit
-module Tt = Mm_boolfun.Truth_table
 module Spec = Mm_boolfun.Spec
 module Engine = Mm_engine.Engine
-module Stitch = Mm_map.Stitch
-module Xstitch = Mm_map.Xstitch
 
-(** {2 Cleanup sweeps (1D)} *)
+(** {2 Cleanup sweeps} *)
 
 (** Redirect R-ops computing an already-available function (by complete
     simulation over all [2^arity] rows) onto the earlier signal; returns
@@ -59,18 +41,14 @@ val dce : Circuit.t -> Circuit.t * int
     identity when nothing shrinks. *)
 val compact_legs : Circuit.t -> Circuit.t * int
 
-(** {2 1D driver} *)
+(** {2 Fixed-point loop} *)
 
 type stats = {
-  passes : int;  (** sweeps actually run (≤ the cap) *)
+  passes : int;  (** cleanup passes run (≤ the cap) *)
   fixed_point : bool;  (** converged before the pass cap *)
-  windows_attempted : int;
-  windows_accepted : int;
-  trivial_hits : int;  (** accepted without any probe *)
-  atlas_hits : int;  (** accepted from the atlas tier, zero solver calls *)
-  solver_hits : int;  (** accepted via the SAT pipeline / cache *)
-  probe_calls : int;  (** engine probes issued (memoized misses) *)
-  rejected : int;  (** candidates failing full-spec re-verification *)
+  windows_attempted : int;  (** always 0; read by [perfbench/compile.ml] *)
+  windows_accepted : int;  (** always 0; read by [perfbench/compile.ml] *)
+  rejected : int;  (** cleanups failing full-spec re-verification *)
   sweep_merged : int;
   dce_removed : int;
   v_steps_saved : int;  (** [steps_per_leg] reclaimed by {!compact_legs} *)
@@ -81,54 +59,16 @@ type stats = {
 
 type t = {
   circuit : Circuit.t;  (** re-verified against the spec on all rows *)
-  splices : Rewrite.candidate list;  (** chronological; provenance per splice *)
   stats : stats;
 }
 
-(** [optimize cfg spec circuit] — [circuit] must realize [spec] (raises
-    [Invalid_argument] otherwise). Defaults: [max_width = 6],
-    [max_live = 6], [max_passes = 4]. The probe budget derives from
-    [cfg] with [max_rops] clamped per window. *)
-val optimize :
-  ?max_width:int ->
-  ?max_live:int ->
-  ?max_passes:int ->
-  Engine.config ->
-  Spec.t ->
-  Circuit.t ->
-  t
+(** [run spec circuit] — [circuit] must realize [spec] (raises
+    [Invalid_argument] otherwise). [max_passes] (default 4) caps the
+    cleanup passes; one more pass runs after the cap when the last one
+    still changed something. *)
+val run : ?max_passes:int -> Spec.t -> Circuit.t -> t
 
-(** {2 Crossbar driver (cover level)} *)
-
-type xstats = {
-  xpasses : int;
-  merges_attempted : int;
-  merges_accepted : int;  (** producer blocks absorbed into consumers *)
-  rebuilds_rejected : int;
-      (** rebuilt schedules discarded (verification failed or cycles did
-          not strictly improve) *)
-  cycles_before : int;
-  cycles_after : int;
-  xwall_s : float;
-}
-
-type xresult = {
-  result : Xstitch.result;  (** verified; cycles ≤ the input schedule's *)
-  xstats : xstats;
-}
-
-(** [optimize_xbar cfg spec r] never regresses: the input schedule is
-    returned unchanged unless a rebuilt one verifies with strictly fewer
-    cycles. [rows]/[ports]/[polish] must match the original compile;
-    [v_weight] (default 2.0, the crossbar mapping default) prices the
-    merge pre-filter. *)
-val optimize_xbar :
-  ?max_passes:int ->
-  ?rows:int ->
-  ?ports:int ->
-  ?polish:bool ->
-  ?v_weight:float ->
-  Engine.config ->
-  Spec.t ->
-  Xstitch.result ->
-  xresult
+(** [optimize cfg spec circuit] is [run spec circuit]: [max_width] and
+    [cfg] are ignored. It keeps the signature the benchmark's [compile]
+    workload calls, so that workload times the real loop. *)
+val optimize : ?max_width:int -> Engine.config -> Spec.t -> Circuit.t -> t

@@ -205,18 +205,6 @@ let test_r_only_cache_hooks () =
   Alcotest.(check (list (pair (pair int int) (pair int string)))) "same trace from cache"
     (trace r) (trace r2)
 
-let test_racing_equivalence () =
-  List.iter
-    (fun (name, exprs) ->
-      let spec = spec_of name exprs in
-      let base = S.minimize ~timeout_per_call:30. ~max_steps:3 spec in
-      let raced =
-        S.minimize ~timeout_per_call:30. ~max_steps:3 ~racing:true spec
-      in
-      Alcotest.(check bool) (name ^ ": same minima") true
-        (fingerprint base = fingerprint raced))
-    pin_specs
-
 let test_ladder_direct () =
   let xor = spec_of "xor2" [ "x1 ^ x2" ] in
   let l = L.create ~taps:E.Any_vop ~max_legs:3 ~max_steps:3 ~max_rops:2 xor in
@@ -292,8 +280,6 @@ let () =
             test_incremental_r_only;
           Alcotest.test_case "r-only cache hooks" `Quick
             test_r_only_cache_hooks;
-          Alcotest.test_case "racing equivalent" `Slow
-            test_racing_equivalence;
           Alcotest.test_case "ladder direct" `Quick test_ladder_direct;
         ] );
       ("metrics", [ Alcotest.test_case "formulas and Table V" `Quick test_metrics ]);
