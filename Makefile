@@ -145,7 +145,9 @@ smoke-map: build
 # cross-check the outputs against the 1D line-array backend row by row —
 # `map --target xbar` exits non-zero unless both the simulator validation
 # and the backend diff pass, and the grep makes the full row counts an
-# explicit gate rather than trusting the exit code alone. Resynthesis is a
+# explicit gate rather than trusting the exit code alone. The adder3 run on
+# 4 rows with one transfer port is the path where the scheduler's window
+# bound counts transfer cycles by the port budget. Resynthesis is a
 # line-target pass, so `--target xbar --resyn` must be refused by name.
 smoke-xbar: build
 	@set -e; \
@@ -155,6 +157,12 @@ smoke-xbar: build
 	  || { echo "smoke-xbar: simulator validation failed"; exit 1; }; \
 	echo "$$out" | grep -q "cross-check vs 1D backend: 32/32 rows agree" \
 	  || { echo "smoke-xbar: backend diff failed"; exit 1; }; \
+	out=$$(dune exec bin/mmsynth.exe -- map --workload adder3 --effort 1 \
+	  --cache $(XBAR_CACHE) --target xbar --rows 4 --ports 1); \
+	echo "$$out" | grep -q "simulator validation: 128/128 rows correct" \
+	  || { echo "smoke-xbar: adder3 (1 port) simulator validation failed"; exit 1; }; \
+	echo "$$out" | grep -q "cross-check vs 1D backend: 128/128 rows agree" \
+	  || { echo "smoke-xbar: adder3 (1 port) backend diff failed"; exit 1; }; \
 	if err=$$($(MMSYNTH) map --workload adder2 --effort 1 --target xbar \
 	  --resyn 2>&1); then \
 	  echo "smoke-xbar: --target xbar --resyn was accepted"; exit 1; fi; \

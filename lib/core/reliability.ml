@@ -1,6 +1,5 @@
 module Spec = Mm_boolfun.Spec
 module Variation = Mm_device.Variation
-module Line_array = Mm_device.Line_array
 
 type point = { variation : Variation.t; mm_error : float; r_only_error : float }
 
@@ -41,33 +40,8 @@ let rop_depth c =
 
 let max_switches_per_run c =
   let plan = Schedule.plan c in
-  let n = c.Circuit.arity in
   let worst = ref 0 in
-  for input = 0 to (1 lsl n) - 1 do
-    let r = Schedule.execute plan ~input () in
-    (* switches are not exposed directly on the run; recompute via a fresh
-       execution counting waveform length as a proxy is wrong — instead
-       count state changes across waveform rows. *)
-    let rows = Mm_device.Waveform.rows r.Schedule.waveform in
-    let switches = ref 0 in
-    let prev = ref None in
-    List.iter
-      (fun { Mm_device.Waveform.cells; _ } ->
-        let states =
-          Array.map
-            (fun cell ->
-              cell.Line_array.resistance
-              < sqrt
-                  (Mm_device.Device.default_params.Mm_device.Device.r_lrs
-                  *. Mm_device.Device.default_params.Mm_device.Device.r_hrs))
-            cells
-        in
-        (match !prev with
-         | Some old ->
-           Array.iteri (fun i s -> if s <> old.(i) then incr switches) states
-         | None -> ());
-        prev := Some states)
-      rows;
-    worst := max !worst !switches
+  for input = 0 to (1 lsl c.Circuit.arity) - 1 do
+    worst := max !worst (Schedule.execute plan ~input ()).Schedule.switches
   done;
   !worst

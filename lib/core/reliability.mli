@@ -31,6 +31,8 @@ val run :
     quantity the paper blames for fidelity loss. *)
 val rop_depth : Circuit.t -> int
 
-(** Worst-case switching events per device over all inputs (endurance
-    pressure; the paper notes V-ops may switch a cell on every operation). *)
+(** Switching events in one evaluation, summed over cells, worst input
+    row (endurance pressure; the paper notes V-ops may switch a cell on
+    every operation). Counted by the devices themselves, from the plan's
+    initial cell states. *)
 val max_switches_per_run : Circuit.t -> int

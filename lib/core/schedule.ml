@@ -74,6 +74,7 @@ type run = {
   outputs : bool array;
   expected : int option;
   cycles : int;
+  switches : int;
   waveform : Waveform.t;
 }
 
@@ -92,7 +93,6 @@ let execute ?(params = Device.default_params) ?rng ?(faults = []) t ~input () =
   let n = c.Circuit.arity in
   if input < 0 || input >= 1 lsl n then invalid_arg "Schedule.execute";
   let array = Line_array.create ~rng ~n:(n_cells t) ~params () in
-  let wf = Waveform.create () in
   (* initialization phase (excluded from the trace, as in the paper):
      legs start at 0 (HRS), R-op outputs at their preset, literal cells at
      the literal's value for this input row. *)
@@ -108,6 +108,7 @@ let execute ?(params = Device.default_params) ?rng ?(faults = []) t ~input () =
   List.iter
     (fun (cell, fault) -> Device.inject_fault (Line_array.device array cell) fault)
     faults;
+  let wf = Waveform.create array in
   (* V-op phase: one cycle per step, all legs in parallel on the shared
      rail; non-leg cells get the dummy TE = BE. *)
   let steps = Circuit.steps_per_leg c in
@@ -154,6 +155,7 @@ let execute ?(params = Device.default_params) ?rng ?(faults = []) t ~input () =
     outputs;
     expected = None;
     cycles = Waveform.length wf;
+    switches = Line_array.total_switches array;
     waveform = wf;
   }
 

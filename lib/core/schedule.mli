@@ -36,6 +36,9 @@ type run = {
   outputs : bool array;  (** read-out logical values *)
   expected : int option;  (** spec word when verified against a spec *)
   cycles : int;  (** V-op + R-op + readout cycles *)
+  switches : int;
+      (** switching events in this evaluation, summed over cells
+          ({!Mm_device.Line_array.total_switches} after readout) *)
   waveform : Mm_device.Waveform.t;
 }
 

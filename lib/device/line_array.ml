@@ -20,7 +20,7 @@ type drive =
     }
   | Read of { cell : int; v_read : float }
 
-type cycle = { drive : drive; resistances : Float.Array.t }
+type cycle = { drive : drive; driven : Float.Array.t }
 
 let create ~rng ~n ?(params = Device.default_params) ?(v0 = 9.0) () =
   if n <= 0 then invalid_arg "Line_array.create";
@@ -34,10 +34,9 @@ let device t i =
 
 let states t = Array.map Device.state t.devices
 
-let set_states t l = List.iter (fun (i, b) -> Device.set_state (device t i) b) l
+let resistances t = Float.Array.map_from_array Device.resistance t.devices
 
-let snapshot t drive =
-  { drive; resistances = Float.Array.map_from_array Device.resistance t.devices }
+let set_states t l = List.iter (fun (i, b) -> Device.set_state (device t i) b) l
 
 let vop_cycle t ~te ~be =
   let vw = t.params.Device.v_write in
@@ -49,7 +48,15 @@ let vop_cycle t ~te ~be =
       Float.Array.set v_te i v;
       ignore (Device.apply d ~v_te:v ~v_be : float))
     t.devices;
-  snapshot t (Vop { v_te; v_be })
+  { drive = Vop { v_te; v_be }; driven = resistances t }
+
+(* A gate's cycle: the drive plus the resistances of in1, in2 and out. *)
+let gate_cycle d1 d2 dout drive =
+  let driven = Float.Array.create 3 in
+  Float.Array.set driven 0 (Device.resistance d1);
+  Float.Array.set driven 1 (Device.resistance d2);
+  Float.Array.set driven 2 (Device.resistance dout);
+  { drive; driven }
 
 (* Quasi-transient divider: the output device is designed to switch first;
    once it has settled, the remaining node-voltage stress lands on the
@@ -75,7 +82,7 @@ let magic_nor t ~in1 ~in2 ~out =
   let v_n = node_voltage () in
   Device.apply_across d1 (-.(t.v0 -. v_n));
   Device.apply_across d2 (-.(t.v0 -. v_n));
-  snapshot t
+  gate_cycle d1 d2 dout
     (Gate
        {
          in1;
@@ -108,7 +115,7 @@ let magic_nimp t ~in1 ~in2 ~out =
      while variation can still push it over the threshold *)
   Device.apply_across d1 ((v0n -. v_n) /. 2.0);
   Device.apply_across d2 ((v0n -. v_n) /. 2.0);
-  snapshot t
+  gate_cycle d1 d2 dout
     (Gate
        { in1; in2; out; in_te = v0n; in_be = v_n; out_te = v_n; out_be = 0.0 })
 
@@ -119,7 +126,17 @@ let read t i =
 
 let read_cycle t i =
   if i < 0 || i >= size t then invalid_arg "Line_array.read_cycle";
-  snapshot t (Read { cell = i; v_read = t.params.Device.v_read })
+  { drive = Read { cell = i; v_read = t.params.Device.v_read };
+    driven = Float.Array.create 0 }
+
+let update rs { drive; driven } =
+  match drive with
+  | Vop _ -> Float.Array.blit driven 0 rs 0 (Float.Array.length rs)
+  | Gate { in1; in2; out; _ } ->
+    Float.Array.set rs in1 (Float.Array.get driven 0);
+    Float.Array.set rs in2 (Float.Array.get driven 1);
+    Float.Array.set rs out (Float.Array.get driven 2)
+  | Read _ -> ()
 
 (* The electrode voltages of cell [i] in a cycle. *)
 let voltages drive i =
@@ -131,7 +148,7 @@ let voltages drive i =
     else (0.0, 0.0)
   | Read { cell; v_read } -> if i = cell then (v_read, 0.0) else (0.0, 0.0)
 
-let observe { drive; resistances } =
+let observe drive resistances =
   Array.init (Float.Array.length resistances) (fun i ->
       let v_te, v_be = voltages drive i in
       let r = Float.Array.get resistances i in

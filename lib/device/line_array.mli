@@ -35,11 +35,19 @@ type drive =
   | Read of { cell : int; v_read : float }
       (** readout of one cell; the others see 0 V *)
 
-(** One cycle: its drive and every cell's resistance after it. *)
-type cycle = { drive : drive; resistances : Float.Array.t }
+(** One cycle: its drive and, in [driven], the resistance after the cycle
+    of each cell it drove — every cell in index order for a V-cycle,
+    [in1], [in2], [out] for a gate, none for a readout. A cell the cycle
+    did not drive keeps its resistance. *)
+type cycle = { drive : drive; driven : Float.Array.t }
 
-(** [observe c] expands a cycle into one {!cell_obs} per cell. *)
-val observe : cycle -> cell_obs array
+(** [update rs c] overwrites, in the per-cell resistances [rs], the cells
+    [c] drove — replaying [c] on the resistances before it. *)
+val update : Float.Array.t -> cycle -> unit
+
+(** [observe drive rs] expands a cycle's drive and every cell's resistance
+    after it ([rs]) into one {!cell_obs} per cell. *)
+val observe : drive -> Float.Array.t -> cell_obs array
 
 (** [create ~rng ~n ()] builds [n] devices.
     @param params device parameters (default {!Device.default_params})
@@ -53,6 +61,9 @@ val device : t -> int -> Device.t
 
 (** Logical states of all cells. *)
 val states : t -> bool array
+
+(** Every cell's resistance now, in a fresh array. *)
+val resistances : t -> Float.Array.t
 
 (** [set_states t l] forces states (the initialization phase, which the
     paper excludes from measurement). *)

@@ -1,22 +1,30 @@
 type row = { cycle : int; label : string; cells : Line_array.cell_obs array }
 
-(* Cycles are kept compact (drive + resistances); the per-cell
+(* Cycles are kept compact (drive + the cells it drove) over one copy of
+   every cell's resistance when recording began; the per-cell
    observations of [row] are only built when a row is asked for. *)
 type t = {
+  base : Float.Array.t;
   mutable rev_cycles : (string * Line_array.cycle) list;
   mutable length : int;
 }
 
-let create () = { rev_cycles = []; length = 0 }
+let create arr = { base = Line_array.resistances arr; rev_cycles = []; length = 0 }
 
 let record t ~label c =
   t.rev_cycles <- (label, c) :: t.rev_cycles;
   t.length <- t.length + 1
 
 let rows t =
-  List.mapi
-    (fun i (label, c) -> { cycle = i + 1; label; cells = Line_array.observe c })
-    (List.rev t.rev_cycles)
+  let rs = Float.Array.copy t.base in
+  let _, rev_rows =
+    List.fold_left
+      (fun (i, acc) (label, (c : Line_array.cycle)) ->
+        Line_array.update rs c;
+        (i + 1, { cycle = i; label; cells = Line_array.observe c.drive rs } :: acc))
+      (1, []) (List.rev t.rev_cycles)
+  in
+  List.rev rev_rows
 
 let length t = t.length
 
@@ -58,9 +66,10 @@ let pp ppf t =
     Format.fprintf ppf "@]"
 
 let final_states ~params t =
-  match t.rev_cycles with
-  | [] -> None
-  | (_, last) :: _ ->
+  if t.rev_cycles = [] then None
+  else begin
+    let rs = Float.Array.copy t.base in
+    List.iter (fun (_, c) -> Line_array.update rs c) (List.rev t.rev_cycles);
     let mid = sqrt (params.Device.r_lrs *. params.Device.r_hrs) in
-    Some
-      (Float.Array.map_to_array (fun r -> r < mid) last.Line_array.resistances)
+    Some (Float.Array.map_to_array (fun r -> r < mid) rs)
+  end

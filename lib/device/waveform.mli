@@ -1,8 +1,11 @@
 (** Cycle-by-cycle measurement traces (the paper's Fig. 2).
 
-    A waveform accumulates per-cycle snapshots of every cell's resistance,
-    electrode voltages and |I|, and renders them as the rows of Fig. 2:
-    resistance per cell, V_TE per cell, shared V_BE, |I| per cell. *)
+    A waveform keeps every cell's resistance once, when recording begins,
+    then per cycle only its drive and the resistances of the cells it
+    drove ({!Line_array.cycle}). Replaying those deltas yields each
+    cycle's resistance, electrode voltages and |I| per cell, rendered as
+    the rows of Fig. 2: resistance per cell, V_TE per cell, shared V_BE,
+    |I| per cell. *)
 
 type row = {
   cycle : int;
@@ -12,13 +15,16 @@ type row = {
 
 type t
 
-val create : unit -> t
+(** [create arr] starts an empty waveform over [arr]'s current
+    resistances: record its cycles from here on. *)
+val create : Line_array.t -> t
 
-(** [record t ~label c] appends a cycle. *)
+(** [record t ~label c] appends a cycle of the array the waveform was
+    created over. *)
 val record : t -> label:string -> Line_array.cycle -> unit
 
 (** The recorded cycles in order, each expanded into per-cell
-    observations. *)
+    observations by replaying the deltas from the base. *)
 val rows : t -> row list
 
 (** Number of recorded cycles, O(1). *)
@@ -28,6 +34,7 @@ val length : t -> int
     µA. *)
 val pp : Format.formatter -> t -> unit
 
-(** Final logical states decoded from the last recorded cycle's
-    resistances (LRS threshold at the geometric mean of [params]). *)
+(** Final logical states decoded from the resistances after the last
+    recorded cycle (LRS threshold at the geometric mean of [params]);
+    [None] when nothing was recorded. *)
 val final_states : params:Device.params -> t -> bool array option

@@ -221,35 +221,44 @@ let check ?(ports = max_int) (p : Place.t) (cycles : cycle array) =
     (fun k cyc ->
       match cyc with
       | C_v set ->
+        (* ranges first: the broadcast rule indexes the placement *)
+        let in_range = ref true in
         List.iter
           (fun (s, st) ->
             if s < 0 || s >= Array.length g.vstep_ids
                || st < 0
                || st >= Array.length g.vstep_ids.(s)
-            then fail (Printf.sprintf "cycle %d: V-step out of range" k)
+            then begin
+              fail (Printf.sprintf "cycle %d: V-step out of range" k);
+              in_range := false
+            end
             else mark g.vstep_ids.(s).(st) k)
           set;
-        if not (v_compatible p be_of set) then
+        if !in_range && not (v_compatible p be_of set) then
           fail (Printf.sprintf "cycle %d: incompatible broadcast V-steps" k)
       | C_r refs ->
         let rows = Hashtbl.create 8 in
         List.iter
           (fun r ->
-            (match r with
-            | Gate (s, j) ->
-              if s < 0 || s >= Array.length g.rgate_ids
-                 || j < 0
-                 || j >= Array.length g.rgate_ids.(s)
-              then fail (Printf.sprintf "cycle %d: R-gate out of range" k)
-              else mark g.rgate_ids.(s).(j) k
-            | Inverter i ->
-              if i < 0 || i >= Array.length g.inv_ids then
-                fail (Printf.sprintf "cycle %d: inverter out of range" k)
-              else mark g.inv_ids.(i) k);
-            let row = row_of_r p r in
-            if Hashtbl.mem rows row then
-              fail (Printf.sprintf "cycle %d: two NOR gates on row %d" k row)
-            else Hashtbl.add rows row ())
+            let in_range =
+              match r with
+              | Gate (s, j) ->
+                if s < 0 || s >= Array.length g.rgate_ids
+                   || j < 0
+                   || j >= Array.length g.rgate_ids.(s)
+                then (fail (Printf.sprintf "cycle %d: R-gate out of range" k); false)
+                else (mark g.rgate_ids.(s).(j) k; true)
+              | Inverter i ->
+                if i < 0 || i >= Array.length g.inv_ids then
+                  (fail (Printf.sprintf "cycle %d: inverter out of range" k); false)
+                else (mark g.inv_ids.(i) k; true)
+            in
+            if in_range then begin
+              let row = row_of_r p r in
+              if Hashtbl.mem rows row then
+                fail (Printf.sprintf "cycle %d: two NOR gates on row %d" k row)
+              else Hashtbl.add rows row ()
+            end)
           refs
       | C_t ixs ->
         if List.length ixs > ports then
@@ -400,15 +409,14 @@ let schedule_greedy (p : Place.t) g be_of ~ports =
 (* ------------------------------------------------------------------ *)
 (* SAT window polish                                                  *)
 
-(* Try to repack the [w] cycles starting at [lo] into [w - 1] slots with a
-   small makespan encoding: one variable per (uop, slot), exactly-one per
-   uop, precedence between window-internal dependents, slot purity (one
-   cycle type per slot) and the pairwise resource conflicts. Pairwise
-   V-compatibility under-approximates the set-wise broadcast rule, so any
-   SAT answer is re-validated through {!check} before it replaces the
-   window — polish can only ever tighten a schedule, never corrupt it. *)
-let try_window (p : Place.t) g be_of ~ports cycles lo w =
-  let win = Array.sub cycles lo w in
+let kind g u =
+  match g.uops.(u) with
+  | U_vstep _ -> 0
+  | U_rgate _ | U_inv _ -> 1
+  | U_xfer _ -> 2
+
+(* The micro-ops of the [w] cycles starting at [lo], in cycle order. *)
+let window_uops g cycles lo w =
   let us = ref [] in
   Array.iter
     (fun cyc ->
@@ -425,177 +433,259 @@ let try_window (p : Place.t) g be_of ~ports cycles lo w =
               :: !us)
           refs
       | C_t ixs -> List.iter (fun i -> us := g.xfer_ids.(i) :: !us) ixs)
-    win;
-  let us = Array.of_list (List.rev !us) in
+    (Array.sub cycles lo w);
+  Array.of_list (List.rev !us)
+
+(* [clash.(i).(j)]: same-type micro-ops [i] and [j] of a window can never
+   share a cycle — two gates on one row, two transfers with a common row
+   endpoint, or two V-steps that cannot broadcast together. *)
+let clashes (p : Place.t) g be_of us =
   let nu = Array.length us in
-  let n_t =
-    Array.fold_left
-      (fun acc u -> match g.uops.(u) with U_xfer _ -> acc + 1 | _ -> acc)
-      0 us
+  let row u =
+    match g.uops.(u) with
+    | U_rgate (s, j) -> row_of_r p (Gate (s, j))
+    | U_inv x -> row_of_r p (Inverter x)
+    | _ -> assert false
   in
-  if nu = 0 || nu > 64 || n_t > 12 then None
-  else begin
-    let m = w - 1 in
-    let local = Hashtbl.create 16 in
-    Array.iteri (fun i u -> Hashtbl.add local u i) us;
-    let solver = Sat.create () in
-    let var = Array.init nu (fun _ -> Array.init m (fun _ -> Sat.new_var solver)) in
-    for i = 0 to nu - 1 do
-      Sat.add_clause solver (List.init m (fun t -> Lit.pos var.(i).(t)));
-      for t1 = 0 to m - 1 do
-        for t2 = t1 + 1 to m - 1 do
-          Sat.add_clause solver [ Lit.neg_of var.(i).(t1); Lit.neg_of var.(i).(t2) ]
-        done
-      done
-    done;
-    let forbid_same_slot i j =
-      for t = 0 to m - 1 do
-        Sat.add_clause solver [ Lit.neg_of var.(i).(t); Lit.neg_of var.(j).(t) ]
-      done
-    in
-    (* precedence between window-internal dependents *)
-    Array.iteri
-      (fun i u ->
-        List.iter
-          (fun d ->
-            match Hashtbl.find_opt local d with
-            | None -> ()
-            | Some j ->
-              (* d must fire strictly before u *)
-              for t = 0 to m - 1 do
-                for t' = t to m - 1 do
-                  Sat.add_clause solver
-                    [ Lit.neg_of var.(i).(t); Lit.neg_of var.(j).(t') ]
-                done
-              done)
-          g.deps.(u))
-      us;
-    let kind u =
-      match g.uops.(u) with
-      | U_vstep _ -> 0
-      | U_rgate _ | U_inv _ -> 1
-      | U_xfer _ -> 2
-    in
-    for i = 0 to nu - 1 do
-      for j = i + 1 to nu - 1 do
-        let ui = us.(i) and uj = us.(j) in
-        if kind ui <> kind uj then forbid_same_slot i j
-        else
-          match (g.uops.(ui), g.uops.(uj)) with
-          | (U_rgate _ | U_inv _), (U_rgate _ | U_inv _) ->
-            let ri =
-              match g.uops.(ui) with
-              | U_rgate (s, j') -> row_of_r p (Gate (s, j'))
-              | U_inv x -> row_of_r p (Inverter x)
-              | _ -> assert false
-            and rj =
-              match g.uops.(uj) with
-              | U_rgate (s, j') -> row_of_r p (Gate (s, j'))
-              | U_inv x -> row_of_r p (Inverter x)
-              | _ -> assert false
-            in
-            if ri = rj then forbid_same_slot i j
-          | U_xfer a, U_xfer b ->
-            let xa = p.Place.xfers.(a) and xb = p.Place.xfers.(b) in
-            let ends (x : Place.xfer) =
-              [ x.Place.x_src.Place.row; x.Place.x_dst.Place.row ]
-            in
-            if List.exists (fun r -> List.mem r (ends xb)) (ends xa) then
-              forbid_same_slot i j
-          | U_vstep (s1, st1), U_vstep (s2, st2) ->
-            if not (v_compatible p be_of [ (s1, st1); (s2, st2) ]) then
-              forbid_same_slot i j
-          | _ -> ()
-      done
-    done;
-    (* transfer port budget: forbid every (ports+1)-subset of transfers in
-       one slot (n_t is capped small, so this stays tiny) *)
-    if ports < n_t then begin
-      let ts =
-        Array.to_list
-          (Array.of_seq
-             (Seq.filter_map
-                (fun i ->
-                  match g.uops.(us.(i)) with U_xfer _ -> Some i | _ -> None)
-                (Seq.init nu Fun.id)))
+  let ends i =
+    let x = p.Place.xfers.(i) in
+    [ x.Place.x_src.Place.row; x.Place.x_dst.Place.row ]
+  in
+  let clash = Array.make_matrix nu nu false in
+  for i = 0 to nu - 1 do
+    for j = i + 1 to nu - 1 do
+      let ui = us.(i) and uj = us.(j) in
+      let c =
+        match (g.uops.(ui), g.uops.(uj)) with
+        | (U_rgate _ | U_inv _), (U_rgate _ | U_inv _) -> row ui = row uj
+        | U_xfer a, U_xfer b ->
+          List.exists (fun r -> List.mem r (ends b)) (ends a)
+        | U_vstep (s1, st1), U_vstep (s2, st2) ->
+          not (v_compatible p be_of [ (s1, st1); (s2, st2) ])
+        | _ -> false
       in
-      let rec subsets k xs =
-        if k = 0 then [ [] ]
-        else
-          match xs with
-          | [] -> []
-          | x :: rest ->
-            List.map (fun s -> x :: s) (subsets (k - 1) rest) @ subsets k rest
-      in
+      clash.(i).(j) <- c;
+      clash.(j).(i) <- c
+    done
+  done;
+  clash
+
+let n_xfers g us =
+  Array.fold_left
+    (fun acc u -> match g.uops.(u) with U_xfer _ -> acc + 1 | _ -> acc)
+    0 us
+
+(* A lower bound on the slots any answer of the window encoding needs.
+   The encoding's slots are type-pure, so the bound is a sum over cycle
+   types of the slots that type alone needs: the size of a clique of its
+   micro-ops that pairwise cannot share a slot (a clash, or a dependency
+   chain inside the window, which the precedence clauses order strictly),
+   and for transfers also ⌈n_t / ports⌉ under the port clauses. Cliques
+   are grown greedily in index order from every seed, keeping the
+   largest. *)
+let slot_bound g ~ports us clash =
+  let nu = Array.length us in
+  let local = Hashtbl.create 16 in
+  Array.iteri (fun i u -> Hashtbl.replace local u i) us;
+  (* before.(i).(j): a window-internal dependency chain runs from j to i *)
+  let before = Array.make_matrix nu nu false in
+  let closed = Array.make nu false in
+  let rec close i =
+    if not closed.(i) then begin
+      closed.(i) <- true;
       List.iter
-        (fun subset ->
-          for t = 0 to m - 1 do
-            Sat.add_clause solver
-              (List.map (fun i -> Lit.neg_of var.(i).(t)) subset)
-          done)
-        (subsets (ports + 1) ts)
-    end;
-    match Sat.solve ~max_conflicts:4000 solver with
-    | Sat.Unsat | Sat.Unknown -> None
-    | Sat.Sat ->
-      let slots = Array.make m [] in
-      Array.iteri
-        (fun i u ->
-          let t = ref (-1) in
-          for t' = 0 to m - 1 do
-            if Sat.value_var solver var.(i).(t') then t := t'
-          done;
-          slots.(!t) <- u :: slots.(!t))
-        us;
-      let rebuilt =
-        Array.to_list slots
-        |> List.filter_map (fun members ->
-               match members with
-               | [] -> None
-               | u :: _ ->
-                 Some
-                   (match g.uops.(u) with
-                   | U_vstep _ ->
-                     C_v
-                       (List.rev_map
-                          (fun u ->
-                            match g.uops.(u) with
-                            | U_vstep (s, st) -> (s, st)
-                            | _ -> assert false)
-                          members)
-                   | U_rgate _ | U_inv _ ->
-                     C_r
-                       (List.rev_map
-                          (fun u ->
-                            match g.uops.(u) with
-                            | U_rgate (s, j) -> Gate (s, j)
-                            | U_inv i -> Inverter i
-                            | _ -> assert false)
-                          members)
-                   | U_xfer _ ->
-                     C_t
-                       (List.rev_map
-                          (fun u ->
-                            match g.uops.(u) with
-                            | U_xfer i -> i
-                            | _ -> assert false)
-                          members)))
-      in
-      let spliced =
-        Array.concat
-          [
-            Array.sub cycles 0 lo;
-            Array.of_list rebuilt;
-            Array.sub cycles (lo + w)
-              (Array.length cycles - lo - w);
-          ]
-      in
-      if Array.length spliced >= Array.length cycles then None
+        (fun d ->
+          match Hashtbl.find_opt local d with
+          | None -> ()
+          | Some j ->
+            close j;
+            before.(i).(j) <- true;
+            Array.iteri (fun k b -> if b then before.(i).(k) <- true) before.(j))
+        g.deps.(us.(i))
+    end
+  in
+  for i = 0 to nu - 1 do
+    close i
+  done;
+  let apart i j = clash.(i).(j) || before.(i).(j) || before.(j).(i) in
+  let clique members =
+    List.fold_left
+      (fun best seed ->
+        let grown =
+          List.fold_left
+            (fun cl v ->
+              if v <> seed && List.for_all (apart v) cl then v :: cl else cl)
+            [ seed ] members
+        in
+        max best (List.length grown))
+      0 members
+  in
+  let members k = List.filter (fun i -> kind g us.(i) = k) (List.init nu Fun.id) in
+  let n_t = n_xfers g us in
+  clique (members 0)
+  + clique (members 1)
+  + max (clique (members 2)) (if ports < n_t then (n_t + ports - 1) / ports else 0)
+
+(* The makespan encoding of packing window micro-ops [us] into [m] slots:
+   one variable per (uop, slot), exactly-one per uop, precedence between
+   window-internal dependents, slot purity (one cycle type per slot), the
+   pairwise clashes and the transfer port budget. *)
+let encode g ~ports us clash m =
+  let nu = Array.length us in
+  let n_t = n_xfers g us in
+  let local = Hashtbl.create 16 in
+  Array.iteri (fun i u -> Hashtbl.add local u i) us;
+  let solver = Sat.create () in
+  let var = Array.init nu (fun _ -> Array.init m (fun _ -> Sat.new_var solver)) in
+  for i = 0 to nu - 1 do
+    Sat.add_clause solver (List.init m (fun t -> Lit.pos var.(i).(t)));
+    for t1 = 0 to m - 1 do
+      for t2 = t1 + 1 to m - 1 do
+        Sat.add_clause solver [ Lit.neg_of var.(i).(t1); Lit.neg_of var.(i).(t2) ]
+      done
+    done
+  done;
+  let forbid_same_slot i j =
+    for t = 0 to m - 1 do
+      Sat.add_clause solver [ Lit.neg_of var.(i).(t); Lit.neg_of var.(j).(t) ]
+    done
+  in
+  (* precedence between window-internal dependents *)
+  Array.iteri
+    (fun i u ->
+      List.iter
+        (fun d ->
+          match Hashtbl.find_opt local d with
+          | None -> ()
+          | Some j ->
+            (* d must fire strictly before u *)
+            for t = 0 to m - 1 do
+              for t' = t to m - 1 do
+                Sat.add_clause solver
+                  [ Lit.neg_of var.(i).(t); Lit.neg_of var.(j).(t') ]
+              done
+            done)
+        g.deps.(u))
+    us;
+  for i = 0 to nu - 1 do
+    for j = i + 1 to nu - 1 do
+      if kind g us.(i) <> kind g us.(j) || clash.(i).(j) then forbid_same_slot i j
+    done
+  done;
+  (* transfer port budget: forbid every (ports+1)-subset of transfers in
+     one slot (n_t is capped small, so this stays tiny) *)
+  if ports < n_t then begin
+    let ts =
+      List.filter
+        (fun i -> match g.uops.(us.(i)) with U_xfer _ -> true | _ -> false)
+        (List.init nu Fun.id)
+    in
+    let rec subsets k xs =
+      if k = 0 then [ [] ]
       else
-        match check ~ports p spliced with
-        | Ok () -> Some spliced
-        | Error _ -> None
-  end
+        match xs with
+        | [] -> []
+        | x :: rest ->
+          List.map (fun s -> x :: s) (subsets (k - 1) rest) @ subsets k rest
+    in
+    List.iter
+      (fun subset ->
+        for t = 0 to m - 1 do
+          Sat.add_clause solver
+            (List.map (fun i -> Lit.neg_of var.(i).(t)) subset)
+        done)
+      (subsets (ports + 1) ts)
+  end;
+  (solver, var)
+
+(* The cycles of a solved encoding, one per non-empty slot. *)
+let decode g us solver var m =
+  let slots = Array.make m [] in
+  Array.iteri
+    (fun i u ->
+      let t = ref (-1) in
+      for t' = 0 to m - 1 do
+        if Sat.value_var solver var.(i).(t') then t := t'
+      done;
+      slots.(!t) <- u :: slots.(!t))
+    us;
+  Array.to_list slots
+  |> List.filter_map (fun members ->
+         match members with
+         | [] -> None
+         | u :: _ ->
+           Some
+             (match g.uops.(u) with
+             | U_vstep _ ->
+               C_v
+                 (List.rev_map
+                    (fun u ->
+                      match g.uops.(u) with
+                      | U_vstep (s, st) -> (s, st)
+                      | _ -> assert false)
+                    members)
+             | U_rgate _ | U_inv _ ->
+               C_r
+                 (List.rev_map
+                    (fun u ->
+                      match g.uops.(u) with
+                      | U_rgate (s, j) -> Gate (s, j)
+                      | U_inv i -> Inverter i
+                      | _ -> assert false)
+                    members)
+             | U_xfer _ ->
+               C_t
+                 (List.rev_map
+                    (fun u ->
+                      match g.uops.(u) with
+                      | U_xfer i -> i
+                      | _ -> assert false)
+                    members)))
+
+(* Try to repack the [w] cycles starting at [lo] into [w - 1] slots. A
+   window whose slot bound already exceeds [w - 1] is unsatisfiable under
+   the encoding and skipped without a solver. Pairwise V-compatibility
+   under-approximates the set-wise broadcast rule, so any SAT answer is
+   re-validated through {!check} before it replaces the window — polish
+   can only ever tighten a schedule, never corrupt it. *)
+let try_window (p : Place.t) g be_of ~ports cycles lo w =
+  let us = window_uops g cycles lo w in
+  let nu = Array.length us in
+  if nu = 0 || nu > 64 || n_xfers g us > 12 then None
+  else
+    let m = w - 1 in
+    let clash = clashes p g be_of us in
+    if slot_bound g ~ports us clash > m then None
+    else
+      let solver, var = encode g ~ports us clash m in
+      match Sat.solve ~max_conflicts:4000 solver with
+      | Sat.Unsat | Sat.Unknown -> None
+      | Sat.Sat ->
+        let spliced =
+          Array.concat
+            [
+              Array.sub cycles 0 lo;
+              Array.of_list (decode g us solver var m);
+              Array.sub cycles (lo + w) (Array.length cycles - lo - w);
+            ]
+        in
+        if Array.length spliced >= Array.length cycles then None
+        else
+          match check ~ports p spliced with
+          | Ok () -> Some spliced
+          | Error _ -> None
+
+(* Exposed for tests. *)
+let window_bound ~ports (p : Place.t) cycles ~lo ~w =
+  let g = build_graph p in
+  let us = window_uops g cycles lo w in
+  slot_bound g ~ports us (clashes p g (be_table p) us)
+
+let window_verdict ~ports (p : Place.t) cycles ~lo ~w =
+  let g = build_graph p in
+  let us = window_uops g cycles lo w in
+  let solver, _ = encode g ~ports us (clashes p g (be_table p) us) (w - 1) in
+  Sat.solve solver
 
 let polish ?(window = 8) ?(max_calls = 128) (p : Place.t) ~ports cycles =
   let g = build_graph p in

@@ -11,7 +11,8 @@
     sliding windows through {!Mm_sat.Solver} with a small makespan encoding
     — every SAT answer is re-validated by {!check} before splicing, so
     polish never increases the cycle count and never emits an illegal
-    schedule.
+    schedule. A window whose slot lower bound ({!window_bound}) already
+    exceeds [w - 1] cannot be shortened and builds no solver.
 
     V-cycle sharing is conservative and physics-honest: a set of V-steps
     shares a cycle only when no column needs two TE literals, no row needs
@@ -55,3 +56,24 @@ val check : ?ports:int -> Place.t -> cycle array -> (unit, string) result
     [polish = true], [sat_window = 8]. The result always passes {!check}.
     Raises [Invalid_argument] if [ports < 1]. *)
 val build : ?ports:int -> ?polish:bool -> ?sat_window:int -> Place.t -> t
+
+(** {2 Window polish internals}
+
+    Exposed for tests. The polish tries to repack the [w] cycles starting
+    at [lo] into [w - 1] slots. *)
+
+(** [window_bound ~ports place cycles ~lo ~w] is a lower bound on the
+    slots any answer of the window's makespan encoding needs. Slots are
+    type-pure, so it sums over cycle types the size of a greedy clique of
+    that type's micro-ops that pairwise cannot share a slot (two gates on
+    one row, two transfers sharing a row endpoint, two V-steps that cannot
+    broadcast together, or two micro-ops joined by a dependency chain
+    inside the window), using ⌈n_t / ports⌉ for transfers when it is
+    larger. A legal window never needs more than its own [w] slots. *)
+val window_bound :
+  ports:int -> Place.t -> cycle array -> lo:int -> w:int -> int
+
+(** [window_verdict ~ports place cycles ~lo ~w] solves the window's
+    makespan encoding in [w - 1] slots with no conflict cap. *)
+val window_verdict :
+  ports:int -> Place.t -> cycle array -> lo:int -> w:int -> Mm_sat.Solver.result

@@ -244,7 +244,7 @@ let contains haystack needle =
 
 let test_waveform () =
   let arr = make_array 2 in
-  let wf = Waveform.create () in
+  let wf = Waveform.create arr in
   Waveform.record wf ~label:"step 1"
     (Line_array.vop_cycle arr ~te:(fun _ -> Some true) ~be:false);
   Waveform.record wf ~label:"read" (Line_array.read_cycle arr 0);

@@ -261,6 +261,13 @@ let test_rop_depth () =
   Alcotest.(check int) "v-only depth 0" 0
     (Reliability.rop_depth (Reference.table2_circuit ()))
 
+(* The device counters see every switch, the first cycle's included:
+   gf4_mul's worst input row switches 11 times, counted from the plan's
+   initial cell states. *)
+let test_max_switches () =
+  Alcotest.(check int) "gf4_mul worst row" 11
+    (Reliability.max_switches_per_run (Reference.gf4_mul_circuit ()))
+
 let test_reliability_study () =
   let mm = xor2_circuit () in
   let r_only = Baseline.nor_network xor2_spec in
@@ -304,6 +311,7 @@ let () =
       ( "reliability",
         [
           Alcotest.test_case "rop depth" `Quick test_rop_depth;
+          Alcotest.test_case "max switches" `Quick test_max_switches;
           Alcotest.test_case "study" `Slow test_reliability_study;
         ] );
     ]

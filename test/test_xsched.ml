@@ -75,7 +75,21 @@ let test_schedule_legal () =
   (* reversing the schedule breaks every dependency chain *)
   let rev = Array.of_list (List.rev (Array.to_list sched.Xsched.cycles)) in
   Alcotest.(check bool) "reversed schedule rejected" true
-    (match Xsched.check place rev with Error _ -> true | Ok () -> false)
+    (match Xsched.check place rev with Error _ -> true | Ok () -> false);
+  (* out-of-range micro-ops are rejected, not raised on *)
+  List.iter
+    (fun (what, cyc) ->
+      Alcotest.(check bool) (what ^ " rejected") true
+        (match Xsched.check place (Array.append sched.Xsched.cycles [| cyc |]) with
+        | Error _ -> true
+        | Ok () -> false))
+    [
+      ("V-step in a bad slot", Xsched.C_v [ (999, 0) ]);
+      ("V-step at a bad step", Xsched.C_v [ (0, 999) ]);
+      ("bad R-gate", Xsched.C_r [ Xsched.Gate (999, 0) ]);
+      ("bad inverter", Xsched.C_r [ Xsched.Inverter 999 ]);
+      ("bad transfer", Xsched.C_t [ 999 ]);
+    ]
 
 let test_single_row_no_transfers () =
   (* with one row everything co-locates: no transfers may be emitted, and
@@ -132,6 +146,51 @@ let test_polish_never_worse () =
         (Xsched.check ~ports:4 place polished.Xsched.cycles = Ok ()))
     [ Arith.parity 6; Arith.adder_bits 2 ]
 
+(* The polish skips a window when its slot bound exceeds [w - 1]. The bound
+   must never exceed [w] on a legal window (the window's own packing is a
+   [w]-slot answer), and a window it refutes must be UNSAT under the
+   encoding, solved without a conflict cap. Random 3-5-input specs, rows
+   4-16, ports 1-4. *)
+let test_window_bound_sound () =
+  let st = Random.State.make [| 17 |] in
+  let w = 8 and windows = ref 0 and refuted = ref 0 and bad = ref [] in
+  for k = 1 to 12 do
+    let n = 3 + Random.State.int st 3 in
+    let spec =
+      Spec.make ~name:(Printf.sprintf "random%d" k)
+        (Array.init
+           (1 + Random.State.int st 2)
+           (fun _ ->
+             Mm_boolfun.Truth_table.of_fun n (fun _ -> Random.State.bool st)))
+    in
+    let mapping = (compile spec).Stitch.mapping in
+    for _ = 1 to 3 do
+      let rows = 4 + Random.State.int st 13 and ports = 1 + Random.State.int st 4 in
+      let place = Place.place ~rows mapping in
+      let cycles = (Xsched.build ~ports ~polish:false place).Xsched.cycles in
+      for lo = 0 to Array.length cycles - w do
+        incr windows;
+        let bound = Xsched.window_bound ~ports place cycles ~lo ~w in
+        let where =
+          Printf.sprintf "%s rows %d ports %d window %d: bound %d"
+            (Spec.name spec) rows ports lo bound
+        in
+        if bound > w then bad := (where ^ " > w") :: !bad
+        else if bound > w - 1 then begin
+          incr refuted;
+          if Xsched.window_verdict ~ports place cycles ~lo ~w
+             <> Mm_sat.Solver.Unsat
+          then bad := (where ^ " refutes a satisfiable window") :: !bad
+        end
+      done
+    done
+  done;
+  Alcotest.(check (list string)) "bound sound on every window" [] (List.rev !bad);
+  Alcotest.(check bool)
+    (Printf.sprintf "some of %d windows refuted (%d), not all" !windows !refuted)
+    true
+    (!refuted > 0 && !refuted < !windows)
+
 (* ------------------------------------------------------------------ *)
 (* end-to-end on the simulator                                        *)
 
@@ -176,6 +235,7 @@ let () =
           Alcotest.test_case "transfer accounting" `Slow
             test_transfer_accounting;
           Alcotest.test_case "polish never worse" `Slow test_polish_never_worse;
+          Alcotest.test_case "window bound sound" `Slow test_window_bound_sound;
         ] );
       ( "end to end",
         [
