@@ -7,7 +7,8 @@
 # clean exit and no leaked socket file, plus a ladder smoke: the incremental
 # assumption-ladder sweep and the monolithic fresh-solver oracle must agree
 # on every verdict, both minima and circuit re-verification over a small
-# spec set, plus a map smoke: the cut-based technology mapper must compile
+# spec set, plus a CLI smoke: malformed specifications are refused as
+# usage errors, never as internal errors, plus a map smoke: the cut-based technology mapper must compile
 # two wider-than-SAT-cap workloads onto verified schedules (row-by-row
 # simulator validation is part of the command's own exit status), plus an
 # atlas smoke: build a tiny exact NPN atlas, deep-verify it, and prove the
@@ -32,8 +33,8 @@ CLUSTER_DIR  := $(shell mktemp -u /tmp/mmsynth_cluster_XXXXXX)
 MMSYNTH     := _build/default/bin/mmsynth.exe
 
 .PHONY: all build test smoke smoke-fault smoke-serve smoke-ladder \
-  smoke-prove smoke-map smoke-xbar smoke-resyn smoke-atlas smoke-cluster \
-  check bench bench-ladder bench-prove bench-map bench-xbar bench-resyn \
+  smoke-cli smoke-map smoke-xbar smoke-resyn smoke-atlas smoke-cluster \
+  check bench bench-ladder bench-map bench-xbar bench-resyn \
   bench-robustness bench-serve bench-storm bench-atlas perf-ab clean
 
 all: build
@@ -104,29 +105,38 @@ smoke-ladder: build
 	rm -rf $$tmp; \
 	echo "smoke-ladder: OK (verdicts, minima, re-verification identical across paths)"
 
-# The proof orchestrator must land on exactly the monolithic solver's
-# verdicts and minima in both of its modes, and `--replay` makes the run
-# exit non-zero unless every point's verdict is reproduced single-core
-# from its recorded provenance.
-smoke-prove: build
+# Malformed specifications are usage errors: every invocation below must
+# exit 124 with a one-line "mmsynth: ..." message, never 125 ("internal
+# error") and never a per-job crash inside batch. The inputs cover an
+# arity outside 1..24, an --arity below the largest xK used, workload
+# sizes whose specs cannot be built or have no inputs, a one-cell truth
+# table and a PLA with ".i 0".
+smoke-cli: build
 	@set -e; \
-	tmp=$$(mktemp -d /tmp/mmsynth_prove_XXXXXX); \
-	for e in 'x1 ^ x2' '(x1 & x2) | x3' 'x1 ^ x2 ^ x3'; do \
-	  $(MMSYNTH) synth --minimize --timeout 30 --no-incremental -e "$$e" \
-	    | grep -E '^(tried|N_R minimal)' \
-	    | sed -E 's/ *\([0-9]+ vars.*\)//' > $$tmp/mono.txt; \
-	  for mode in portfolio cube; do \
-	    $(MMSYNTH) prove --timeout 30 --workers 2 --mode $$mode --replay \
-	      -e "$$e" \
-	      | grep -E '^(tried|N_R minimal)' \
-	      | sed -E 's/ *\([0-9]+ vars.*\)//' > $$tmp/$$mode.txt; \
-	    diff -u $$tmp/mono.txt $$tmp/$$mode.txt || { \
-	      echo "smoke-prove: $$mode/monolithic divergence on '$$e'"; \
-	      rm -rf $$tmp; exit 1; }; \
-	  done; \
+	tmp=$$(mktemp -d /tmp/mmsynth_cli_XXXXXX); \
+	echo 1 > $$tmp/one.tbl; \
+	printf '.i 0\n.o 1\n.e\n' > $$tmp/zero.pla; \
+	fails=0; \
+	for args in 'synth --arity 0 -e 1' 'baseline --arity 0 -e 1' \
+	  'simulate --arity 0 -e 1' 'check --arity 0 -e 1' \
+	  'synth -e x1^x2 --arity 1' 'synth -e x30' 'synth -e x1 --arity 25' \
+	  'baseline --workload parity30' 'synth --workload adder0' \
+	  'synth --workload parity0' 'synth --workload majority0' \
+	  'synth --workload cmp0' "synth --tables $$tmp/one.tbl" \
+	  "synth --pla $$tmp/zero.pla" 'batch -e x30' 'batch --arity 0 -e 1' \
+	  'batch --workload adder0' "batch --tables $$tmp/one.tbl"; do \
+	  rc=0; out=$$($(MMSYNTH) $$args 2>&1) || rc=$$?; \
+	  lines=$$(printf '%s\n' "$$out" | wc -l); \
+	  case "$$rc:$$lines:$$out" in \
+	    "124:1:mmsynth: "*) ;; \
+	    *) echo "smoke-cli: '$$args' exited $$rc: $$out"; fails=$$((fails+1));; \
+	  esac; \
+	  if printf '%s' "$$out" | grep -q 'internal error'; then \
+	    echo "smoke-cli: '$$args' reported an internal error"; fails=$$((fails+1)); fi; \
 	done; \
 	rm -rf $$tmp; \
-	echo "smoke-prove: OK (portfolio and cube verdicts, minima and replays match monolithic)"
+	[ $$fails -eq 0 ] || { echo "smoke-cli: $$fails invocation(s) not refused cleanly"; exit 1; }; \
+	echo "smoke-cli: OK (every malformed spec refused with exit 124 and one line)"
 
 # `mmsynth map` exits non-zero unless the stitched schedule re-verifies on
 # every input row, so the simulator check is implicit; the second adder run
@@ -250,7 +260,7 @@ smoke-cluster: build
 	rm -rf $(CLUSTER_DIR) $(CLUSTER_SOCK); \
 	echo "smoke-cluster: OK (40/40 answered across a mid-stream shard kill)"
 
-check: test smoke smoke-fault smoke-serve smoke-ladder smoke-prove smoke-map \
+check: test smoke smoke-fault smoke-serve smoke-ladder smoke-cli smoke-map \
   smoke-xbar smoke-resyn smoke-atlas smoke-cluster
 
 bench:
@@ -258,9 +268,6 @@ bench:
 
 bench-ladder:
 	dune exec bench/main.exe -- ladder
-
-bench-prove:
-	dune exec bench/main.exe -- prove
 
 bench-map:
 	dune exec bench/main.exe -- map

@@ -1162,233 +1162,6 @@ let ladder_bench ?(budget = 60.) ?(limit = 24) () =
     speedup_inc limit n_total !skipped !mismatches
 
 (* ------------------------------------------------------------------ *)
-(* Prove: portfolio / cube-and-conquer orchestration vs single core    *)
-(* ------------------------------------------------------------------ *)
-
-let prove_bench ?(budget = 15.) ?(limit = 4) ?(workers = 4) () =
-  let module Npn = Mm_engine.Npn in
-  let module Prove = Mm_prove.Prove in
-  section "Prove: diversified portfolio + cube-and-conquer vs single core";
-  (* Screen a deterministic sample of 4-input NPN class representatives
-     single-core to (a) rank them by hardness and (b) find classes the
-     per-call budget cannot finish. The prove orchestrator then attacks the
-     hardest in-budget classes at N workers and at 1 worker (same code
-     path, zero parallelism — the fair denominator for the speedup ratio),
-     plus at least one over-budget instance to see whether the cube split
-     brings it within reach. *)
-  let seen = Hashtbl.create 512 in
-  for v = 0 to 65535 do
-    let rep, _ = Npn.canon (Tt.of_int 4 v) in
-    Hashtbl.replace seen (Tt.to_int rep) ()
-  done;
-  let reps =
-    Array.of_list
-      (List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) seen []))
-  in
-  let n_total = Array.length reps in
-  let n_screen = max limit (min 24 n_total) in
-  let sample = Array.init n_screen (fun i -> reps.(i * n_total / n_screen)) in
-  let spec_of v =
-    Spec.make ~name:(Printf.sprintf "npn-%04x" v) [| Tt.of_int 4 v |]
-  in
-  let fingerprint (r : Synth.report) =
-    ( (match r.Synth.best with
-       | Some (_, a) ->
-         Some (a.Synth.n_rops, a.Synth.n_legs, a.Synth.steps_per_leg)
-       | None -> None),
-      r.Synth.rops_proven_minimal,
-      r.Synth.steps_proven_minimal )
-  in
-  let timed_out (r : Synth.report) =
-    List.exists (fun a -> a.Synth.verdict = Synth.Timeout) r.Synth.attempts
-  in
-  let sweep_single ?(budget = budget) spec =
-    let t0 = Unix.gettimeofday () in
-    let r =
-      Synth.minimize ~timeout_per_call:budget ~max_rops:4 ~max_steps:3 spec
-    in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let sweep_prove ?(budget = budget) ~workers spec =
-    let pcfg = { Prove.default with Prove.workers } in
-    let prove = Prove.hook pcfg spec in
-    let t0 = Unix.gettimeofday () in
-    let r =
-      Synth.minimize ~timeout_per_call:budget ~max_rops:4 ~max_steps:3
-        ~incremental:false ~prove spec
-    in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  Printf.printf "screening %d classes at %.0fs per call...\n%!" n_screen
-    budget;
-  let screened =
-    Array.to_list
-      (Array.map
-         (fun v ->
-           let spec = spec_of v in
-           let r, w = sweep_single spec in
-           (v, spec, r, w))
-         sample)
-  in
-  let over, in_budget =
-    List.partition (fun (_, _, r, _) -> timed_out r) screened
-  in
-  let hardest =
-    List.filteri
-      (fun i _ -> i < limit)
-      (List.sort
-         (fun (_, _, _, wa) (_, _, _, wb) -> compare wb wa)
-         in_budget)
-  in
-  let t =
-    Table.create
-      [ "class"; "verdict"; "single(s)"; "prove-1(s)";
-        Printf.sprintf "prove-%d(s)" workers; "speedup"; "mode"; "match" ]
-  in
-  let mismatches = ref 0 in
-  let rows =
-    List.map
-      (fun (v, spec, rs, ws) ->
-        let r1, w1 = sweep_prove ~workers:1 spec in
-        let rn, wn = sweep_prove ~workers spec in
-        (* A class whose orchestrated sweep hits the per-call budget is
-           excluded from the differential and the aggregates, exactly like
-           the ladder bench: a timeout verdict measures the budget, not
-           the solver, and is nondeterministic across paths. *)
-        let skip = timed_out rs || timed_out r1 || timed_out rn in
-        let same =
-          skip
-          || (fingerprint rs = fingerprint r1
-              && fingerprint rs = fingerprint rn)
-        in
-        if not same then incr mismatches;
-        let verdict =
-          match rs.Synth.best with
-          | Some (_, a) ->
-            Printf.sprintf "N_R=%d N_VS=%d" a.Synth.n_rops a.Synth.steps_per_leg
-          | None -> "none"
-        in
-        let speedup = if wn > 0. then w1 /. wn else 0. in
-        (* cube whenever a selector bank exists, i.e. every point with
-           R-ops or V-steps — report the dominant mode for the class *)
-        let mode = "auto" in
-        Table.add_row t
-          [ Printf.sprintf "npn-%04x" v; verdict; Printf.sprintf "%.2f" ws;
-            Printf.sprintf "%.2f" w1; Printf.sprintf "%.2f" wn;
-            Printf.sprintf "%.2f" speedup; mode;
-            (if skip then "t/o" else if same then "yes" else "NO") ];
-        (v, verdict, ws, w1, wn, same, skip))
-      hardest
-  in
-  Table.print t;
-  (* Over-budget attack: a class the single-core screen could not finish.
-     When the whole sample fits the budget (fast host, generous budget),
-     manufacture one honestly by halving the per-call budget on the
-     hardest class until its single-core sweep times out, then give the
-     orchestrator that same reduced budget. *)
-  let over_attempt =
-    let attack v spec atk_budget =
-      Printf.printf
-        "over-budget attack: npn-%04x at %.2fs per call, %d workers...\n%!" v
-        atk_budget workers;
-      let r, w = sweep_prove ~budget:atk_budget ~workers spec in
-      let completed = not (timed_out r) in
-      Printf.printf "  -> %s in %.2fs\n%!"
-        (if completed then "completed" else "still over budget")
-        w;
-      Some (v, atk_budget, completed, w)
-    in
-    match over with
-    | (v, spec, _, _) :: _ -> attack v spec budget
-    | [] -> (
-      match
-        List.sort (fun (_, _, _, wa) (_, _, _, wb) -> compare wb wa) in_budget
-      with
-      | [] -> None
-      | (v, spec, _, _) :: _ ->
-        let rec shrink b tries =
-          if tries = 0 then None
-          else
-            let r, _ = sweep_single ~budget:b spec in
-            if timed_out r then Some b else shrink (b /. 2.) (tries - 1)
-        in
-        (match shrink (budget /. 2.) 5 with
-         | Some b -> attack v spec b
-         | None -> None))
-  in
-  let done_rows =
-    List.filter (fun (_, _, _, _, _, _, skip) -> not skip) rows
-  in
-  let tot f = List.fold_left (fun acc r -> acc +. f r) 0. done_rows in
-  let wall_single = tot (fun (_, _, w, _, _, _, _) -> w) in
-  let wall_p1 = tot (fun (_, _, _, w, _, _, _) -> w) in
-  let wall_pn = tot (fun (_, _, _, _, w, _, _) -> w) in
-  let speedup_workers = if wall_pn > 0. then wall_p1 /. wall_pn else 0. in
-  let speedup_vs_single = if wall_pn > 0. then wall_single /. wall_pn else 0. in
-  let per_class =
-    String.concat ",\n"
-      (List.map
-         (fun (v, verdict, ws, w1, wn, same, skip) ->
-           Printf.sprintf
-             "    { \"class\": \"npn-%04x\", \"verdict\": \"%s\", \
-              \"single_core_wall_s\": %.4f, \"prove_1worker_wall_s\": %.4f, \
-              \"prove_%dworker_wall_s\": %.4f, \"verdicts_match\": %b, \
-              \"excluded_over_budget\": %b }"
-             v verdict ws w1 workers wn same skip)
-         rows)
-  in
-  let over_json =
-    match over_attempt with
-    | None -> "null"
-    | Some (v, b, completed, w) ->
-      Printf.sprintf
-        "{ \"class\": \"npn-%04x\", \"budget_per_call_s\": %.4f, \
-         \"completed\": %b, \"wall_s\": %.4f }"
-        v b completed w
-  in
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"schema\": \"mmsynth-bench-prove-v1\",\n\
-      \  \"workload\": \"hardest in-budget 4-input NPN classes, minimize \
-       sweep (max_rops=4, max_steps=3)\",\n\
-      \  \"host_cores\": %d,\n\
-      \  \"cores\": %d,\n\
-      \  \"workers\": %d,\n\
-      \  \"budget_per_call_s\": %.1f,\n\
-      \  \"classes_screened\": %d,\n\
-      \  \"classes_over_budget\": %d,\n\
-      \  \"classes_attacked\": %d,\n\
-      \  \"single_core_wall_s\": %.3f,\n\
-      \  \"prove_1worker_wall_s\": %.3f,\n\
-      \  \"prove_nworker_wall_s\": %.3f,\n\
-      \  \"speedup_vs_1worker\": %.2f,\n\
-      \  \"speedup_vs_single_core\": %.2f,\n\
-      \  \"target_speedup\": 1.5,\n\
-      \  \"target_met\": %b,\n\
-      \  \"verdict_mismatches\": %d,\n\
-      \  \"over_budget_attempt\": %s,\n\
-      \  \"per_class\": [\n%s\n  ]\n\
-       }"
-      (Domain.recommended_domain_count ())
-      (Domain.recommended_domain_count ())
-      workers budget n_screen (List.length over) (List.length done_rows)
-      wall_single wall_p1 wall_pn speedup_workers speedup_vs_single
-      (speedup_workers >= 1.5 || speedup_vs_single >= 1.5)
-      !mismatches over_json per_class
-  in
-  let oc = open_out "BENCH_prove.json" in
-  output_string oc json;
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf
-    "\nprove %.2fx vs 1-worker orchestrator, %.2fx vs single-core ladder \
-     (%d classes, %d workers on %d cores, %d mismatches); written to \
-     BENCH_prove.json\n"
-    speedup_workers speedup_vs_single (List.length done_rows) workers
-    (Domain.recommended_domain_count ()) !mismatches
-
-(* ------------------------------------------------------------------ *)
 (* Robustness: batch completion and overhead under injected faults     *)
 (* ------------------------------------------------------------------ *)
 
@@ -2269,9 +2042,6 @@ let usage () =
     \  ladder-probe TABLE   per-attempt diagnostic for one 4-input class, both\n\
     \               paths (all-digit table ids need an x prefix, e.g. x0690)\n\
     \  ladder-scan  depth/hardness map of all 4-input classes, incremental only\n\
-    \  prove        portfolio + cube-and-conquer orchestration vs single core\n\
-    \               -> BENCH_prove.json; --budget SECONDS, --limit N classes,\n\
-    \               --workers N\n\
     \  robustness   completion/overhead under injected faults -> BENCH_robustness.json\n\
     \  serve        resident daemon load test, warm vs cold, atlas-backed\n\
     \               level -> BENCH_serve.json\n\
@@ -2315,7 +2085,6 @@ let () =
     resyn_bench ();
     engine_bench ();
     ladder_bench ~budget:60. ~limit ();
-    prove_bench ();
     robustness_bench ();
     serve_bench ();
     storm_bench ();
@@ -2349,11 +2118,6 @@ let () =
   | [ "engine" ] -> engine_bench ()
   | [ "ladder" ] ->
     ladder_bench ~budget:(value "--budget" 60.) ~limit ()
-  | [ "prove" ] ->
-    prove_bench ~budget:(value "--budget" 15.)
-      ~limit:(int_of_float (value "--limit" 4.))
-      ~workers:(int_of_float (value "--workers" 4.))
-      ()
   | [ "ladder-scan" ] ->
     (* depth/hardness map of all 4-input NPN classes, incremental path only *)
     let module Npn = Mm_engine.Npn in

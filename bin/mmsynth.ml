@@ -17,6 +17,9 @@ module E = Mm_core.Encode
 module Synth = Mm_core.Synth
 module Schedule = Mm_core.Schedule
 
+(* Truth tables stop at 24 inputs. *)
+let max_arity = 24
+
 (* built-in benchmark specs addressable by name, e.g. adder3, parity8 *)
 let workload_of_name s =
   let num prefix k =
@@ -30,7 +33,7 @@ let workload_of_name s =
       (fun acc f -> match acc with Some _ -> acc | None -> f ())
       None fs
   in
-  let named =
+  let named () =
     match s with
     | "mux21" -> Some Arith.mux21
     | "mux41" -> Some Arith.mux41
@@ -46,18 +49,24 @@ let workload_of_name s =
           (fun () -> num "cmp" Arith.comparator);
           (fun () -> num "mul" Arith.multiplier) ]
   in
-  match named with
+  match named () with
   | Some spec -> Ok spec
-  | None | exception Invalid_argument _ | exception Failure _ ->
+  | None ->
     Error
       (Printf.sprintf
          "unknown workload %S (try adderN, majorityN, parityN, cmpN, cmp3_N, \
           mulN, mux21, mux41, andor4, table2, full_adder)"
          s)
+  | exception (Invalid_argument _ | Failure _) ->
+    Error
+      (Printf.sprintf "workload %S: size out of range (specs need 1..%d inputs)"
+         s max_arity)
+
+let out_of_range n = n < 1 || n > max_arity
 
 (* build the spec from -e expressions, a --pla/--tables file, or a named
    --workload *)
-let spec_of_inputs names exprs arity pla tables workload =
+let read_spec names exprs arity pla tables workload =
   let name = match names with Some n -> n | None -> "cli" in
   let sources =
     (if exprs <> [] then 1 else 0)
@@ -77,8 +86,17 @@ let spec_of_inputs names exprs arity pla tables workload =
     | None, (_ :: _), _, _ -> (
       match List.map Expr.parse_exn exprs with
       | parsed -> (
+        let used = List.fold_left (fun m e -> max m (Expr.max_var e)) 1 parsed in
         match arity with
+        | Some n when out_of_range n ->
+          Error (Printf.sprintf "--arity %d is outside 1..%d" n max_arity)
+        | Some n when n < used ->
+          Error
+            (Printf.sprintf "--arity %d is below x%d, used by the expressions"
+               n used)
         | Some n -> Ok (Expr.spec ~name ~n parsed)
+        | None when out_of_range used ->
+          Error (Printf.sprintf "x%d is beyond the %d-input limit" used max_arity)
         | None -> Ok (Expr.spec ~name parsed))
       | exception Invalid_argument msg -> Error msg)
     | None, [], Some path, _ -> Mm_boolfun.Io.read_pla path
@@ -91,6 +109,17 @@ let spec_of_inputs names exprs arity pla tables workload =
         close_in ic;
         Mm_boolfun.Io.parse_tables ~name contents)
     | None, [], None, None -> assert false
+
+(* Every subcommand takes its spec from here, so no later stage sees an
+   arity it cannot handle or an exception from building the tables. *)
+let spec_of_inputs names exprs arity pla tables workload =
+  match read_spec names exprs arity pla tables workload with
+  | exception Invalid_argument msg -> Error msg
+  | Ok spec when out_of_range (Spec.arity spec) ->
+    Error
+      (Printf.sprintf "the specification has %d inputs; supported: 1..%d"
+         (Spec.arity spec) max_arity)
+  | r -> r
 
 (* common options *)
 let exprs =
@@ -109,7 +138,8 @@ let tables_file =
                2^n-character 0/1 line per output).")
 
 let arity =
-  let doc = "Force the number of inputs (default: the largest variable used)." in
+  let doc = "Force the number of inputs: 1..24 and at least the largest \
+             variable used (default: the largest variable used)." in
   Arg.(value & opt (some int) None & info [ "n"; "arity" ] ~docv:"N" ~doc)
 
 let workload_t =
@@ -243,142 +273,6 @@ let synth_cmd =
   Cmd.v
     (Cmd.info "synth" ~doc:"Synthesize a mixed-mode memristive circuit via SAT.")
     term
-
-(* ---- prove: parallel proof orchestration over one minimization --------- *)
-
-let prove_cmd =
-  let module Prove = Mm_prove.Prove in
-  let workers =
-    Arg.(value & opt int 4 & info [ "workers" ] ~docv:"N"
-           ~doc:"Crash-isolated solver workers on the domain pool (each \
-                 budget point of the sweep is attacked by all of them).")
-  in
-  let mode =
-    Arg.(value
-         & opt (enum [ ("auto", Prove.Auto);
-                       ("portfolio", Prove.Portfolio_mode);
-                       ("cube", Prove.Cube_mode) ]) Prove.Auto
-         & info [ "mode" ] ~docv:"MODE"
-             ~doc:"$(b,portfolio) races diversified solver configurations \
-                   with learnt-clause sharing, first definitive verdict \
-                   wins; $(b,cube) splits the instance on the first \
-                   operation-selector bank and conquers the cubes as \
-                   independent assumption jobs; $(b,auto) (default) cubes \
-                   whenever the instance exposes a splittable selector \
-                   bank and falls back to the portfolio otherwise.")
-  in
-  let seed =
-    Arg.(value & opt int 0 & info [ "seed" ] ~docv:"S"
-           ~doc:"Diversification seed. Every worker derives its private \
-                 PRNG stream from it, so a run is reproducible seed-for-seed \
-                 (and single-core via --replay).")
-  in
-  let exchange_lbd =
-    Arg.(value & opt int 4 & info [ "exchange-lbd" ] ~docv:"K"
-           ~doc:"Portfolio clause sharing: only learnt clauses with LBD <= K \
-                 (and all unit clauses) are exported to the exchange.")
-  in
-  let cube_depth =
-    Arg.(value & opt int 1 & info [ "cube-depth" ] ~docv:"D"
-           ~doc:"Selector banks in the cartesian cube split (D=1 splits on \
-                 the first leg's first step only; deeper splits multiply \
-                 the cube count).")
-  in
-  let replay_flag =
-    Arg.(value & flag & info [ "replay" ]
-           ~doc:"After the parallel run, re-prove every budget point \
-                 single-core from its recorded provenance (the winning \
-                 portfolio configuration, or the same cube set on one \
-                 worker) and fail unless each verdict is reproduced.")
-  in
-  let run exprs pla tables workload arity name timeout r_only final json dot
-      workers mode seed exchange_lbd cube_depth replay =
-    match spec_of_inputs name exprs arity pla tables workload with
-    | Error msg -> `Error (false, msg)
-    | Ok spec ->
-    if workers < 1 then `Error (false, "--workers must be >= 1")
-    else begin
-      let pcfg =
-        { Prove.workers; mode; seed; exchange_lbd; cube_depth }
-      in
-      (* chronological (cfg, provenance) trail of the sweep, for --replay *)
-      let points = ref [] in
-      let log cfg prov =
-        points := (cfg, prov) :: !points;
-        Format.printf "point (%d legs, %d steps, %d rops): %a@."
-          cfg.E.n_legs cfg.E.steps_per_leg cfg.E.n_rops Prove.pp_provenance
-          prov
-      in
-      let prove = Prove.hook ~log pcfg spec in
-      let report =
-        if r_only then
-          Synth.minimize_r_only ~timeout_per_call:timeout ~incremental:false
-            ~prove spec
-        else
-          Synth.minimize ~timeout_per_call:timeout ~taps:(taps_of final)
-            ~incremental:false ~prove spec
-      in
-      List.iter (fun a -> Format.printf "tried %a@." Synth.pp_attempt a)
-        report.Synth.attempts;
-      let verdict_tag = function
-        | Synth.Sat _ -> "SAT"
-        | Synth.Unsat -> "UNSAT"
-        | Synth.Timeout -> "TIMEOUT"
-      in
-      let replay_mismatches =
-        if not replay then 0
-        else
-          List.fold_left
-            (fun bad (cfg, prov) ->
-              match
-                List.find_opt
-                  (fun a ->
-                    a.Synth.n_legs = cfg.E.n_legs
-                    && a.Synth.steps_per_leg = cfg.E.steps_per_leg
-                    && a.Synth.n_rops = cfg.E.n_rops)
-                  report.Synth.attempts
-              with
-              | None -> bad
-              | Some a ->
-                let r = Prove.replay ~timeout prov cfg spec in
-                let same =
-                  verdict_tag r.Synth.verdict = verdict_tag a.Synth.verdict
-                in
-                Format.printf "replay (%d legs, %d steps, %d rops): %s %s@."
-                  cfg.E.n_legs cfg.E.steps_per_leg cfg.E.n_rops
-                  (verdict_tag r.Synth.verdict)
-                  (if same then "(reproduced)" else "(MISMATCH)");
-                if same then bad else bad + 1)
-            0 (List.rev !points)
-      in
-      if replay_mismatches > 0 then
-        `Error
-          (false,
-           Printf.sprintf "replay: %d point(s) not reproduced single-core"
-             replay_mismatches)
-      else
-        match report.Synth.best with
-        | Some (c, _) ->
-          Format.printf "@.N_R minimal proven: %b; N_VS minimal proven: %b@.@."
-            report.Synth.rops_proven_minimal report.Synth.steps_proven_minimal;
-          print_circuit ~json ~dot c;
-          `Ok 0
-        | None -> `Error (false, "no circuit found within the budget")
-    end
-  in
-  Cmd.v
-    (Cmd.info "prove"
-       ~doc:"Minimize like $(b,synth --minimize), but attack every budget \
-             point with a parallel proof orchestrator: a diversified SAT \
-             portfolio with clause sharing, or cube-and-conquer over the \
-             operation-selector literals. Verdicts are byte-compatible with \
-             the sequential path ($(b,make smoke-prove) diffs them) and \
-             each point's provenance is printed for single-core replay.")
-    Term.(
-      ret
-        (const run $ exprs $ pla_file $ tables_file $ workload_t $ arity
-        $ name_t $ timeout $ r_only $ final_taps $ json_flag $ dot_out
-        $ workers $ mode $ seed $ exchange_lbd $ cube_depth $ replay_flag))
 
 let check_cmd =
   let run exprs pla tables workload arity name =
@@ -596,7 +490,7 @@ let batch_cmd =
   let json_stats_flag =
     Arg.(value & flag & info [ "json" ]
            ~doc:"Also print the run summary as JSON (the shared \
-                 $(b,mmsynth-stats-v4) schema used by the serve daemon's \
+                 $(b,mmsynth-stats-v5) schema used by the serve daemon's \
                  stats endpoint and the benches).")
   in
   let map_large_flag =
@@ -607,14 +501,6 @@ let batch_cmd =
                  circuits are verified row-by-row but built from \
                  per-block-optimal pieces, not proven globally optimal.")
   in
-  let prove_flag =
-    Arg.(value & opt (some int) None & info [ "prove" ] ~docv:"WORKERS"
-           ~doc:"Attack every solver call through the parallel proof \
-                 orchestrator with this many workers per instance (see \
-                 $(b,mmsynth prove)). Best combined with $(b,-j 1): the \
-                 orchestrator parallelizes inside each instance, so batch- \
-                 level and instance-level domains compete for cores.")
-  in
   let batch_resyn_flag =
     Arg.(value & flag & info [ "resyn" ]
            ~doc:"Run post-mapping resynthesis (see $(b,mmsynth map \
@@ -624,8 +510,7 @@ let batch_cmd =
   in
   let run exprs pla tables workload arity name timeout batch_arity jobs
       cache_file cache_shards atlas no_npn final no_inc stats limit deadline
-      retries fallback inject inject_seed json_stats map_large prove_workers
-      batch_resyn =
+      retries fallback inject inject_seed json_stats map_large batch_resyn =
     let specs =
       match batch_arity with
       | Some n when n >= 1 && n <= 4 -> Ok (Engine.all_functions ~arity:n)
@@ -667,20 +552,10 @@ let batch_cmd =
         else (specs, [])
       in
       let cache = open_store ?cache_file ?shards:cache_shards ?atlas () in
-      let prove =
-        Option.map
-          (fun w ->
-            let pcfg =
-              { Mm_prove.Prove.default with Mm_prove.Prove.workers = w }
-            in
-            fun spec ~timeout cfg -> Mm_prove.Prove.hook pcfg spec ~timeout cfg)
-          prove_workers
-      in
       let cfg =
         Engine.config ~timeout_per_call:timeout ?domains:jobs
           ~canonicalize:(not no_npn) ~taps:(taps_of final) ?cache
-          ?deadline ~retries ~fallback ?fault ~incremental:(not no_inc)
-          ?prove ()
+          ?deadline ~retries ~fallback ?fault ~incremental:(not no_inc) ()
       in
       Printf.printf "batch: %d functions, %d domains%s\n%!"
         (Array.length specs) cfg.Engine.domains
@@ -867,7 +742,7 @@ let batch_cmd =
         $ cache_shards_arg $ atlas_arg $ no_npn $ final_taps $ no_incremental
         $ stats_flag $ limit $ deadline_flag $ retries_flag $ fallback_flag
         $ inject_flag $ inject_seed_flag $ json_stats_flag $ map_large_flag
-        $ prove_flag $ batch_resyn_flag))
+        $ batch_resyn_flag))
 
 (* ---- serve / client: resident synthesis daemon ------------------------ *)
 
@@ -2113,17 +1988,8 @@ let atlas_cmd =
              ~doc:"Also cover the NPN class of this Boolean expression \
                    (arity <= 4; same syntax as $(b,-e)). Repeatable.")
     in
-    let prove_workers =
-      Arg.(value & opt (some int) None & info [ "prove" ] ~docv:"WORKERS"
-             ~doc:"After the sweep, re-attack every goal still covered only \
-                   by a degraded record (tier-1 fallback, or missing proofs \
-                   for the requested effort) through the parallel proof \
-                   orchestrator with this many workers per instance (see \
-                   $(b,mmsynth prove)). Upgraded records are counted as \
-                   re-proved.")
-    in
     let run path max_n effort jobs timeout no_resume modes rop final cover
-        cover_exprs prove_workers =
+        cover_exprs =
       if max_n < 1 || max_n > 4 then `Error (false, "--max-n must be 1..4")
       else if effort < 1 || effort > 3 then
         `Error (false, "--effort must be 1..3")
@@ -2147,16 +2013,16 @@ let atlas_cmd =
           cover;
         List.iter
           (fun e ->
+            (* test the width before building: a table wider than the
+               truth-table limit cannot be built at all *)
             match Expr.parse_exn e with
-            | parsed -> (
-              let spec = Expr.spec ~name:"cover" [ parsed ] in
-              if Spec.arity spec <= 4 then
-                Array.iter
-                  (fun tt -> cover_tts := tt :: !cover_tts)
-                  (Spec.outputs spec)
-              else
-                Printf.eprintf
-                  "warning: --cover-expr %S: wider than 4 inputs, skipped\n" e)
+            | parsed when Expr.max_var parsed <= 4 ->
+              Array.iter
+                (fun tt -> cover_tts := tt :: !cover_tts)
+                (Spec.outputs (Expr.spec ~name:"cover" [ parsed ]))
+            | _ ->
+              Printf.eprintf
+                "warning: --cover-expr %S: wider than 4 inputs, skipped\n" e
             | exception Invalid_argument msg ->
               cover_errs := Printf.sprintf "--cover-expr %S: %s" e msg
                             :: !cover_errs)
@@ -2170,28 +2036,18 @@ let atlas_cmd =
           in
           Printf.printf "atlas build: %d goals at effort %d -> %s\n%!"
             (List.length goals) effort path;
-          let prove =
-            Option.map
-              (fun w ->
-                let pcfg =
-                  { Mm_prove.Prove.default with Mm_prove.Prove.workers = w }
-                in
-                fun spec ~timeout cfg ->
-                  Mm_prove.Prove.hook pcfg spec ~timeout cfg)
-              prove_workers
-          in
           (match
              Atlas.build ~effort ?domains:jobs ~timeout_per_call:timeout
                ~resume:(not no_resume)
                ~progress:(fun s -> Printf.printf "  %s\n%!" s)
-               ?prove ~path goals
+               ~path goals
            with
            | Ok st ->
              Printf.printf
-               "atlas build: %d goals: %d built, %d reused, %d re-proved, \
-                %d failed in %.1fs\n"
-               st.Atlas.total st.Atlas.built st.Atlas.reused
-               st.Atlas.reproved st.Atlas.failed st.Atlas.wall_s;
+               "atlas build: %d goals: %d built, %d reused, %d failed in \
+                %.1fs\n"
+               st.Atlas.total st.Atlas.built st.Atlas.reused st.Atlas.failed
+               st.Atlas.wall_s;
              if st.Atlas.failed > 0 then `Ok 3 else `Ok 0
            | Error e ->
              `Error
@@ -2212,8 +2068,7 @@ let atlas_cmd =
       Term.(
         ret
           (const run $ atlas_path $ max_n $ effort $ jobs $ timeout
-          $ no_resume $ modes $ rop $ final_taps $ cover $ cover_expr
-          $ prove_workers))
+          $ no_resume $ modes $ rop $ final_taps $ cover $ cover_expr))
   in
   let info_cmd =
     let run path =
@@ -2300,7 +2155,7 @@ let atlas_cmd =
 let main =
   let doc = "optimal synthesis of memristive mixed-mode circuits" in
   Cmd.group (Cmd.info "mmsynth" ~version:"1.0.0" ~doc)
-    [ synth_cmd; prove_cmd; check_cmd; baseline_cmd; simulate_cmd; batch_cmd;
+    [ synth_cmd; check_cmd; baseline_cmd; simulate_cmd; batch_cmd;
       map_cmd; resyn_cmd; serve_cmd; client_cmd; cluster_cmd; cache_cmd;
       atlas_cmd ]
 

@@ -332,18 +332,17 @@ let solve_heuristic goal =
       Some c
     | Some _ | None -> None
 
-let solve_sat ?prove ~budget goal =
+let solve_sat ~budget goal =
   let spec = Spec.make ~name:"atlas-goal" [| goal.g_target |] in
-  let prove = Option.map (fun f -> f spec) prove in
   match goal.g_mode with
   | Mixed ->
     Synth.minimize ~timeout_per_call:budget ~rop_kind:goal.g_rop_kind
-      ~taps:goal.g_taps ~incremental:true ?prove spec
+      ~taps:goal.g_taps ~incremental:true spec
   | R_only ->
     Synth.minimize_r_only ~timeout_per_call:budget ~rop_kind:goal.g_rop_kind
-      ~incremental:true ?prove spec
+      ~incremental:true spec
 
-let solve_goal ?prove ~effort ~timeout_per_call goal =
+let solve_goal ~effort ~timeout_per_call goal =
   let t0 = Unix.gettimeofday () in
   let wall () = Unix.gettimeofday () -. t0 in
   if effort <= 1 then
@@ -356,7 +355,7 @@ let solve_goal ?prove ~effort ~timeout_per_call goal =
     let budget =
       if effort >= 3 then timeout_per_call *. 4. else timeout_per_call
     in
-    let report = solve_sat ?prove ~budget goal in
+    let report = solve_sat ~budget goal in
     match report.Synth.best with
     | Some (c, _) ->
       let rops_exact = report.Synth.rops_proven_minimal in
@@ -385,12 +384,11 @@ type build_stats = {
   built : int;
   reused : int;
   failed : int;
-  reproved : int;
   wall_s : float;
 }
 
 let build ?(effort = 2) ?domains ?(timeout_per_call = 10.) ?(resume = true)
-    ?progress ?prove ~path goals =
+    ?progress ~path goals =
   if effort < 1 || effort > 3 then
     invalid_arg "Atlas.build: effort must be 1..3";
   let t0 = Unix.gettimeofday () in
@@ -450,7 +448,7 @@ let build ?(effort = 2) ?domains ?(timeout_per_call = 10.) ?(resume = true)
       in
       Array.iteri
         (fun i o ->
-          match o.Pool.result with
+          match o with
           | Ok (Some r) ->
             Hashtbl.replace table (goal_key chunk.(i)) r;
             incr built
@@ -465,50 +463,12 @@ let build ?(effort = 2) ?domains ?(timeout_per_call = 10.) ?(resume = true)
            (Unix.gettimeofday () -. t0))
     done;
     if n_todo = 0 then write_records path table;
-    (* Parallel-proof re-attack: goals that are covered only by a degraded
-       (tier-1 or proof-incomplete) record get one more shot through the
-       prove orchestrator. The loop itself runs sequentially on the calling
-       domain — each prove call spreads its own workers over the pool, so
-       running two orchestrators at once would only have them steal each
-       other's cores. *)
-    let reproved = ref 0 in
-    (match prove with
-     | None -> ()
-     | Some _ ->
-       let stale_seen = Hashtbl.create 64 in
-       let stale =
-         List.filter
-           (fun g ->
-             let k = goal_key g in
-             if Hashtbl.mem stale_seen k then false
-             else begin
-               Hashtbl.add stale_seen k ();
-               match Hashtbl.find_opt table k with
-               | Some r -> not (satisfies ~effort r)
-               | None -> true
-             end)
-           goals
-       in
-       List.iter
-         (fun g ->
-           match solve_goal ?prove ~effort ~timeout_per_call g with
-           | Some r when satisfies ~effort r ->
-             Hashtbl.replace table (goal_key g) r;
-             incr reproved;
-             write_records path table;
-             say
-               (Printf.sprintf "re-proved %s via prove orchestrator"
-                  (goal_key g))
-           | Some _ | None -> ())
-         stale;
-       if !reproved > 0 then failed := max 0 (!failed - !reproved));
     Ok
       {
         total;
         built = !built;
         reused;
         failed = !failed;
-        reproved = !reproved;
         wall_s = Unix.gettimeofday () -. t0;
       }
 

@@ -159,8 +159,6 @@ type build_stats = {
   built : int;  (** records solved in this run *)
   reused : int;  (** goals already satisfied by the resumed file *)
   failed : int;  (** goals with no circuit at any tier *)
-  reproved : int;
-      (** degraded records upgraded by the [prove] re-attack pass *)
   wall_s : float;
 }
 
@@ -170,23 +168,13 @@ type build_stats = {
     [~resume:true] (the default) continues from the last flushed record,
     also upgrading records of a lower-effort earlier build. [effort] is
     the tier (1..3, default 2); [timeout_per_call] the tier-2 SAT budget
-    (tier 3 runs 4×). [progress] receives one human line per chunk.
-
-    [prove] (a proof-orchestrator factory, same closure shape as
-    {!Mm_engine.Engine.config}) enables a re-attack pass after the main
-    sweep: every goal still covered only by a degraded record — tier-1
-    fallback or missing proofs for the requested effort — is re-solved
-    once through the orchestrator (sequentially; each call parallelizes
-    internally over the pool), and an upgraded record replaces the
-    degraded one, counted in [reproved]. *)
+    (tier 3 runs 4×). [progress] receives one human line per chunk. *)
 val build :
   ?effort:int ->
   ?domains:int ->
   ?timeout_per_call:float ->
   ?resume:bool ->
   ?progress:(string -> unit) ->
-  ?prove:
-    (Spec.t -> timeout:float -> Encode.config -> Mm_core.Synth.attempt) ->
   path:string ->
   goal list ->
   (build_stats, error) result

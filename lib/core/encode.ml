@@ -646,24 +646,3 @@ let size cfg spec =
   let b = Builder.create () in
   let (_ : t) = build b cfg spec in
   (Builder.num_vars b, Builder.num_clauses b)
-
-(* Selector groups suitable for cube-and-conquer splitting, best first.
-
-   Each returned group is a full exactly-one selector bank: exactly one
-   variable in it is true in every model, so asserting each variable in
-   turn yields cubes that are exhaustive (the exactly-one constraint
-   forbids the all-false case) and mutually exclusive. The first-leg
-   first-step TE bank is the preferred split — leg order is
-   symmetry-constrained on that very selector, so the cubes inherit the
-   symmetry breaking instead of multiplying it away. For R-only instances
-   (no legs) the first R-op's input selectors are the only split. *)
-let cube_groups t =
-  if t.cfg.n_legs > 0 && t.cfg.steps_per_leg > 0 then begin
-    let groups = ref [ Array.copy t.te_sel.(0).(0) ] in
-    if Array.length t.be_sel > 0 && Array.length t.be_sel.(0) > 0 then
-      groups := Array.copy t.be_sel.(0).(0) :: !groups;
-    List.rev !groups
-  end
-  else if Array.length t.gin1 > 0 then
-    [ Array.copy t.gin1.(0); Array.copy t.gin2.(0) ]
-  else []

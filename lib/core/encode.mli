@@ -123,11 +123,3 @@ val decode_prefix :
 
 (** Formula size of a configuration without solving: (variables, clauses). *)
 val size : config -> Spec.t -> int * int
-
-(** Selector-variable groups suitable for cube-and-conquer splitting, best
-    first. Each group is a complete exactly-one bank (first-leg first-step
-    TE selectors, then the BE bank; the first R-op's input selectors for
-    leg-free instances), so asserting each member in turn yields cubes
-    that are exhaustive and mutually exclusive. Empty when the instance
-    has nothing to split on (callers should fall back to a portfolio). *)
-val cube_groups : t -> int array list

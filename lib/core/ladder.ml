@@ -99,7 +99,6 @@ let zero_stats =
     decisions = 0;
     propagations = 0;
     restarts = 0;
-    imported_clauses = 0;
     learnt_clauses = 0;
     peak_learnts = 0;
     props_per_s = 0.;
@@ -111,7 +110,6 @@ let delta_stats (a : Solver.stats) (b : Solver.stats) =
     decisions = b.decisions - a.decisions;
     propagations = b.propagations - a.propagations;
     restarts = b.restarts - a.restarts;
-    imported_clauses = b.imported_clauses - a.imported_clauses;
     (* DB sizes are cumulative, not per-call *)
     learnt_clauses = b.learnt_clauses;
     peak_learnts = b.peak_learnts;

@@ -68,6 +68,22 @@ let pp_attempt ppf a =
   Format.fprintf ppf "N_R=%d N_L=%d N_VS=%d -> %-7s (%d vars, %d clauses, %.2fs)"
     a.n_rops a.n_legs a.steps_per_leg verdict a.vars a.clauses a.time_s
 
+(* One budget point: an answer [lookup] already holds, else the point on
+   the shared ladder ([incremental]) or on a fresh monolithic solver, and
+   the fresh answer goes to [store]. *)
+let solve_point ~timeout ~incremental ?lookup ?store ladder cfg spec =
+  match Option.bind lookup (fun f -> f cfg) with
+  | Some a -> a
+  | None ->
+    let a =
+      if incremental then
+        Ladder.solve_point ~timeout (ladder ()) ~n_legs:cfg.Encode.n_legs
+          ~steps:cfg.Encode.steps_per_leg ~n_rops:cfg.Encode.n_rops
+      else solve_instance ~timeout cfg spec
+    in
+    Option.iter (fun g -> g cfg a) store;
+    a
+
 (* The paper's outer loop. Phase 1 fixes N_VS = max_steps and grows N_R from
    0 until SAT; every UNSAT on the way is an optimality certificate for that
    N_R. Phase 2 keeps the minimal N_R and grows N_VS from 1 until SAT.
@@ -78,7 +94,7 @@ let pp_attempt ppf a =
    differential-testing oracle. *)
 let minimize ?(timeout_per_call = 60.) ?max_rops ?(max_steps = 0) ?legs_of
     ?(rop_kind = Rop.Nor) ?(taps = Encode.Any_vop) ?(symmetry_breaking = true)
-    ?(incremental = true) ?prove ?lookup ?store spec =
+    ?(incremental = true) ?lookup ?store spec =
   let max_steps =
     if max_steps > 0 then max_steps else Spec.arity spec + 2
   in
@@ -132,22 +148,9 @@ let minimize ?(timeout_per_call = 60.) ?max_rops ?(max_steps = 0) ?legs_of
         Encode.config ~rop_kind ~taps ~symmetry_breaking ~n_legs
           ~steps_per_leg:steps ~n_rops ()
       in
-      let cached = match lookup with Some f -> f cfg | None -> None in
       let a =
-        match cached with
-        | Some a -> a
-        | None ->
-          let a =
-            match prove with
-            | Some p -> p ~timeout:timeout_per_call cfg
-            | None ->
-              if incremental then
-                Ladder.solve_point ~timeout:timeout_per_call
-                  (ladder_for ~n_rops) ~n_legs ~steps ~n_rops
-              else solve_instance ~timeout:timeout_per_call cfg spec
-          in
-          (match store with Some g -> g cfg a | None -> ());
-          a
+        solve_point ~timeout:timeout_per_call ~incremental ?lookup ?store
+          (fun () -> ladder_for ~n_rops) cfg spec
       in
       Hashtbl.replace memo (n_legs, steps, n_rops) a;
       attempts := a :: !attempts;
@@ -191,8 +194,7 @@ let minimize ?(timeout_per_call = 60.) ?max_rops ?(max_steps = 0) ?legs_of
     }
 
 let minimize_r_only ?(timeout_per_call = 60.) ?max_rops ?(rop_kind = Rop.Nor)
-    ?(symmetry_breaking = true) ?(incremental = true) ?prove ?lookup ?store
-    spec =
+    ?(symmetry_breaking = true) ?(incremental = true) ?lookup ?store spec =
   let baseline = Baseline.nor_network spec in
   let max_rops =
     match max_rops with Some m -> m | None -> Circuit.n_rops baseline
@@ -208,22 +210,9 @@ let minimize_r_only ?(timeout_per_call = 60.) ?max_rops ?(rop_kind = Rop.Nor)
       Encode.config ~rop_kind ~symmetry_breaking ~n_legs:0 ~steps_per_leg:0
         ~n_rops ()
     in
-    let cached = match lookup with Some f -> f cfg | None -> None in
     let a =
-      match cached with
-      | Some a -> a
-      | None ->
-        let a =
-          match prove with
-          | Some p -> p ~timeout:timeout_per_call cfg
-          | None ->
-            if incremental then
-              Ladder.solve_point ~timeout:timeout_per_call (Lazy.force ladder)
-                ~n_legs:0 ~steps:0 ~n_rops
-            else solve_instance ~timeout:timeout_per_call cfg spec
-        in
-        (match store with Some g -> g cfg a | None -> ());
-        a
+      solve_point ~timeout:timeout_per_call ~incremental ?lookup ?store
+        (fun () -> Lazy.force ladder) cfg spec
     in
     attempts := a :: !attempts;
     a

@@ -71,13 +71,6 @@ type report = {
     fresh-solver-per-point monolithic path as a differential-testing
     oracle ([make smoke-ladder] diffs the two).
 
-    [prove] delegates each budget point to an external proof orchestrator
-    (see [Mm_prove]): when given, it replaces both the ladder and the
-    monolithic path for fresh solves — [lookup]/[store] and the in-call
-    memo still apply. The hook receives the per-call timeout and the exact
-    {!Encode.config} of the requested point and must return a faithful
-    {!attempt} (a [Sat] verdict must carry a circuit valid for [spec]).
-
     Result reuse: dimensions already answered inside this call (possible
     when a custom [legs_of] maps different N_R to identical N_L) are never
     re-solved — in particular a cached UNSAT at (N_R, N_VS) is reused as an
@@ -95,7 +88,6 @@ val minimize :
   ?taps:Encode.taps ->
   ?symmetry_breaking:bool ->
   ?incremental:bool ->
-  ?prove:(timeout:float -> Encode.config -> attempt) ->
   ?lookup:(Encode.config -> attempt option) ->
   ?store:(Encode.config -> attempt -> unit) ->
   Spec.t ->
@@ -111,7 +103,6 @@ val minimize_r_only :
   ?rop_kind:Rop.kind ->
   ?symmetry_breaking:bool ->
   ?incremental:bool ->
-  ?prove:(timeout:float -> Encode.config -> attempt) ->
   ?lookup:(Encode.config -> attempt option) ->
   ?store:(Encode.config -> attempt -> unit) ->
   Spec.t ->

@@ -15,9 +15,12 @@ let magic = "MMSYNTH-ENGINE-CACHE"
    older files are quarantined on load exactly like the v2→v3 bump. The
    bump also rides a record-framing change: records are now raw
    digest ‖ length ‖ payload frames (see the layout comment below) so
-   the digest is verified before any byte reaches Marshal. *)
-let format_version = 5
-let shard_format_version = 6
+   the digest is verified before any byte reaches Marshal.
+   v7 (single-file) / v8 (shard): Solver.stats lost imported_clauses with
+   the proof layer, changing the Marshal layout once more — v5/v6 files
+   are quarantined on load like every earlier bump. *)
+let format_version = 7
+let shard_format_version = 8
 
 type entry = { budget : float; attempt : Synth.attempt }
 
@@ -85,8 +88,8 @@ type t = {
 
 (* On-disk layout:
      magic bytes
-     Marshal int                          -- format version (5 or 6)
-     Marshal (int * int)                  -- v6 only: (shard index, of_k)
+     Marshal int                          -- format version (7 or 8)
+     Marshal (int * int)                  -- v8 only: (shard index, of_k)
      record*                              -- until EOF
    where each record is raw framing we control end to end:
      16 bytes   MD5 digest of the payload
@@ -161,9 +164,9 @@ let read_int_pair ic =
   else None
 
 (* Read a cache file into [table]. [kind] selects the accepted layout:
-   [`Single] is the legacy v3 file (any other version — including a v4
-   shard — is a version mismatch), [`Shard] is a v4 shard file with its
-   validated header, [`Any] accepts both (offline inspection). The shard
+   [`Single] is a single-file cache at [format_version] (any other
+   version — including a shard — is a version mismatch), [`Shard] is a
+   shard file at [shard_format_version] with its validated header, [`Any] accepts both (offline inspection). The shard
    header (when present and valid) is returned alongside the outcome. *)
 let read_file_kind kind path =
   match open_in_bin path with

@@ -22,10 +22,11 @@
 
     {2 Overlay layouts}
 
-    [create ?path] (no [?shards]) keeps the legacy layout: one v3 file at
-    [path]. [create ~path ~shards:k] makes [path] a directory of [k] shard
-    files [shard-<i>-of-<k>.mmcache] (format v4: same checksummed records
-    plus a shard header); an entry's shard is the MD5 of its fingerprint
+    [create ?path] (no [?shards]) keeps the legacy layout: one file at
+    [path] ({!format_version}). [create ~path ~shards:k] makes [path] a
+    directory of [k] shard files [shard-<i>-of-<k>.mmcache]
+    ({!shard_format_version}: same checksummed records plus a shard
+    header); an entry's shard is the MD5 of its fingerprint
     string mod [k] — effectively its NPN class — so concurrent daemons
     flushing the same overlay contend per shard instead of on one path,
     and {!flush} rewrites only the shards dirtied since the last flush.
@@ -180,7 +181,7 @@ type info = {
   status : load;
   entries : int;  (** records that parse and pass their checksum *)
   shard : (int * int) option;
-      (** [(index, of_k)] when the file is a v4 overlay shard *)
+      (** [(index, of_k)] when the file is an overlay shard *)
   corrupt_siblings : string list;
       (** existing [<path>.corrupt{,.N}] quarantine files *)
 }

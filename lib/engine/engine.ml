@@ -22,23 +22,18 @@ type config = {
   fallback : degrade;
   fault : Fault.t option;
   incremental : bool;
-  (* A proof-orchestrator factory ([Mm_prove] lives above this library, so
-     it arrives as a closure): given the solve target, yields the
-     [Synth.minimize ?prove] hook that replaces per-point solving. *)
-  prove :
-    (Spec.t -> timeout:float -> Mm_core.Encode.config -> Synth.attempt) option;
 }
 
 let config ?(rop_kind = Mm_core.Rop.Nor) ?(taps = Mm_core.Encode.Any_vop)
     ?(timeout_per_call = 60.) ?max_rops ?max_steps
     ?(domains = Pool.default_domains ()) ?(canonicalize = true) ?cache
     ?deadline ?(retries = 1) ?(retry_backoff_s = 0.05)
-    ?(fallback = No_fallback) ?fault ?(incremental = true) ?prove () =
+    ?(fallback = No_fallback) ?fault ?(incremental = true) () =
   { rop_kind; taps; timeout_per_call; max_rops; max_steps;
     domains = max 1 domains; canonicalize; cache;
     deadline; retries = max 0 retries;
     retry_backoff_s = Float.max 0. retry_backoff_s; fallback; fault;
-    incremental; prove }
+    incremental }
 
 type provenance = Exact | From_atlas | Via_baseline | Via_heuristic
 
@@ -72,7 +67,6 @@ type summary = {
   solver_calls : int;
   propagations : int;
   restarts : int;
-  imported_clauses : int;
   peak_learnts : int;
   props_per_s : float;
   cache : Cache.counters option;
@@ -248,9 +242,8 @@ let run (cfg : config) specs =
                 in
                 Synth.minimize ~timeout_per_call:budget ?max_rops:cfg.max_rops
                   ?max_steps:cfg.max_steps ~rop_kind:cfg.rop_kind
-                  ~taps:cfg.taps ~incremental:cfg.incremental
-                  ?prove:(Option.map (fun f -> f target) cfg.prove)
-                  ?lookup ?store target
+                  ~taps:cfg.taps ~incremental:cfg.incremental ?lookup ?store
+                  target
               end
             in
             Deadline.finish mgr;
@@ -260,7 +253,9 @@ let run (cfg : config) specs =
      crashed, after a bounded exponential backoff, until the retry budget
      or the global deadline is exhausted. Timeouts and UNSATs are
      deterministic answers and are never retried. *)
-  let outcomes : job_out Pool.outcome option array = Array.make n_jobs None in
+  let outcomes : (job_out, Pool.error) result option array =
+    Array.make n_jobs None
+  in
   let retries_used = ref 0 in
   let pending = ref unanswered in
   let attempt = ref 0 in
@@ -280,7 +275,7 @@ let run (cfg : config) specs =
       (fun k o ->
         let j = idxs.(k) in
         outcomes.(j) <- Some o;
-        match o.Pool.result with
+        match o with
         | Ok _ -> ()
         | Error _ -> if !attempt < cfg.retries then pending := j :: !pending)
       outs;
@@ -310,39 +305,37 @@ let run (cfg : config) specs =
       | Ok () -> R_atlas (c_f, a)
       | Error row -> R_verify_failed (row, empty_report))
     | None ->
-    match (Array.get outcomes job_of.(i) : job_out Pool.outcome option) with
+    match outcomes.(job_of.(i)) with
     | None -> R_crashed ({ Pool.exn = "job never ran (engine bug)"; backtrace = "" }, empty_report)
-    | Some o -> (
-      match o.Pool.result with
-      | Error e -> R_crashed (e, empty_report)
-      | Ok Starved -> R_timeout empty_report
-      | Ok (Solved report) -> (
-        match report.Synth.best with
-        | None ->
-          (* no attempts (injected Unknown) or a timed-out attempt means
-             the budget ran out; otherwise every dimension was refuted *)
-          if
-            report.Synth.attempts = []
-            || List.exists
-                 (fun a -> a.Synth.verdict = Synth.Timeout)
-                 report.Synth.attempts
-          then R_timeout report
-          else R_unsat report
-        | Some (c, _) -> (
-          (* the job solved [apply t_in f]; pull the circuit back to f *)
-          match
-            Fault.guard cfg.fault ~stage:Fault.Verify
-              ~key:(Printf.sprintf "spec%d" i)
-              (fun () ->
-                let c_f = Npn.apply_circuit (Npn.inverse p.t_in) c in
-                match Circuit.realizes c_f spec with
-                | Ok () -> Ok c_f
-                | Error row -> Error row)
-          with
-          | Ok c_f -> R_circuit (c_f, report)
-          | Error row -> R_verify_failed (row, report)
-          | exception Fault.Injected msg ->
-            R_crashed ({ Pool.exn = msg; backtrace = "" }, report))))
+    | Some (Error e) -> R_crashed (e, empty_report)
+    | Some (Ok Starved) -> R_timeout empty_report
+    | Some (Ok (Solved report)) -> (
+      match report.Synth.best with
+      | None ->
+        (* no attempts (injected Unknown) or a timed-out attempt means
+           the budget ran out; otherwise every dimension was refuted *)
+        if
+          report.Synth.attempts = []
+          || List.exists
+               (fun a -> a.Synth.verdict = Synth.Timeout)
+               report.Synth.attempts
+        then R_timeout report
+        else R_unsat report
+      | Some (c, _) -> (
+        (* the job solved [apply t_in f]; pull the circuit back to f *)
+        match
+          Fault.guard cfg.fault ~stage:Fault.Verify
+            ~key:(Printf.sprintf "spec%d" i)
+            (fun () ->
+              let c_f = Npn.apply_circuit (Npn.inverse p.t_in) c in
+              match Circuit.realizes c_f spec with
+              | Ok () -> Ok c_f
+              | Error row -> Error row)
+        with
+        | Ok c_f -> R_circuit (c_f, report)
+        | Error row -> R_verify_failed (row, report)
+        | exception Fault.Injected msg ->
+          R_crashed ({ Pool.exn = msg; backtrace = "" }, report)))
   in
   let fallbacks = ref 0 in
   let results =
@@ -405,22 +398,21 @@ let run (cfg : config) specs =
         then incr unsat
         else incr timeout)
     results;
-  let solver_calls, propagations, restarts, imported_clauses, peak_learnts =
+  let solver_calls, propagations, restarts, peak_learnts =
     Array.fold_left
-      (fun (calls, props, rst, imp, peak) o ->
+      (fun acc o ->
         match o with
-        | Some { Pool.result = Ok (Solved r); _ } ->
+        | Some (Ok (Solved r)) ->
           List.fold_left
-            (fun (calls, props, rst, imp, peak) a ->
+            (fun (calls, props, rst, peak) a ->
               let st = a.Synth.solver_stats in
               ( calls + 1,
                 props + st.Mm_sat.Solver.propagations,
                 rst + st.Mm_sat.Solver.restarts,
-                imp + st.Mm_sat.Solver.imported_clauses,
                 max peak st.Mm_sat.Solver.peak_learnts ))
-            (calls, props, rst, imp, peak) r.Synth.attempts
-        | Some _ | None -> (calls, props, rst, imp, peak))
-      (0, 0, 0, 0, 0) outcomes
+            acc r.Synth.attempts
+        | Some _ | None -> acc)
+      (0, 0, 0, 0) outcomes
   in
   let summary =
     {
@@ -440,7 +432,6 @@ let run (cfg : config) specs =
       solver_calls;
       propagations;
       restarts;
-      imported_clauses;
       peak_learnts;
       props_per_s =
         (if wall_s > 0. then float_of_int propagations /. wall_s else 0.);
@@ -500,17 +491,15 @@ let probe_class ?(r_only = false) (cfg : config) spec =
             Cache.add c ~timeout:cfg.timeout_per_call (Cache.key ecfg target) a)
       )
   in
-  let prove = Option.map (fun f -> f target) cfg.prove in
   let report =
     if r_only then
       Synth.minimize_r_only ~timeout_per_call:cfg.timeout_per_call
         ?max_rops:cfg.max_rops ~rop_kind:cfg.rop_kind
-        ~incremental:cfg.incremental ?prove ?lookup ?store target
+        ~incremental:cfg.incremental ?lookup ?store target
     else
       Synth.minimize ~timeout_per_call:cfg.timeout_per_call
         ?max_rops:cfg.max_rops ?max_steps:cfg.max_steps ~rop_kind:cfg.rop_kind
-        ~taps:cfg.taps ~incremental:cfg.incremental ?prove ?lookup ?store
-        target
+        ~taps:cfg.taps ~incremental:cfg.incremental ?lookup ?store target
   in
   match report.Synth.best with
   | None -> None
@@ -532,7 +521,7 @@ let empty_summary =
   { functions = 0; classes = 0; sat = 0; atlas = 0; unsat = 0; timeout = 0;
     fallbacks = 0; retries_used = 0; deadline_hit = false; wall_s = 0.;
     solves_per_s = 0.; solver_calls = 0; propagations = 0; restarts = 0;
-    imported_clauses = 0; peak_learnts = 0; props_per_s = 0.; cache = None }
+    peak_learnts = 0; props_per_s = 0.; cache = None }
 
 let add_summary a b =
   let cache =
@@ -565,7 +554,6 @@ let add_summary a b =
     solver_calls = a.solver_calls + b.solver_calls;
     propagations = a.propagations + b.propagations;
     restarts = a.restarts + b.restarts;
-    imported_clauses = a.imported_clauses + b.imported_clauses;
     peak_learnts = max a.peak_learnts b.peak_learnts;
     props_per_s =
       (if wall_s > 0. then
@@ -578,8 +566,9 @@ let stats_to_json s =
   let open Mm_report.Json in
   Obj
     [
-      (* v4: restarts + imported_clauses counters (proof layer) *)
-      ("schema", String "mmsynth-stats-v4");
+      (* v4 added restarts and a clause-sharing counter; v5 dropped the
+         latter with the proof layer *)
+      ("schema", String "mmsynth-stats-v5");
       ("functions", Int s.functions);
       ("classes", Int s.classes);
       ("sat", Int s.sat);
@@ -594,7 +583,6 @@ let stats_to_json s =
       ("solver_calls", Int s.solver_calls);
       ("propagations", Int s.propagations);
       ("restarts", Int s.restarts);
-      ("imported_clauses", Int s.imported_clauses);
       ("peak_learnts", Int s.peak_learnts);
       ("props_per_s", Float s.props_per_s);
       ( "cache",
@@ -617,12 +605,9 @@ let pp_summary ppf s =
      %.2fs wall (%.1f functions/s, %d solver calls)"
     s.functions s.classes s.sat s.atlas s.unsat s.timeout s.wall_s
     s.solves_per_s s.solver_calls;
-  if s.propagations > 0 then begin
+  if s.propagations > 0 then
     Format.fprintf ppf "@.solver: %d propagations (%.0f/s), peak learnt DB %d"
       s.propagations s.props_per_s s.peak_learnts;
-    if s.imported_clauses > 0 then
-      Format.fprintf ppf ", %d imported clauses" s.imported_clauses
-  end;
   if s.fallbacks > 0 || s.retries_used > 0 || s.deadline_hit then
     Format.fprintf ppf
       "@.robustness: %d fallback circuits, %d retries%s"

@@ -65,12 +65,6 @@ type config = {
       (** drive each job through the assumption-ladder path
           ({!Mm_core.Synth.minimize} [~incremental], default on); [false]
           selects the monolithic fresh-solver-per-point oracle *)
-  prove :
-    (Spec.t -> timeout:float -> Mm_core.Encode.config -> Synth.attempt) option;
-      (** proof-orchestrator factory: given a job's solve target, yields the
-          [Synth.minimize ?prove] hook that replaces per-point solving with
-          a parallel portfolio / cube-and-conquer attack ([Mm_prove] sits
-          above this library, so it is injected as a closure) *)
 }
 
 val config :
@@ -88,8 +82,6 @@ val config :
   ?fallback:degrade ->
   ?fault:Fault.t ->
   ?incremental:bool ->
-  ?prove:
-    (Spec.t -> timeout:float -> Mm_core.Encode.config -> Synth.attempt) ->
   unit ->
   config
 
@@ -141,9 +133,6 @@ type summary = {
   solver_calls : int;  (** SAT instances dispatched (memo/cache hits included) *)
   propagations : int;  (** summed unit propagations across all attempts *)
   restarts : int;  (** summed solver restarts across all attempts *)
-  imported_clauses : int;
-      (** clauses accepted through portfolio sharing, summed (0 without a
-          [prove] orchestrator) *)
   peak_learnts : int;  (** largest learnt-clause DB any solver reached *)
   props_per_s : float;  (** propagation throughput over the batch wall time *)
   cache : Cache.counters option;
@@ -192,10 +181,10 @@ val empty_summary : summary
     (counters are per-run, entries are a point-in-time size). *)
 val add_summary : summary -> summary -> summary
 
-(** The shared stats schema ([mmsynth-stats-v4]): one JSON object with the
+(** The shared stats schema ([mmsynth-stats-v5]): one JSON object with the
     summary counters (including [atlas] — new in v3), the solver-internals
-    counters ([propagations], [restarts] and [imported_clauses] — new in
-    v4 — [peak_learnts], [props_per_s]) and the cache counters including
+    counters ([propagations], [restarts], [peak_learnts], [props_per_s];
+    v5 dropped v4's clause-sharing counter) and the cache counters including
     [atlas_hits] (or [null]). The CLI's [batch --json], the serve daemon's
     [stats] endpoint and the bench writers all emit this same shape. *)
 val stats_to_json : summary -> Mm_report.Json.t

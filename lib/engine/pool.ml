@@ -1,36 +1,22 @@
 type error = { exn : string; backtrace : string }
 
-type 'a outcome = {
-  result : ('a, error) result;
-  time_s : float;
-  timed_out : bool;
-}
-
 let default_domains () = max 1 (Domain.recommended_domain_count () - 1)
 
-let run_job ?job_timeout job =
-  let t0 = Unix.gettimeofday () in
-  let result =
-    try Ok (job ())
-    with e ->
-      (* capture at the handler, before any other code can clobber it *)
-      let backtrace = Printexc.get_backtrace () in
-      Error { exn = Printexc.to_string e; backtrace }
-  in
-  let time_s = Unix.gettimeofday () -. t0 in
-  let timed_out =
-    match job_timeout with Some b -> time_s > b | None -> false
-  in
-  { result; time_s; timed_out }
+let run_job job =
+  try Ok (job ())
+  with e ->
+    (* capture at the handler, before any other code can clobber it *)
+    let backtrace = Printexc.get_backtrace () in
+    Error { exn = Printexc.to_string e; backtrace }
 
-let run ?domains ?job_timeout jobs =
+let run ?domains jobs =
   Printexc.record_backtrace true;
   let n = Array.length jobs in
   let domains =
     max 1 (min (match domains with Some d -> d | None -> default_domains ()) n)
   in
   if n = 0 then [||]
-  else if domains = 1 then Array.map (run_job ?job_timeout) jobs
+  else if domains = 1 then Array.map run_job jobs
   else begin
     let results = Array.make n None in
     let next = Atomic.make 0 in
@@ -38,7 +24,7 @@ let run ?domains ?job_timeout jobs =
       let rec loop () =
         let i = Atomic.fetch_and_add next 1 in
         if i < n then begin
-          results.(i) <- Some (run_job ?job_timeout jobs.(i));
+          results.(i) <- Some (run_job jobs.(i));
           loop ()
         end
       in

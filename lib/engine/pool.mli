@@ -10,28 +10,19 @@
     a typed {!error} in that job's slot — exception text plus the backtrace
     captured at the crash site (backtrace recording is enabled by [run]) —
     and never takes down the worker domain or the batch. Wall-clock budgets
-    are cooperative — a job that should stop early must watch its own
-    deadline (the SAT solver's [~timeout] does) — but the pool measures
-    each job's elapsed time and flags overruns of [job_timeout] in the
-    outcome. *)
+    are cooperative: a job that should stop early must watch its own
+    deadline (the SAT solver's [~timeout] does). *)
 
 (** A crashed job: what was raised, and from where. [backtrace] is the
     string form of the backtrace at the raise (possibly empty when the
     runtime has no frames to report). *)
 type error = { exn : string; backtrace : string }
 
-type 'a outcome = {
-  result : ('a, error) result;
-  time_s : float;  (** wall-clock of this job alone *)
-  timed_out : bool;  (** [time_s] exceeded [job_timeout] *)
-}
-
 (** [Domain.recommended_domain_count () - 1] workers, at least 1. *)
 val default_domains : unit -> int
 
-(** [run ?domains ?job_timeout jobs]. [domains] defaults to
+(** [run ?domains jobs]. [domains] defaults to
     {!default_domains} and is additionally clamped to the job count;
     [domains = 1] runs everything on the calling domain (no spawning), which
     is the sequential baseline the bench compares against. *)
-val run :
-  ?domains:int -> ?job_timeout:float -> (unit -> 'a) array -> 'a outcome array
+val run : ?domains:int -> (unit -> 'a) array -> ('a, error) result array

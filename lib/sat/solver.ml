@@ -26,8 +26,8 @@
      order, and remaps the reasons and the learnt list, so it never
      changes the search.
 
-   The storage must never change the search: the same clause stream and
-   config make the same decisions, conflicts, learnt clauses, models and
+   The storage must never change the search: the same clause stream makes
+   the same decisions, conflicts, learnt clauses, models and
    failed-assumption cores, as pinned by the search-identity tests in
    test/test_sat.ml. Tried and rejected:
    - blocker literals in the watchers: a stale blocker skips clause visits
@@ -43,37 +43,11 @@
 
 type result = Sat | Unsat | Unknown
 
-type restart_schedule = Luby | Geometric
-
-(* Portfolio diversification knobs. The default configuration reproduces
-   the historical solver bit-for-bit (no jitter, saved-phase decisions,
-   Luby restarts at base 100), so every existing verdict and statistic is
-   unchanged unless a caller opts in. *)
-type config = {
-  seed : int;
-  random_polarity : float;
-  restart : restart_schedule;
-  restart_base : int;
-  phase_init : bool;
-  var_jitter : float;
-}
-
-let default_config =
-  {
-    seed = 0;
-    random_polarity = 0.;
-    restart = Luby;
-    restart_base = 100;
-    phase_init = false;
-    var_jitter = 0.;
-  }
-
 type stats = {
   conflicts : int;
   decisions : int;
   propagations : int;
   restarts : int;
-  imported_clauses : int;
   learnt_clauses : int;
   peak_learnts : int;
   props_per_s : float;
@@ -145,8 +119,6 @@ let no_reason = -1
 type increments = { mutable var_inc : float; mutable cla_inc : float }
 
 type t = {
-  cfg : config;
-  mutable rng : int64;
   mutable nvars : int;
   mutable vals : int array; (* per literal *)
   mutable level : int array;
@@ -188,44 +160,12 @@ type t = {
   mutable peak_learnts : int;
   mutable solve_time_s : float;
   mutable failed : int list; (* failed assumptions of the last Unsat *)
-  (* Portfolio clause sharing. [export] is called from [record_learnt] for
-     learnts with LBD <= [export_max_lbd]; [import] is drained at restart
-     boundaries (decision level 0), where adding permanent clauses is sound. *)
-  mutable export : (int array -> lbd:int -> unit) option;
-  mutable export_max_lbd : int;
-  mutable import : (unit -> int array list) option;
-  mutable imported : int;
 }
-
-(* splitmix64: turns a caller seed into a well-mixed non-zero RNG state. *)
-let mix64 seed =
-  let z = Int64.add (Int64.of_int seed) 0x9e3779b97f4a7c15L in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xbf58476d1ce4e5b9L in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94d049bb133111ebL in
-  let z = Int64.logxor z (Int64.shift_right_logical z 31) in
-  if Int64.equal z 0L then 0x2545f4914f6cdd1dL else z
-
-(* xorshift64*: cheap per-decision randomness, deterministic per seed. *)
-let rand_bits t =
-  let x = t.rng in
-  let x = Int64.logxor x (Int64.shift_left x 13) in
-  let x = Int64.logxor x (Int64.shift_right_logical x 7) in
-  let x = Int64.logxor x (Int64.shift_left x 17) in
-  t.rng <- x;
-  Int64.mul x 0x2545f4914f6cdd1dL
-
-let rand_float t =
-  let bits = Int64.to_int (Int64.shift_right_logical (rand_bits t) 11) in
-  float_of_int bits /. 9007199254740992. (* 2^53 *)
-
-let rand_bool t = Int64.logand (rand_bits t) 1L = 1L
 
 let new_arena words = Bigarray.Array1.create Bigarray.int Bigarray.c_layout words
 
-let create ?(config = default_config) () =
+let create () =
   {
-    cfg = config;
-    rng = mix64 config.seed;
     nvars = 0;
     vals = [||];
     level = [||];
@@ -266,22 +206,11 @@ let create ?(config = default_config) () =
     peak_learnts = 0;
     solve_time_s = 0.;
     failed = [];
-    export = None;
-    export_max_lbd = 0;
-    import = None;
-    imported = 0;
   }
 
 let nvars t = t.nvars
 let nclauses t = t.num_clauses
 let ok t = t.ok
-let config t = t.cfg
-
-let set_clause_export t ~max_lbd f =
-  t.export <- Some f;
-  t.export_max_lbd <- max_lbd
-
-let set_clause_import t f = t.import <- Some f
 
 let grow_arrays t cap =
   let grow_int a n = Array.append a (Array.make (n - Array.length a) 0) in
@@ -291,7 +220,7 @@ let grow_arrays t cap =
   t.level <- grow_int t.level cap;
   t.reason <- Array.append t.reason (Array.make (cap - Array.length t.reason) no_reason);
   t.var_act <- grow_float t.var_act;
-  t.phase <- Array.append t.phase (Array.make (cap - Array.length t.phase) t.cfg.phase_init);
+  t.phase <- Array.append t.phase (Array.make (cap - Array.length t.phase) false);
   t.seen <- grow_bool t.seen;
   let w = Array.init (2 * cap) (fun i ->
       if i < Array.length t.watches then t.watches.(i)
@@ -304,9 +233,6 @@ let new_var t =
   t.nvars <- v + 1;
   if v >= Array.length t.level then
     grow_arrays t (max 16 (2 * Array.length t.level + 1));
-  (* Jitter must land before the heap insert: the heap compares var_act
-     at insertion time. *)
-  if t.cfg.var_jitter > 0. then t.var_act.(v) <- rand_float t *. t.cfg.var_jitter;
   Heap.insert t.heap t.var_act v;
   v
 
@@ -736,10 +662,6 @@ let analyze t confl =
 
 let record_learnt t lbd =
   let lits = t.lits_buf in
-  (match t.export with
-   | Some f when lbd <= t.export_max_lbd || Vec.size lits = 1 ->
-     f (Array.init (Vec.size lits) (Vec.get lits)) ~lbd
-   | _ -> ());
   if Vec.size lits = 1 then enqueue t (Vec.get lits 0) no_reason
   else begin
     let slot = alloc_slot t in
@@ -859,7 +781,7 @@ let luby y x =
 let budget_check_iters = 256
 let budget_check_props = 20_000
 
-let search t ~assumptions ~conflict_budget ~deadline ~global_conflicts ~stop =
+let search t ~assumptions ~conflict_budget ~deadline ~global_conflicts =
   let local_conflicts = ref 0 in
   let result = ref Unknown in
   let since_check = ref 0 in
@@ -869,9 +791,6 @@ let search t ~assumptions ~conflict_budget ~deadline ~global_conflicts ~stop =
     props_mark := t.propagations;
     (match deadline with
      | Some d when Unix.gettimeofday () > d -> raise (Found Unknown)
-     | _ -> ());
-    (match stop with
-     | Some f when f () -> raise (Found Unknown)
      | _ -> ());
     match global_conflicts with
     | Some g when t.conflicts >= g -> raise (Found Unknown)
@@ -935,12 +854,7 @@ let search t ~assumptions ~conflict_budget ~deadline ~global_conflicts ~stop =
            end;
            t.decisions <- t.decisions + 1;
            new_decision_level t;
-           let ph =
-             if t.cfg.random_polarity > 0. && rand_float t < t.cfg.random_polarity
-             then rand_bool t
-             else t.phase.(v)
-           in
-           enqueue t (Lit.make v (not ph)) no_reason
+           enqueue t (Lit.make v (not t.phase.(v))) no_reason
          end
        end
      done;
@@ -951,7 +865,7 @@ let search t ~assumptions ~conflict_budget ~deadline ~global_conflicts ~stop =
      !result
    | Exit -> Unknown)
 
-let solve ?(assumptions = []) ?max_conflicts ?timeout ?stop t =
+let solve ?(assumptions = []) ?max_conflicts ?timeout t =
   if not t.ok then begin
     t.failed <- [];
     Unsat
@@ -970,63 +884,31 @@ let solve ?(assumptions = []) ?max_conflicts ?timeout ?stop t =
     let restart = ref 0 in
     let continue = ref true in
     while !continue do
-      (* Restart boundary: decision level is 0 here (initially, and [search]
-         cancels to 0 before raising Exit), so foreign learnts can be added
-         as ordinary permanent clauses. Learnt clauses are implied by the
-         formula alone — independent of this worker's assumptions — so
-         importing across differently-assumed workers is sound. *)
-      (match t.import with
-       | Some f when t.ok ->
-         List.iter
-           (fun lits ->
-             if Array.for_all (fun l -> lit_var l < t.nvars) lits then begin
-               add_clause_a t lits;
-               t.imported <- t.imported + 1
-             end)
-           (f ())
-       | _ -> ());
-      if not t.ok then begin
-        t.failed <- [];
-        result := Unsat;
-        continue := false
-      end
-      else begin
-      let base = float_of_int t.cfg.restart_base in
-      let budget =
-        match t.cfg.restart with
-        | Luby -> int_of_float (luby 2.0 !restart *. base)
-        | Geometric -> int_of_float (base *. (1.5 ** float_of_int !restart))
-      in
+      (* Luby restarts: the conflict budget of restart i is 100 * luby(i) *)
+      let budget = int_of_float (luby 2.0 !restart *. 100.) in
       t.restarts <- t.restarts + (if !restart > 0 then 1 else 0);
-      (match
-         search t ~assumptions ~conflict_budget:budget ~deadline
-           ~global_conflicts ~stop
-       with
-       | Sat ->
-         result := Sat;
-         continue := false
-       | Unsat ->
-         result := Unsat;
-         continue := false
-       | Unknown ->
-         (* restart unless a budget ran out *)
-         let out_of_time =
-           match deadline with Some d -> Unix.gettimeofday () > d | None -> false
-         in
-         let out_of_conflicts =
-           match global_conflicts with Some g -> t.conflicts >= g | None -> false
-         in
-         let stopped = match stop with Some f -> f () | None -> false in
-         if out_of_time || out_of_conflicts || stopped then begin
-           result := Unknown;
-           continue := false
-         end
-         else begin
-           incr restart;
-           t.max_learnts <- t.max_learnts *. 1.05
-         end);
-      ()
-      end
+      match
+        search t ~assumptions ~conflict_budget:budget ~deadline ~global_conflicts
+      with
+      | (Sat | Unsat) as r ->
+        result := r;
+        continue := false
+      | Unknown ->
+        (* restart unless a budget ran out *)
+        let out_of_time =
+          match deadline with Some d -> Unix.gettimeofday () > d | None -> false
+        in
+        let out_of_conflicts =
+          match global_conflicts with Some g -> t.conflicts >= g | None -> false
+        in
+        if out_of_time || out_of_conflicts then begin
+          result := Unknown;
+          continue := false
+        end
+        else begin
+          incr restart;
+          t.max_learnts <- t.max_learnts *. 1.05
+        end
     done;
     cancel_until t 0;
     t.solve_time_s <- t.solve_time_s +. (Unix.gettimeofday () -. t0);
@@ -1039,7 +921,7 @@ let value t l =
 
 let value_var t v = value t (Lit.pos v)
 
-let reset_phases t = Array.fill t.phase 0 (Array.length t.phase) t.cfg.phase_init
+let reset_phases t = Array.fill t.phase 0 (Array.length t.phase) false
 
 let failed_assumptions t = t.failed
 
@@ -1049,7 +931,6 @@ let stats t =
     decisions = t.decisions;
     propagations = t.propagations;
     restarts = t.restarts;
-    imported_clauses = t.imported;
     learnt_clauses = Vec.size t.learnts;
     peak_learnts = t.peak_learnts;
     props_per_s =
@@ -1060,7 +941,7 @@ let stats t =
 
 let pp_stats ppf (s : stats) =
   Format.fprintf ppf
-    "conflicts=%d decisions=%d propagations=%d restarts=%d imported=%d \
-     learnt=%d peak_learnt=%d props/s=%.0f"
-    s.conflicts s.decisions s.propagations s.restarts s.imported_clauses
+    "conflicts=%d decisions=%d propagations=%d restarts=%d learnt=%d \
+     peak_learnt=%d props/s=%.0f"
+    s.conflicts s.decisions s.propagations s.restarts
     s.learnt_clauses s.peak_learnts s.props_per_s

@@ -20,35 +20,7 @@ type t
 
 type result = Sat | Unsat | Unknown
 
-(** Restart pacing: [Luby] is the classic reluctant-doubling sequence;
-    [Geometric] multiplies the conflict budget by 1.5 every restart. *)
-type restart_schedule = Luby | Geometric
-
-(** Portfolio diversification knobs. {!default_config} reproduces the
-    historical solver exactly (deterministic, saved-phase decisions, Luby
-    restarts at base 100), so existing callers are unaffected. All
-    randomness is driven by [seed] through a private xorshift64* stream:
-    the same config on the same clause stream replays the same search. *)
-type config = {
-  seed : int;  (** PRNG seed; every random choice derives from it *)
-  random_polarity : float;
-      (** probability a decision ignores the saved phase and picks a random
-          polarity (0. = pure phase saving) *)
-  restart : restart_schedule;
-  restart_base : int;  (** conflict budget scale of the first restart *)
-  phase_init : bool;  (** initial/reset polarity of unseen variables *)
-  var_jitter : float;
-      (** fresh variables get an initial activity uniform in
-          [0, var_jitter), perturbing VSIDS tie-breaking (0. = off) *)
-}
-
-val default_config : config
-
-val create : ?config:config -> unit -> t
-
-(** The configuration the solver was created with — recorded in portfolio
-    result provenance so any racing verdict can be replayed single-core. *)
-val config : t -> config
+val create : unit -> t
 
 (** Allocate a fresh variable. *)
 val new_var : t -> int
@@ -66,33 +38,15 @@ val add_clause : t -> Lit.t list -> unit
 
 val add_clause_a : t -> Lit.t array -> unit
 
-(** [set_clause_export t ~max_lbd f] installs a learnt-clause export hook:
-    [f] receives a private copy of every learnt clause with LBD <= [max_lbd]
-    (unit learnts are always exported) at the moment it is recorded. The
-    hook runs on the solving domain — it must be fast and thread-safe. *)
-val set_clause_export : t -> max_lbd:int -> (Lit.t array -> lbd:int -> unit) -> unit
-
-(** [set_clause_import t f] installs an import hook, drained at every
-    restart boundary (decision level 0): each returned clause is added as a
-    permanent clause. Clauses mentioning variables this solver has not
-    allocated are skipped. Sound for clauses learnt by any solver working
-    on the same formula, regardless of its assumptions. *)
-val set_clause_import : t -> (unit -> Lit.t array list) -> unit
-
 (** [solve t] under optional [assumptions]. [Unknown] is returned only when
-    a [timeout] (seconds) or [max_conflicts] budget is exhausted, or when
-    the cooperative [stop] hook returns [true]. [stop] is polled on the
-    same amortized schedule as the other budgets, so a raced solver is
-    cancelled within a bounded number of decisions/propagations. *)
+    a [timeout] (seconds) or [max_conflicts] budget is exhausted; the
+    solver stays usable, and a later [solve] resumes with everything it
+    has learnt. *)
 val solve :
-  ?assumptions:Lit.t list ->
-  ?max_conflicts:int ->
-  ?timeout:float ->
-  ?stop:(unit -> bool) ->
-  t ->
-  result
+  ?assumptions:Lit.t list -> ?max_conflicts:int -> ?timeout:float -> t -> result
 
-(** Forget saved phases (reset to the default polarity). Learnt clauses,
+(** Forget saved phases (back to [false], the phase every variable starts
+    with). Learnt clauses,
     activities and everything else are kept. Useful between incremental
     [solve] calls whose assumptions change the satisfiable region: phases
     saved while refuting one budget keep steering the search into the
@@ -121,8 +75,6 @@ type stats = {
   decisions : int;
   propagations : int;
   restarts : int;
-  imported_clauses : int;
-      (** clauses accepted through the import hook (portfolio sharing) *)
   learnt_clauses : int;  (** current learnt-DB size *)
   peak_learnts : int;  (** high-water mark of the learnt DB *)
   props_per_s : float;

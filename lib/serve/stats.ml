@@ -142,8 +142,9 @@ let snapshot t ~shard ~queue_depth ~active_conns ~draining ~cache_entries =
       Json.Obj
         [
           (* v5: embedded engine summary moved to mmsynth-stats-v4
-             (restarts + imported_clauses) *)
-          ("schema", Json.String "mmsynth-serve-stats-v5");
+             (restarts + imported_clauses); v6: to mmsynth-stats-v5
+             (imported_clauses removed) *)
+          ("schema", Json.String "mmsynth-serve-stats-v6");
           ("shard", Json.String shard);
           ("protocol_version", Json.Int Wire.protocol_version);
           ("uptime_s", Json.Float (uptime_s t));

@@ -4,7 +4,7 @@
 
     All updates are mutex-protected — connection threads and the dispatcher
     share one registry. {!snapshot} renders the whole registry as one JSON
-    object ([mmsynth-serve-stats-v5]) served verbatim by the [stats]
+    object ([mmsynth-serve-stats-v6]) served verbatim by the [stats]
     endpoint; the engine sub-object is the shared
     {!Mm_engine.Engine.stats_to_json} schema. v4 adds the [shard] identity
     field so the cluster router and the storm bench can attribute

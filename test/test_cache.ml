@@ -86,16 +86,18 @@ let test_miss_and_stale () =
   Cache.reset_counters c;
   Alcotest.(check int) "reset" 0 (Cache.counters c).Cache.hits
 
-let test_version_mismatch () =
+(* A file at [version] other than the current one is refused and moved
+   aside, and the cache starts empty. *)
+let check_version_quarantined version =
   let path = tmp_path () in
   let c = Cache.create ~path () in
   Cache.add c ~timeout:30. "k" unsat_attempt;
-  Cache.save_with_version c (Cache.format_version + 1);
+  Cache.save_with_version c version;
   let c2 = Cache.create ~path () in
   let q =
     match Cache.load_result c2 with
-    | Cache.Invalid_version { version; quarantined } ->
-      Alcotest.(check int) "reported version" (Cache.format_version + 1) version;
+    | Cache.Invalid_version { version = v; quarantined } ->
+      Alcotest.(check int) "reported version" version v;
       quarantined
     | _ -> Alcotest.fail "expected Invalid_version"
   in
@@ -108,6 +110,15 @@ let test_version_mismatch () =
   Alcotest.(check int) "starts empty" 0 (Cache.counters c2).Cache.entries;
   Alcotest.(check bool) "probe misses" true
     (Cache.find c2 ~timeout:30. "k" = None)
+
+let test_version_mismatch () = check_version_quarantined (Cache.format_version + 1)
+
+(* v5 single files and v6 shards hold attempts whose solver stats still
+   carry a clause-sharing counter: unmarshalling them with the current
+   layout would misread every record. *)
+let test_older_layouts_quarantined () =
+  check_version_quarantined 5;
+  check_version_quarantined 6
 
 let test_corrupt_file () =
   let path = tmp_path () in
@@ -227,7 +238,7 @@ let test_flush_during_load () =
   let outcomes = Pool.run ~domains:4 jobs in
   Array.iter
     (fun o ->
-      match o.Pool.result with
+      match o with
       | Ok () -> ()
       | Error e -> Alcotest.failf "crashed: %s" e.Pool.exn)
     outcomes;
@@ -251,7 +262,7 @@ let test_concurrent_writers () =
   let outcomes = Pool.run ~domains:4 jobs in
   Array.iter
     (fun o ->
-      match o.Pool.result with
+      match o with
       | Ok () -> ()
       | Error e -> Alcotest.failf "writer crashed: %s" e.Pool.exn)
     outcomes;
@@ -410,6 +421,8 @@ let () =
           Alcotest.test_case "miss and stale budgets" `Quick test_miss_and_stale;
           Alcotest.test_case "version mismatch invalidates" `Quick
             test_version_mismatch;
+          Alcotest.test_case "v5/v6 files quarantined" `Quick
+            test_older_layouts_quarantined;
           Alcotest.test_case "corrupt file invalidates" `Quick test_corrupt_file;
           Alcotest.test_case "truncated file salvages prefix" `Quick
             test_truncated_file;

@@ -169,6 +169,23 @@ let test_probe_r_only () =
     Alcotest.(check bool) "verifies" true
       (C.realizes p.Engine.probe_circuit spec = Ok ())
 
+(* The shared stats schema: v5 keeps the solver counters, restarts
+   included, and carries exactly these fields, so the clause-sharing
+   counter of v4 is gone. *)
+let test_stats_schema () =
+  let module Json = Mm_report.Json in
+  let j = Engine.stats_to_json Engine.empty_summary in
+  Alcotest.(check (option string)) "schema" (Some "mmsynth-stats-v5")
+    (Option.bind (Json.member "schema" j) Json.to_str);
+  Alcotest.(check (option int)) "restarts present" (Some 0)
+    (Option.bind (Json.member "restarts" j) Json.to_int);
+  Alcotest.(check (list string)) "fields"
+    [ "schema"; "functions"; "classes"; "sat"; "atlas"; "unsat"; "timeout";
+      "fallbacks"; "retries_used"; "deadline_hit"; "wall_s"; "solves_per_s";
+      "solver_calls"; "propagations"; "restarts"; "peak_learnts";
+      "props_per_s"; "cache" ]
+    (match j with Json.Obj kvs -> List.map fst kvs | _ -> [])
+
 let () =
   Alcotest.run "engine"
     [
@@ -181,6 +198,7 @@ let () =
           Alcotest.test_case "no-NPN ablation" `Quick test_no_npn_ablation;
           Alcotest.test_case "multi-output passthrough" `Quick
             test_multi_output_passthrough;
+          Alcotest.test_case "stats schema v5" `Quick test_stats_schema;
         ] );
       ( "probe",
         [

@@ -12,7 +12,7 @@ let test_submission_order () =
   let out = Pool.run ~domains:4 jobs in
   Array.iteri
     (fun i o ->
-      match o.Pool.result with
+      match o with
       | Ok v -> Alcotest.(check int) (Printf.sprintf "slot %d" i) (i * i) v
       | Error e -> Alcotest.failf "job %d crashed: %s" i e.Pool.exn)
     out
@@ -29,7 +29,7 @@ let test_crash_isolation () =
   in
   let out = Pool.run ~domains:3 jobs in
   let ok i =
-    match out.(i).Pool.result with
+    match out.(i) with
     | Ok v -> v
     | Error e -> Alcotest.failf "job %d: %s" i e.Pool.exn
   in
@@ -41,12 +41,12 @@ let test_crash_isolation () =
     let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
     go 0
   in
-  (match out.(1).Pool.result with
+  (match out.(1) with
    | Error e ->
      Alcotest.(check bool) "failure text carries the exception" true
        (contains e.Pool.exn "boom")
    | Ok _ -> Alcotest.fail "job 1 should have crashed");
-  match out.(3).Pool.result with
+  match out.(3) with
   | Error e ->
     Alcotest.(check bool) "typed error names the exception" true
       (contains e.Pool.exn "Not_found")
@@ -57,7 +57,7 @@ let test_crash_isolation () =
 let test_backtrace_captured () =
   let rec deep n = if n = 0 then failwith "bottom" else 1 + deep (n - 1) in
   let out = Pool.run ~domains:1 [| (fun () -> deep 5) |] in
-  match out.(0).Pool.result with
+  match out.(0) with
   | Ok _ -> Alcotest.fail "job should have crashed"
   | Error e ->
     Alcotest.(check bool) "exception text present" true
@@ -78,26 +78,19 @@ let test_sequential_path () =
   let out = Pool.run ~domains:1 jobs in
   Array.iteri
     (fun i o ->
-      match o.Pool.result with
+      match o with
       | Ok v -> Alcotest.(check int) "value" (i + 100) v
       | Error e -> Alcotest.fail e.Pool.exn)
     out
 
 let test_more_domains_than_jobs () =
   let out = Pool.run ~domains:16 [| (fun () -> 42) |] in
-  match out.(0).Pool.result with
+  match out.(0) with
   | Ok v -> Alcotest.(check int) "single job" 42 v
   | Error e -> Alcotest.fail e.Pool.exn
 
 let test_empty () =
   Alcotest.(check int) "no jobs" 0 (Array.length (Pool.run [||]))
-
-let test_timeout_flag () =
-  let jobs = [| (fun () -> Unix.sleepf 0.05); (fun () -> ()) |] in
-  let out = Pool.run ~domains:2 ~job_timeout:0.02 jobs in
-  Alcotest.(check bool) "slow job flagged" true out.(0).Pool.timed_out;
-  Alcotest.(check bool) "fast job not flagged" false out.(1).Pool.timed_out;
-  Alcotest.(check bool) "time measured" true (out.(0).Pool.time_s >= 0.02)
 
 let () =
   Alcotest.run "pool"
@@ -113,7 +106,5 @@ let () =
           Alcotest.test_case "more domains than jobs" `Quick
             test_more_domains_than_jobs;
           Alcotest.test_case "empty batch" `Quick test_empty;
-          Alcotest.test_case "cooperative timeout flag" `Quick
-            test_timeout_flag;
         ] );
     ]

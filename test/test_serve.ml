@@ -209,7 +209,7 @@ let test_end_to_end () =
       (match Client.stats c with
        | Ok (Wire.Result r) ->
          Alcotest.(check (option string)) "stats schema"
-           (Some "mmsynth-serve-stats-v5") (get_str "schema" r);
+           (Some "mmsynth-serve-stats-v6") (get_str "schema" r);
          Alcotest.(check bool) "shard identity present" true
            (get_str "shard" r <> None);
          Alcotest.(check bool) "synth counted" true
@@ -218,7 +218,7 @@ let test_end_to_end () =
             | None -> false);
          Alcotest.(check bool) "engine summary embedded" true
            (match Json.member "engine" r with
-            | Some e -> get_str "schema" e = Some "mmsynth-stats-v4"
+            | Some e -> get_str "schema" e = Some "mmsynth-stats-v5"
             | None -> false)
        | Ok (Wire.Err e) -> Alcotest.failf "stats refused: %s" e.Wire.msg
        | Error msg -> Alcotest.failf "stats: %s" msg);
