@@ -109,8 +109,11 @@ smoke-ladder: build
 # exit 124 with a one-line "mmsynth: ..." message, never 125 ("internal
 # error") and never a per-job crash inside batch. The inputs cover an
 # arity outside 1..24, an --arity below the largest xK used, workload
-# sizes whose specs cannot be built or have no inputs, a one-cell truth
-# table and a PLA with ".i 0".
+# sizes whose specs cannot be built or have no inputs (also as an atlas
+# --cover, which must not write the atlas), a one-cell truth table, a PLA
+# with ".i 0", and a --cache or atlas path that cannot hold the file (a
+# directory, or a file in a missing directory; serve must refuse it
+# before binding its socket).
 smoke-cli: build
 	@set -e; \
 	tmp=$$(mktemp -d /tmp/mmsynth_cli_XXXXXX); \
@@ -124,7 +127,16 @@ smoke-cli: build
 	  'synth --workload parity0' 'synth --workload majority0' \
 	  'synth --workload cmp0' "synth --tables $$tmp/one.tbl" \
 	  "synth --pla $$tmp/zero.pla" 'batch -e x30' 'batch --arity 0 -e 1' \
-	  'batch --workload adder0' "batch --tables $$tmp/one.tbl"; do \
+	  'batch --workload adder0' "batch --tables $$tmp/one.tbl" \
+	  "atlas build $$tmp/c.mmatlas --max-n 1 --effort 1 --cover parity0" \
+	  "atlas build $$tmp/c.mmatlas --max-n 1 --effort 1 --cover majority0" \
+	  "atlas build $$tmp/c.mmatlas --max-n 1 --effort 1 --cover cmp0" \
+	  "atlas build $$tmp --max-n 1 --effort 1" \
+	  "atlas build $$tmp/missing/a.mmatlas --max-n 1 --effort 1" \
+	  "batch --sweep 1 --cache $$tmp" \
+	  "batch --sweep 1 --cache $$tmp/missing/x.cache" \
+	  "map --workload adder2 --effort 1 --cache $$tmp" \
+	  "serve --socket $$tmp/s.sock --cache $$tmp"; do \
 	  rc=0; out=$$($(MMSYNTH) $$args 2>&1) || rc=$$?; \
 	  lines=$$(printf '%s\n' "$$out" | wc -l); \
 	  case "$$rc:$$lines:$$out" in \
@@ -134,9 +146,13 @@ smoke-cli: build
 	  if printf '%s' "$$out" | grep -q 'internal error'; then \
 	    echo "smoke-cli: '$$args' reported an internal error"; fails=$$((fails+1)); fi; \
 	done; \
+	for f in c.mmatlas s.sock; do \
+	  if [ -e $$tmp/$$f ]; then \
+	    echo "smoke-cli: a refused invocation left $$f behind"; fails=$$((fails+1)); fi; \
+	done; \
 	rm -rf $$tmp; \
 	[ $$fails -eq 0 ] || { echo "smoke-cli: $$fails invocation(s) not refused cleanly"; exit 1; }; \
-	echo "smoke-cli: OK (every malformed spec refused with exit 124 and one line)"
+	echo "smoke-cli: OK (every malformed spec and file path refused with exit 124 and one line)"
 
 # `mmsynth map` exits non-zero unless the stitched schedule re-verifies on
 # every input row, so the simulator check is implicit; the second adder run
@@ -212,7 +228,10 @@ smoke-resyn: build
 # The zero-SAT serve path, end to end: an exact tiny atlas must answer a
 # covered sweep with no solver calls and no fallbacks, both through the
 # batch engine and through a daemon round trip, and `atlas verify` must
-# accept the artifact it just deep-re-simulated.
+# accept the artifact it just deep-re-simulated. Two damaged copies of it,
+# one cut mid-record and one with a payload byte flipped, must be reported
+# by `atlas info` and `atlas verify` with exit 3 (never a crash), and a
+# batch given one must warn and run overlay-only.
 smoke-atlas: build
 	@set -e; \
 	$(MMSYNTH) atlas build $(ATLAS_FILE) --max-n 2 --effort 2 --timeout 30 -j 2; \
@@ -230,8 +249,25 @@ smoke-atlas: build
 	  || { echo "smoke-atlas: request not atlas-served"; kill $$pid 2>/dev/null; exit 1; }; \
 	kill -TERM $$pid; \
 	wait $$pid || { echo "daemon exited non-zero after SIGTERM"; exit 1; }; \
-	rm -f $(ATLAS_FILE); \
-	echo "smoke-atlas: OK (verified atlas, zero-SAT sweep, atlas-served daemon request)"
+	size=$$(wc -c < $(ATLAS_FILE)); \
+	head -c $$((size - 10)) $(ATLAS_FILE) > $(ATLAS_FILE).cut; \
+	cp $(ATLAS_FILE) $(ATLAS_FILE).flip; \
+	off=$$((size - 20)); \
+	b=$$(od -An -tu1 -j $$off -N1 $(ATLAS_FILE) | tr -d ' '); \
+	printf "\\$$(printf '%03o' $$((b ^ 255)))" \
+	  | dd of=$(ATLAS_FILE).flip bs=1 seek=$$off conv=notrunc 2>/dev/null; \
+	for f in $(ATLAS_FILE).cut $(ATLAS_FILE).flip; do \
+	  for sub in info verify; do \
+	    rc=0; $(MMSYNTH) atlas $$sub $$f > /dev/null 2>&1 || rc=$$?; \
+	    [ $$rc -eq 3 ] || { echo "smoke-atlas: atlas $$sub on $$f exited $$rc, expected 3"; exit 1; }; \
+	  done; \
+	  err=$$($(MMSYNTH) batch --sweep 2 --atlas $$f 2>&1 >/dev/null) \
+	    || { echo "smoke-atlas: batch with damaged $$f failed"; exit 1; }; \
+	  echo "$$err" | grep -q "running overlay-only" \
+	    || { echo "smoke-atlas: damaged $$f served without warning"; exit 1; }; \
+	done; \
+	rm -f $(ATLAS_FILE) $(ATLAS_FILE).cut $(ATLAS_FILE).flip; \
+	echo "smoke-atlas: OK (verified atlas, zero-SAT sweep, atlas-served daemon request, damaged copies refused)"
 
 # Two supervised shards behind the router; one is SIGKILLed mid-stream
 # (and restarted with backoff) while a steady request stream runs against

@@ -380,44 +380,79 @@ let atlas_arg =
                damaged atlas is refused with a warning and the run degrades \
                to overlay-only operation.")
 
-let cache_shards_arg =
-  Arg.(value & opt (some int) None & info [ "cache-shards" ] ~docv:"K"
-         ~doc:"Create the $(b,--cache) as a directory of K shard files \
-               keyed by NPN-class hash, so damage quarantines one shard \
-               instead of the whole store. Ignored when the path already \
-               holds a legacy single-file cache; an existing sharded store \
-               keeps its on-disk shard count.")
-
-(* Open the mutable overlay (single file, sharded directory, or — when only
-   an atlas is given — memory-only so the atlas has a cache to attach to),
-   then attach the atlas tier. Damaged atlases are never served: warn and
-   run overlay-only. *)
-let open_store ?cache_file ?shards ?atlas () =
-  let module Cache = Mm_engine.Cache in
-  let cache =
-    match cache_file, atlas with
-    | Some path, _ -> Some (Cache.create ~path ?shards ())
-    | None, Some _ -> Some (Cache.create ())
-    | None, None -> None
+(* Why [path] cannot hold a cache or atlas file. Both are rewritten as a
+   temporary file beside [path] renamed over it, so [path] must be a
+   regular file or absent, in a directory that exists and can be
+   written. *)
+let record_path_problem path =
+  let dir = Filename.dirname path in
+  let writable_dir () =
+    match Unix.access dir [ Unix.W_OK ] with
+    | () -> None
+    | exception Unix.Unix_error (Unix.ENOENT, _, _) ->
+      Some (Printf.sprintf "directory %s does not exist" dir)
+    | exception Unix.Unix_error (e, _, _) ->
+      Some (Printf.sprintf "cannot write in %s: %s" dir (Unix.error_message e))
   in
-  (match cache, cache_file with
-   | Some c, Some _ ->
-     (match Cache.load_result c with
-      | Cache.Fresh -> ()
-      | l -> Format.printf "cache: %a@." Cache.pp_load l)
-   | _ -> ());
-  (match atlas, cache with
-   | Some path, Some c ->
-     (match Atlas.load path with
-      | Ok a ->
-        Printf.printf "atlas: %s: %d records attached\n%!" path (Atlas.size a);
-        Atlas.attach a c
-      | Error e ->
-        Format.eprintf
-          "warning: atlas: %s: %a — running overlay-only@." path
-          Atlas.pp_error e)
-   | _ -> ());
-  cache
+  match (Unix.stat path).Unix.st_kind with
+  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> writable_dir ()
+  | exception Unix.Unix_error (e, _, _) -> Some (Unix.error_message e)
+  | Unix.S_REG -> writable_dir ()
+  | Unix.S_DIR -> Some "is a directory"
+  | Unix.S_CHR | Unix.S_BLK | Unix.S_LNK | Unix.S_FIFO | Unix.S_SOCK ->
+    Some "not a regular file"
+
+(* The result store of batch, serve and map: the mutable overlay (a cache
+   file, or — when only an atlas is given — memory-only so the atlas has a
+   cache to attach to) with the atlas attached as its front tier. The term
+   refuses a cache path that cannot hold a cache file while the command
+   line is parsed, and yields the opener, so nothing is loaded before a
+   command has checked its own arguments. Damaged atlases are never
+   served: warn and run overlay-only. *)
+let store_t =
+  let cache_file =
+    Arg.(value & opt (some string) None & info [ "cache" ] ~docv:"FILE"
+           ~doc:"Persistent result cache file, shared by $(b,batch), \
+                 $(b,serve) and $(b,map): hits skip the SAT solver and \
+                 survive across runs. A directory, or a file in a directory \
+                 that does not exist, is refused.")
+  in
+  let open_store cache_file atlas () =
+    let module Cache = Mm_engine.Cache in
+    let cache =
+      match cache_file, atlas with
+      | Some path, _ -> Some (Cache.create ~path ())
+      | None, Some _ -> Some (Cache.create ())
+      | None, None -> None
+    in
+    (match cache, cache_file with
+     | Some c, Some _ ->
+       (match Cache.load_result c with
+        | Cache.Fresh -> ()
+        | l -> Format.printf "cache: %a@." Cache.pp_load l)
+     | _ -> ());
+    (match atlas, cache with
+     | Some path, Some c ->
+       (match Atlas.load path with
+        | Ok a ->
+          Printf.printf "atlas: %s: %d records attached\n%!" path (Atlas.size a);
+          Atlas.attach a c
+        | Error e ->
+          Format.eprintf
+            "warning: atlas: %s: %a — running overlay-only@." path
+            Atlas.pp_error e)
+     | _ -> ());
+    cache
+  in
+  let check cache_file atlas =
+    match cache_file with
+    | Some path -> (
+      match record_path_problem path with
+      | Some why -> `Error (false, Printf.sprintf "--cache %s: %s" path why)
+      | None -> `Ok (open_store cache_file atlas))
+    | None -> `Ok (open_store cache_file atlas)
+  in
+  Term.(ret (const check $ cache_file $ atlas_arg))
 
 let batch_cmd =
   let module Engine = Mm_engine.Engine in
@@ -432,11 +467,6 @@ let batch_cmd =
   let jobs =
     Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"D"
            ~doc:"Worker domains (default: cores - 1; 1 = sequential).")
-  in
-  let cache_file =
-    Arg.(value & opt (some string) None & info [ "cache" ] ~docv:"FILE"
-           ~doc:"Persistent result cache: hits skip the SAT solver and \
-                 survive across runs.")
   in
   let no_npn =
     Arg.(value & flag & info [ "no-npn" ]
@@ -509,7 +539,7 @@ let batch_cmd =
                  worse than the stitched one.")
   in
   let run exprs pla tables workload arity name timeout batch_arity jobs
-      cache_file cache_shards atlas no_npn final no_inc stats limit deadline
+      open_store no_npn final no_inc stats limit deadline
       retries fallback inject inject_seed json_stats map_large batch_resyn =
     let specs =
       match batch_arity with
@@ -551,7 +581,7 @@ let batch_cmd =
             List.filter (fun s -> Spec.arity s > 4) (Array.to_list specs) )
         else (specs, [])
       in
-      let cache = open_store ?cache_file ?shards:cache_shards ?atlas () in
+      let cache = open_store () in
       let cfg =
         Engine.config ~timeout_per_call:timeout ?domains:jobs
           ~canonicalize:(not no_npn) ~taps:(taps_of final) ?cache
@@ -738,8 +768,8 @@ let batch_cmd =
     Term.(
       ret
         (const run $ exprs $ pla_file $ tables_file $ workload_t $ arity
-        $ name_t $ timeout $ batch_arity $ jobs $ cache_file
-        $ cache_shards_arg $ atlas_arg $ no_npn $ final_taps $ no_incremental
+        $ name_t $ timeout $ batch_arity $ jobs $ store_t $ no_npn
+        $ final_taps $ no_incremental
         $ stats_flag $ limit $ deadline_flag $ retries_flag $ fallback_flag
         $ inject_flag $ inject_seed_flag $ json_stats_flag $ map_large_flag
         $ batch_resyn_flag))
@@ -772,10 +802,6 @@ let serve_cmd =
   let jobs =
     Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"D"
            ~doc:"Worker domains per synthesis batch.")
-  in
-  let cache_file =
-    Arg.(value & opt (some string) None & info [ "cache" ] ~docv:"FILE"
-           ~doc:"Persistent result cache held open (and warm) by the daemon.")
   in
   let max_pending =
     Arg.(value & opt int 64 & info [ "max-pending" ] ~docv:"N"
@@ -816,7 +842,7 @@ let serve_cmd =
                  (defaults to the socket path); set by $(b,mmsynth cluster) \
                  so the router can attribute per-shard metrics.")
   in
-  let run socket tcp jobs cache_file cache_shards atlas timeout max_pending
+  let run socket tcp jobs open_store timeout max_pending
       max_batch request_deadline drain_grace fallback inject inject_seed
       no_inc quiet shard_id =
     let fault =
@@ -830,7 +856,7 @@ let serve_cmd =
     match fault with
     | Error msg -> `Error (false, msg)
     | Ok fault ->
-      let cache = open_store ?cache_file ?shards:cache_shards ?atlas () in
+      let cache = open_store () in
       let fb =
         match fallback with
         | Some "baseline" -> Engine.Use_baseline
@@ -864,8 +890,8 @@ let serve_cmd =
              dispatch, live stats, graceful drain on SIGTERM.")
     Term.(
       ret
-        (const run $ socket_arg $ tcp $ jobs $ cache_file $ cache_shards_arg
-        $ atlas_arg $ timeout $ max_pending $ max_batch $ request_deadline
+        (const run $ socket_arg $ tcp $ jobs $ store_t $ timeout
+        $ max_pending $ max_batch $ request_deadline
         $ drain_grace $ fallback_tag $ inject $ inject_seed $ no_incremental
         $ quiet $ shard_id))
 
@@ -1331,11 +1357,6 @@ let map_cmd =
     Arg.(value & opt int 3 & info [ "passes" ] ~docv:"N"
            ~doc:"Area-recovery refinement passes over the cover.")
   in
-  let cache_file =
-    Arg.(value & opt (some string) None & info [ "cache" ] ~docv:"FILE"
-           ~doc:"Persistent library cache: block probes hit across runs \
-                 (shared format with $(b,batch)).")
-  in
   let effort =
     Arg.(value & opt int 2 & info [ "effort" ] ~docv:"LEVEL"
            ~doc:"Library-probe budget: $(b,1) = 50ms/call with shallow \
@@ -1381,8 +1402,8 @@ let map_cmd =
            ~doc:"Cleanup passes before giving up on a fixed point \
                  (--resyn).")
   in
-  let run exprs pla tables workload arity name k cut_limit passes cache_file
-      cache_shards atlas effort stats json dot target rows ports no_polish
+  let run exprs pla tables workload arity name k cut_limit passes open_store
+      effort stats json dot target rows ports no_polish
       resyn resyn_passes =
     match spec_of_inputs name exprs arity pla tables workload with
     | Error msg -> `Error (false, msg)
@@ -1399,7 +1420,7 @@ let map_cmd =
           | 2 -> (0.5, Some 8)
           | _ -> (5.0, None)
         in
-        let cache = open_store ?cache_file ?shards:cache_shards ?atlas () in
+        let cache = open_store () in
         let cfg =
           Engine.config ~timeout_per_call ?max_rops ~domains:1
             ~taps:E.Final_only ?cache ()
@@ -1665,8 +1686,8 @@ let map_cmd =
     Term.(
       ret
         (const run $ exprs $ pla_file $ tables_file $ workload_t $ arity
-        $ name_t $ k_arg $ cut_limit $ passes $ cache_file $ cache_shards_arg
-        $ atlas_arg $ effort $ stats_flag $ json_flag $ dot_out $ target_arg
+        $ name_t $ k_arg $ cut_limit $ passes $ store_t $ effort
+        $ stats_flag $ json_flag $ dot_out $ target_arg
         $ rows_arg $ ports_arg $ no_polish $ resyn_flag $ resyn_passes_arg))
 
 (* ---- resyn: re-optimize a previously emitted map artifact -------------- *)
@@ -1740,9 +1761,8 @@ let resyn_cmd =
 let cache_cmd =
   let module Cache = Mm_engine.Cache in
   let cache_path =
-    Arg.(required & opt (some string) None & info [ "cache" ] ~docv:"PATH"
-           ~doc:"The cache file (legacy single-file layout) or sharded \
-                 overlay directory to inspect.")
+    Arg.(required & opt (some string) None & info [ "cache" ] ~docv:"FILE"
+           ~doc:"The cache file to inspect.")
   in
   let status_string = function
     | Cache.Fresh -> "missing"
@@ -1751,104 +1771,35 @@ let cache_cmd =
     | Cache.Corrupt _ -> "corrupt"
     | Cache.Salvaged { kept; dropped; _ } ->
       Printf.sprintf "salvageable (%d intact, >=%d damaged)" kept dropped
-    | Cache.Sharded_load _ -> "sharded"
-  in
-  let status_ok = function
-    | Cache.Fresh | Cache.Loaded _ -> true
-    | Cache.Invalid_version _ | Cache.Corrupt _ | Cache.Salvaged _
-    | Cache.Sharded_load _ -> false
-  in
-  let file_info_json path (i : Cache.info) =
-    Json.Obj
-      [
-        ("path", Json.String path);
-        ( "size_bytes",
-          match i.Cache.size_bytes with
-          | None -> Json.Null
-          | Some n -> Json.Int n );
-        ( "format_version",
-          match i.Cache.version with None -> Json.Null | Some v -> Json.Int v );
-        ("status", Json.String (status_string i.Cache.status));
-        ("entries", Json.Int i.Cache.entries);
-        ( "shard",
-          match i.Cache.shard with
-          | None -> Json.Null
-          | Some (idx, of_k) ->
-            Json.Obj [ ("index", Json.Int idx); ("of", Json.Int of_k) ] );
-        ( "corrupt_siblings",
-          Json.List (List.map (fun p -> Json.String p) i.Cache.corrupt_siblings)
-        );
-      ]
-  in
-  (* quarantine files inside a sharded overlay directory *)
-  let dir_quarantine dir =
-    match Sys.readdir dir with
-    | exception Sys_error _ -> []
-    | names ->
-      let contains hay needle =
-        let nh = String.length hay and nn = String.length needle in
-        let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-        go 0
-      in
-      Array.to_list names
-      |> List.filter_map (fun name ->
-             if contains name ".mmcache.corrupt" then
-               Some (Filename.concat dir name)
-             else None)
-      |> List.sort compare
+    | Cache.Unreadable reason -> Printf.sprintf "unreadable (%s)" reason
   in
   let info_cmd =
     let run path =
-      if Sys.file_exists path && Sys.is_directory path then begin
-        (* sharded overlay: iterate the shards and aggregate *)
-        let shards = Cache.shard_files path in
-        let infos =
-          List.map (fun (idx, of_k, p) -> (idx, of_k, p, Cache.inspect p)) shards
-        in
-        let entries =
-          List.fold_left (fun acc (_, _, _, i) -> acc + i.Cache.entries) 0 infos
-        in
-        let bytes =
-          List.fold_left
-            (fun acc (_, _, _, i) ->
-              acc + Option.value ~default:0 i.Cache.size_bytes)
-            0 infos
-        in
-        let damaged =
-          List.filter (fun (_, _, _, i) -> not (status_ok i.Cache.status)) infos
-        in
-        let shard_count =
-          List.fold_left (fun acc (_, of_k, _) -> max acc of_k) 0 shards
-        in
-        let quarantine = dir_quarantine path in
-        print_endline
-          (Json.to_string_pretty
-             (Json.Obj
-                [
-                  ("path", Json.String path);
-                  ("layout", Json.String "sharded-overlay");
-                  ("format_version", Json.Int Cache.shard_format_version);
-                  ("shards", Json.Int shard_count);
-                  ("shard_files", Json.Int (List.length shards));
-                  ("entries", Json.Int entries);
-                  ("size_bytes", Json.Int bytes);
-                  ("damaged_shards", Json.Int (List.length damaged));
-                  ( "quarantine",
-                    Json.List (List.map (fun p -> Json.String p) quarantine) );
-                  ( "per_shard",
-                    Json.List
-                      (List.map (fun (_, _, p, i) -> file_info_json p i) infos)
-                  );
-                ]));
-        if damaged = [] && quarantine = [] then `Ok 0 else `Ok 3
-      end
-      else begin
-        let i = Cache.inspect path in
-        print_endline (Json.to_string_pretty (file_info_json path i));
-        (* non-zero when the file needs attention, so scripts can gate on it *)
-        if status_ok i.Cache.status && i.Cache.corrupt_siblings = [] then `Ok 0
-        else `Ok 3
-      end
+      let i = Cache.inspect path in
+      print_endline
+        (Json.to_string_pretty
+           (Json.Obj
+              [
+                ("path", Json.String path);
+                ( "size_bytes",
+                  match i.Cache.size_bytes with
+                  | None -> Json.Null
+                  | Some n -> Json.Int n );
+                ( "format_version",
+                  match i.Cache.version with
+                  | None -> Json.Null
+                  | Some v -> Json.Int v );
+                ("status", Json.String (status_string i.Cache.status));
+                ("entries", Json.Int i.Cache.entries);
+                ( "corrupt_siblings",
+                  Json.List
+                    (List.map (fun p -> Json.String p) i.Cache.corrupt_siblings)
+                );
+              ]));
+      (* non-zero when the file needs attention, so scripts can gate on it *)
+      match (i.Cache.status, i.Cache.corrupt_siblings) with
+      | (Cache.Fresh | Cache.Loaded _), [] -> `Ok 0
+      | _ -> `Ok 3
     in
     Cmd.v
       (Cmd.info "info"
@@ -1856,14 +1807,12 @@ let cache_cmd =
            (Cmd.Exit.defaults
            @ [ Cmd.Exit.info 3
                  ~doc:"the cache is damaged or quarantine files exist" ])
-         ~doc:"Read-only report on a cache: size, format version, intact \
-               entry count, and any $(b,.corrupt) quarantine siblings. A \
-               directory is treated as a sharded overlay and reported \
-               per shard with aggregate totals; a file is reported in the \
-               legacy single-file layout (its on-disk format version is \
-               included, so v3 caches from older builds are identified). \
-               Never modifies anything — safe against a live daemon's \
-               cache.")
+         ~doc:"Read-only report on a cache file: size, format version, \
+               intact entry count, and any $(b,.corrupt) quarantine \
+               siblings. The on-disk format version is reported when the \
+               header is readable, so files from other builds are \
+               identified. Never modifies anything — safe against a live \
+               daemon's cache.")
       Term.(ret (const run $ cache_path))
   in
   let gc_cmd =
@@ -1872,11 +1821,7 @@ let cache_cmd =
              ~doc:"Move quarantine files into DIR instead of deleting them.")
     in
     let run path archive =
-      let victims =
-        if Sys.file_exists path && Sys.is_directory path then
-          dir_quarantine path
-        else Cache.quarantined_siblings path
-      in
+      let victims = Cache.quarantined_siblings path in
       if victims = [] then begin
         print_endline "no quarantine files";
         `Ok 0
@@ -1993,12 +1938,16 @@ let atlas_cmd =
       if max_n < 1 || max_n > 4 then `Error (false, "--max-n must be 1..4")
       else if effort < 1 || effort > 3 then
         `Error (false, "--effort must be 1..3")
-      else begin
+      else
+        match record_path_problem path with
+        | Some why -> `Error (false, Printf.sprintf "%s: %s" path why)
+        | None -> begin
         let cover_tts = ref [] and cover_errs = ref [] in
         List.iter
           (fun w ->
-            match workload_of_name w with
-            | Error msg -> cover_errs := msg :: !cover_errs
+            match spec_of_inputs None [] None None None (Some w) with
+            | Error msg ->
+              cover_errs := Printf.sprintf "--cover %s: %s" w msg :: !cover_errs
             | Ok spec ->
               Array.iter
                 (fun tt ->

@@ -9,9 +9,12 @@ module Baseline = Mm_core.Baseline
 module Npn = Mm_engine.Npn
 module Pool = Mm_engine.Pool
 module Cache = Mm_engine.Cache
+module Record_file = Mm_engine.Record_file
 
 let magic = "MMSYNTH-ATLAS"
-let format_version = 1
+(* v1 marshalled this number and every (digest, payload) frame; v2 is the
+   raw [Record_file] framing, so a v1 file reads as a bad header. *)
+let format_version = 2
 
 type mode = Mixed | R_only
 
@@ -46,13 +49,17 @@ type t = { path : string; table : (string, record) Hashtbl.t }
 
 type error =
   | Missing
-  | Bad_magic
+  | Unreadable of string
+  | Bad_header
   | Bad_version of int
   | Damaged of { kept : int; dropped : int; torn : bool }
 
 let pp_error ppf = function
   | Missing -> Format.fprintf ppf "no atlas file"
-  | Bad_magic -> Format.fprintf ppf "not an atlas file (bad magic)"
+  | Unreadable reason -> Format.fprintf ppf "cannot read the atlas: %s" reason
+  | Bad_header ->
+    Format.fprintf ppf "not an atlas file of format %d (unrecognized header)"
+      format_version
   | Bad_version v ->
     Format.fprintf ppf "atlas format version %d (this build reads %d)" v
       format_version
@@ -82,9 +89,7 @@ let key_of_record r =
 
 (* ---- file I/O --------------------------------------------------------- *)
 
-(* Same checksummed framing as the engine cache: each record is
-   Marshal (MD5 digest, payload), payload the marshalled (key, record).
-   A digest failure skips the record; a torn frame ends the read. *)
+(* Records are [Record_file] frames whose payload is (key, record). *)
 
 type read_result = {
   r_table : (string, record) Hashtbl.t;
@@ -93,39 +98,17 @@ type read_result = {
 }
 
 let read_raw path =
-  match open_in_bin path with
-  | exception Sys_error _ -> Error Missing
-  | ic ->
-    let finish r =
-      close_in_noerr ic;
-      r
-    in
-    (match really_input_string ic (String.length magic) with
-     | exception End_of_file -> finish (Error Bad_magic)
-     | m when m <> magic -> finish (Error Bad_magic)
-     | _ -> (
-       match (Marshal.from_channel ic : int) with
-       | exception (End_of_file | Failure _) -> finish (Error Bad_magic)
-       | v when v <> format_version -> finish (Error (Bad_version v))
-       | _ ->
-         let table = Hashtbl.create 512 in
-         let dropped = ref 0 and torn = ref false in
-         let reading = ref true in
-         while !reading do
-           match (Marshal.from_channel ic : Digest.t * string) with
-           | exception End_of_file -> reading := false
-           | exception Failure _ ->
-             torn := true;
-             reading := false
-           | digest, payload ->
-             if Digest.string payload = digest then (
-               match (Marshal.from_string payload 0 : string * record) with
-               | k, r -> Hashtbl.replace table k r
-               | exception Failure _ -> incr dropped)
-             else incr dropped
-         done;
-         finish
-           (Ok { r_table = table; r_dropped = !dropped; r_torn = !torn })))
+  let table = Hashtbl.create 512 in
+  match
+    Record_file.read ~magic ~version:format_version path
+      (fun ((k, r) : string * record) -> Hashtbl.replace table k r)
+  with
+  | Missing -> Error Missing
+  | Unreadable reason -> Error (Unreadable reason)
+  | Bad_header -> Error Bad_header
+  | Wrong_version v -> Error (Bad_version v)
+  | Read { dropped; torn; _ } ->
+    Ok { r_table = table; r_dropped = dropped; r_torn = torn }
 
 let load path =
   match read_raw path with
@@ -144,23 +127,9 @@ let records t =
   Hashtbl.fold (fun _ r acc -> r :: acc) t.table []
   |> List.sort (fun a b -> compare (key_of_record a) (key_of_record b))
 
-let tmp_counter = Atomic.make 0
-
 let write_records path table =
-  let tmp =
-    Printf.sprintf "%s.tmp.%d.%d" path (Unix.getpid ())
-      (Atomic.fetch_and_add tmp_counter 1)
-  in
-  let oc = open_out_bin tmp in
-  output_string oc magic;
-  Marshal.to_channel oc format_version [];
-  Hashtbl.iter
-    (fun k r ->
-      let payload = Marshal.to_string (k, r) [] in
-      Marshal.to_channel oc (Digest.string payload, payload) [])
-    table;
-  close_out oc;
-  Sys.rename tmp path
+  Record_file.write ~magic ~version:format_version path (fun emit ->
+      Hashtbl.iter (fun k r -> emit (k, r)) table)
 
 (* ---- lookup ----------------------------------------------------------- *)
 

@@ -37,14 +37,17 @@
 
     {2 File format}
 
-    [magic "MMSYNTH-ATLAS" · Marshal version · record*] — each record a
-    [(MD5 digest, payload)] pair exactly like the cache v3 framing:
-    flipped payload bytes fail the digest, truncation tears the Marshal
-    framing. {!load} is {e strict}: any damage is a typed error and the
-    caller degrades to overlay-only operation. Builds are {e resumable}:
-    the builder re-reads the valid prefix of an interrupted file, skips
-    every goal already satisfied at the requested effort, and flushes
-    (atomic tmp + rename) after every chunk. *)
+    The {!Mm_engine.Record_file} format, shared with the result cache:
+    magic ["MMSYNTH-ATLAS"] and {!format_version} in a raw header, then one
+    [MD5 ‖ length ‖ payload] record per entry, each payload checked against
+    its digest before it is unmarshalled. Flipped payload bytes fail the
+    digest; a truncation or a garbage length tears the framing. {!load} is
+    {e strict}: any damage is a typed error and the caller degrades to
+    overlay-only operation; {!info} is tolerant and summarizes what is
+    readable. Builds are {e resumable}: the builder re-reads the valid
+    prefix of an interrupted file, skips every goal already satisfied at
+    the requested effort, and rewrites the file atomically (temporary file,
+    then rename) after every chunk. *)
 
 module Tt = Mm_boolfun.Truth_table
 module Spec = Mm_boolfun.Spec
@@ -93,7 +96,10 @@ type t
 (** Typed damage taxonomy for {!load}/{!info}. *)
 type error =
   | Missing  (** no file at the path *)
-  | Bad_magic  (** not an atlas file *)
+  | Unreadable of string
+      (** the path is no readable file (e.g. a directory): the reason *)
+  | Bad_header
+      (** not an atlas file, or one written before {!format_version} 2 *)
   | Bad_version of int  (** wrong {!format_version} *)
   | Damaged of { kept : int; dropped : int; torn : bool }
       (** checksum-failed records ([dropped]) or a torn tail ([torn]);

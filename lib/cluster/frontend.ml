@@ -132,21 +132,21 @@ let accept_loop t () =
   (try Unix.unlink t.socket_path with Unix.Unix_error _ -> ())
 
 let start ?log router ~socket_path =
-  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  match
-    (try
-       (try Unix.unlink socket_path with Unix.Unix_error _ -> ());
-       Unix.bind fd (Unix.ADDR_UNIX socket_path);
-       Unix.listen fd 64;
-       Ok ()
-     with Unix.Unix_error (e, _, _) ->
-       (try Unix.close fd with Unix.Unix_error _ -> ());
-       Error
-         (Printf.sprintf "cannot bind router socket %s: %s" socket_path
-            (Unix.error_message e)))
-  with
+  let bound () =
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    try
+      Unix.bind fd (Unix.ADDR_UNIX socket_path);
+      Unix.listen fd 64;
+      Ok fd
+    with Unix.Unix_error (e, _, _) ->
+      (try Unix.close fd with Unix.Unix_error _ -> ());
+      Error
+        (Printf.sprintf "cannot bind router socket %s: %s" socket_path
+           (Unix.error_message e))
+  in
+  match Result.bind (Mm_serve.Server.free_socket_path socket_path) bound with
   | Error _ as e -> e
-  | Ok () ->
+  | Ok fd ->
       let t =
         {
           router;

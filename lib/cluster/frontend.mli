@@ -19,6 +19,9 @@ module Wire = Mm_serve.Wire
 
 type t
 
+(** Listen on [socket_path]. [Error] when a live listener already holds
+    the path (its socket file is left in place) or the socket cannot be
+    bound; a stale socket file is replaced. *)
 val start :
   ?log:(string -> unit) -> Router.t -> socket_path:string -> (t, string) result
 

@@ -20,27 +20,12 @@
     when it was produced under a budget at least as large as the one now
     requested — otherwise it is counted {e stale} and re-solved.
 
-    {2 Overlay layouts}
-
-    [create ?path] (no [?shards]) keeps the legacy layout: one file at
-    [path] ({!format_version}). [create ~path ~shards:k] makes [path] a
-    directory of [k] shard files [shard-<i>-of-<k>.mmcache]
-    ({!shard_format_version}: same checksummed records plus a shard
-    header); an entry's shard is the MD5 of its fingerprint
-    string mod [k] — effectively its NPN class — so concurrent daemons
-    flushing the same overlay contend per shard instead of on one path,
-    and {!flush} rewrites only the shards dirtied since the last flush.
-    A shard count already on disk wins over the requested [k] (no entry is
-    orphaned by a restart with a different [k]), and a legacy single
-    {e file} already at [path] wins over [?shards] entirely — legacy
-    caches keep working unmigrated.
-
     {2 Integrity}
 
-    The on-disk format is versioned (magic string + {!format_version} /
-    {!shard_format_version}) and each entry is written as its own
-    checksummed record (MD5 over the marshalled payload). Damage is
-    contained, never trusted and never silently discarded:
+    The overlay is one file at [path] in the {!Record_file} format: the
+    magic string and {!format_version} in a raw header, then one
+    checksummed record (MD5 over the marshalled payload) per entry. Damage
+    is contained, never trusted and never silently discarded:
     - a record whose checksum fails (flipped bytes) is skipped; reading
       continues at the next record;
     - a torn record (truncation, garbage tail) ends the read; the valid
@@ -50,8 +35,9 @@
     - in every damage case the original file is {e quarantined}: renamed to
       [<path>.corrupt] (numeric suffixes if taken) so the bytes survive for
       post-mortem. The next {!flush} rewrites [<path>] from the salvaged
-      entries. In the sharded layout all of this happens per shard file —
-      one damaged shard never touches its siblings.
+      entries.
+    A path that cannot be read as a file (a directory, no permission) is
+    {!Unreadable}: the cache starts empty and nothing is moved.
     Truncation exactly at a record boundary is indistinguishable from a
     shorter valid file and loads as {!Loaded}.
 
@@ -76,13 +62,9 @@ type load =
   | Salvaged of { kept : int; dropped : int; quarantined : string option }
       (** damaged records: [kept] entries survive, at least [dropped]
           records were lost *)
-  | Sharded_load of {
-      shards : int;  (** shard count in effect (adopted from disk) *)
-      files : int;  (** shard files read fully intact *)
-      entries : int;
-      damaged : int;  (** shard files quarantined (salvage included) *)
-      quarantined : string list;
-    }  (** sharded-overlay aggregate *)
+  | Unreadable of string
+      (** the path exists but is no readable file (e.g. a directory): the
+          reason; cache starts empty, nothing is quarantined *)
 
 type counters = {
   hits : int;
@@ -92,17 +74,14 @@ type counters = {
   entries : int;
 }
 
-(** [create ?path ?shards ()] — with a [path], existing entries are loaded
-    (and damaged files quarantined) and {!flush} persists there; [?shards]
-    selects the sharded directory layout (see above). Without a path, the
-    cache is memory-only. Never raises on a damaged file. *)
-val create : ?path:string -> ?shards:int -> unit -> t
+(** [create ?path ()] — with a [path], existing entries are loaded (and
+    damaged files quarantined) and {!flush} persists there. Without a path,
+    the cache is memory-only. Never raises: every file problem is a
+    {!load} value. *)
+val create : ?path:string -> unit -> t
 
 val load_result : t -> load
 val path : t -> string option
-
-(** Shard count of a sharded overlay, [None] for memory-only/single-file. *)
-val shards : t -> int option
 
 val pp_load : Format.formatter -> load -> unit
 
@@ -115,17 +94,16 @@ val key : Mm_core.Encode.config -> Mm_boolfun.Spec.t -> string
 val find : t -> timeout:float -> string -> Mm_core.Synth.attempt option
 
 (** [add t ~timeout key attempt] records in the overlay (replacing any
-    previous entry) and marks the entry's shard dirty. *)
+    previous entry). *)
 val add : t -> timeout:float -> string -> Mm_core.Synth.attempt -> unit
 
-(** Persist dirty state to [path] (atomic per file, no-op when
-    memory-only). *)
+(** Rewrite [path] from the whole overlay (atomic; no-op when memory-only).
+    Raises [Sys_error] when [path] cannot be written. *)
 val flush : t -> unit
 
 val counters : t -> counters
 val reset_counters : t -> unit
 val format_version : int
-val shard_format_version : int
 
 (** {2 The atlas tier}
 
@@ -180,17 +158,11 @@ type info = {
   version : int option;  (** on-disk format version, [None] if unreadable *)
   status : load;
   entries : int;  (** records that parse and pass their checksum *)
-  shard : (int * int) option;
-      (** [(index, of_k)] when the file is an overlay shard *)
   corrupt_siblings : string list;
       (** existing [<path>.corrupt{,.N}] quarantine files *)
 }
 
 val inspect : string -> info
-
-(** Existing shard files of an overlay directory as
-    [(index, of_k, path)], sorted. *)
-val shard_files : string -> (int * int * string) list
 
 (** The [<path>.corrupt], [<path>.corrupt.1], ... files that exist,
     in quarantine order. *)
@@ -198,6 +170,5 @@ val quarantined_siblings : string -> string list
 
 (**/**)
 
-(** Test hook: persist with an arbitrary format version (single-file
-    layout only; sharded overlays always write {!shard_format_version}). *)
+(** Test hook: persist with an arbitrary format version. *)
 val save_with_version : t -> int -> unit

@@ -586,9 +586,9 @@ let accept_loop t lfd =
 
 (* ---- lifecycle ------------------------------------------------------- *)
 
-let bind_unix path =
-  (* A stale socket file (daemon died without cleanup) is replaced; a live
-     one (something accepts connections) is an address conflict. *)
+(* A stale socket file (daemon died without cleanup) is replaced; a live
+   one (something accepts connections) is an address conflict. *)
+let free_socket_path path =
   if Sys.file_exists path then begin
     let probe = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
     let live =
@@ -608,7 +608,7 @@ let bind_unix path =
 let start cfg =
   (* a dropped client must surface as EPIPE on write, not kill the daemon *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
-  match bind_unix cfg.socket_path with
+  match free_socket_path cfg.socket_path with
   | Error _ as e -> e
   | Ok () -> (
     match

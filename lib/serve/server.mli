@@ -89,6 +89,13 @@ val config :
 
 type t
 
+(** Make [path] free for a new Unix-socket listener: a stale socket file
+    (no listener behind it) is removed; a live one (something accepts
+    connections) is an [Error], and the file is left in place. Shared by
+    every listener that binds a socket path ({!start} and the cluster
+    router). *)
+val free_socket_path : string -> (unit, string) result
+
 (** Bind, warm the NPN tables, spawn the accept/dispatcher threads.
     [Error] when the socket path is already served by a live daemon or
     cannot be bound. A stale socket file (no listener behind it) is

@@ -208,7 +208,7 @@ let test_wrong_magic_and_missing () =
   output_string oc "MMSYNTH-ENGINE-CACHE garbage";
   close_out oc;
   Alcotest.(check bool) "wrong magic" true
-    (Atlas.load path = Error Atlas.Bad_magic);
+    (Atlas.load path = Error Atlas.Bad_header);
   Sys.remove path
 
 let test_verify_clean () =

@@ -113,9 +113,9 @@ let check_version_quarantined version =
 
 let test_version_mismatch () = check_version_quarantined (Cache.format_version + 1)
 
-(* v5 single files and v6 shards hold attempts whose solver stats still
-   carry a clause-sharing counter: unmarshalling them with the current
-   layout would misread every record. *)
+(* v5 and v6 files hold attempts whose solver stats still carry a
+   clause-sharing counter: unmarshalling them with the current layout
+   would misread every record. *)
 let test_older_layouts_quarantined () =
   check_version_quarantined 5;
   check_version_quarantined 6
@@ -274,144 +274,6 @@ let test_concurrent_writers () =
    | _ -> Alcotest.fail "file unreadable after concurrent writes");
   Sys.remove path
 
-(* ---- sharded overlay layout ------------------------------------------- *)
-
-let tmp_dir =
-  let counter = ref 0 in
-  fun () ->
-    incr counter;
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "mm_cache_test_%d_%d.d" (Unix.getpid ()) !counter)
-
-let rec rm_rf path =
-  if Sys.file_exists path then
-    if Sys.is_directory path then begin
-      Array.iter (fun n -> rm_rf (Filename.concat path n)) (Sys.readdir path);
-      Sys.rmdir path
-    end
-    else Sys.remove path
-
-let fill c n =
-  for i = 0 to n - 1 do
-    Cache.add c ~timeout:30. (Printf.sprintf "entry-%d" i) unsat_attempt
-  done
-
-let test_sharded_roundtrip () =
-  let dir = tmp_dir () in
-  let c = Cache.create ~path:dir ~shards:4 () in
-  Alcotest.(check (option int)) "shard count" (Some 4) (Cache.shards c);
-  fill c 20;
-  Cache.flush c;
-  let files = Cache.shard_files dir in
-  Alcotest.(check bool) "shard files exist" true
-    (List.length files >= 1 && List.length files <= 4);
-  List.iter
-    (fun (idx, of_k, _) ->
-      Alcotest.(check int) "of_k" 4 of_k;
-      Alcotest.(check bool) "index in range" true (idx >= 0 && idx < 4))
-    files;
-  let c2 = Cache.create ~path:dir ~shards:4 () in
-  (match Cache.load_result c2 with
-   | Cache.Sharded_load { shards; entries; damaged; quarantined; _ } ->
-     Alcotest.(check int) "shards" 4 shards;
-     Alcotest.(check int) "entries" 20 entries;
-     Alcotest.(check int) "damaged" 0 damaged;
-     Alcotest.(check (list string)) "quarantine" [] quarantined
-   | l -> Alcotest.failf "expected Sharded_load, got %a" Cache.pp_load l);
-  for i = 0 to 19 do
-    check_verdict "entry survives" "unsat"
-      (Cache.find c2 ~timeout:30. (Printf.sprintf "entry-%d" i))
-  done;
-  rm_rf dir
-
-(* one shard damaged: it alone is quarantined, siblings keep their entries *)
-let test_sharded_damage_contained () =
-  let dir = tmp_dir () in
-  let c = Cache.create ~path:dir ~shards:4 () in
-  fill c 32;
-  Cache.flush c;
-  let files = Cache.shard_files dir in
-  Alcotest.(check bool) "more than one shard in play" true
-    (List.length files > 1);
-  (* flip a payload byte near the end of one shard *)
-  let _, _, victim = List.hd files in
-  let ic = open_in_bin victim in
-  let len = in_channel_length ic in
-  let bytes = really_input_string ic len |> Bytes.of_string in
-  close_in ic;
-  let pos = len - 8 in
-  Bytes.set bytes pos (Char.chr (Char.code (Bytes.get bytes pos) lxor 0xff));
-  let oc = open_out_bin victim in
-  output_bytes oc bytes;
-  close_out oc;
-  let c2 = Cache.create ~path:dir ~shards:4 () in
-  (match Cache.load_result c2 with
-   | Cache.Sharded_load { shards; entries; damaged; quarantined; _ } ->
-     Alcotest.(check int) "shards" 4 shards;
-     Alcotest.(check int) "one shard damaged" 1 damaged;
-     Alcotest.(check int) "one quarantine file" 1 (List.length quarantined);
-     (* all sibling entries plus the damaged shard's salvaged prefix *)
-     Alcotest.(check bool) "siblings survive" true (entries > 0 && entries < 32)
-   | l -> Alcotest.failf "expected Sharded_load, got %a" Cache.pp_load l);
-  (* the quarantine file shows up for gc *)
-  let corrupt =
-    Sys.readdir dir |> Array.to_list
-    |> List.filter (fun n ->
-           List.exists
-             (fun q -> Filename.basename q = n)
-             (match Cache.load_result c2 with
-              | Cache.Sharded_load { quarantined; _ } -> quarantined
-              | _ -> []))
-  in
-  Alcotest.(check int) "quarantine file on disk" 1 (List.length corrupt);
-  (* next flush rewrites the damaged shard from the salvage *)
-  Cache.add c2 ~timeout:30. "fresh-entry" unsat_attempt;
-  Cache.flush c2;
-  let c3 = Cache.create ~path:dir ~shards:4 () in
-  check_verdict "post-repair entry" "unsat"
-    (Cache.find c3 ~timeout:30. "fresh-entry");
-  rm_rf dir
-
-(* the shard count already on disk wins over the requested one *)
-let test_sharded_adopts_disk_k () =
-  let dir = tmp_dir () in
-  let c = Cache.create ~path:dir ~shards:3 () in
-  fill c 12;
-  Cache.flush c;
-  let c2 = Cache.create ~path:dir ~shards:8 () in
-  Alcotest.(check (option int)) "disk k adopted" (Some 3) (Cache.shards c2);
-  (match Cache.load_result c2 with
-   | Cache.Sharded_load { shards; entries; _ } ->
-     Alcotest.(check int) "shards" 3 shards;
-     Alcotest.(check int) "entries" 12 entries
-   | l -> Alcotest.failf "expected Sharded_load, got %a" Cache.pp_load l);
-  (* new entries still land in one of the 3 shards *)
-  Cache.add c2 ~timeout:30. "late" unsat_attempt;
-  Cache.flush c2;
-  List.iter
-    (fun (_, of_k, _) -> Alcotest.(check int) "of_k stays 3" 3 of_k)
-    (Cache.shard_files dir);
-  rm_rf dir
-
-(* a legacy single-file cache at the path wins over ?shards entirely *)
-let test_legacy_file_beats_shards () =
-  let path = tmp_path () in
-  let legacy = Cache.create ~path () in
-  fill legacy 5;
-  Cache.flush legacy;
-  let c = Cache.create ~path ~shards:4 () in
-  Alcotest.(check (option int)) "stays single-file" None (Cache.shards c);
-  (match Cache.load_result c with
-   | Cache.Loaded 5 -> ()
-   | l -> Alcotest.failf "expected Loaded 5, got %a" Cache.pp_load l);
-  check_verdict "legacy entry readable" "unsat"
-    (Cache.find c ~timeout:30. "entry-0");
-  Cache.add c ~timeout:30. "post" unsat_attempt;
-  Cache.flush c;
-  Alcotest.(check bool) "path still a plain file" true
-    (Sys.file_exists path && not (Sys.is_directory path));
-  Sys.remove path
-
 let () =
   Alcotest.run "cache"
     [
@@ -430,15 +292,5 @@ let () =
             test_flipped_payload_bytes;
           Alcotest.test_case "flush during load" `Quick test_flush_during_load;
           Alcotest.test_case "concurrent writers" `Quick test_concurrent_writers;
-        ] );
-      ( "sharded overlay",
-        [
-          Alcotest.test_case "sharded round-trip" `Quick test_sharded_roundtrip;
-          Alcotest.test_case "damage contained to one shard" `Quick
-            test_sharded_damage_contained;
-          Alcotest.test_case "on-disk shard count adopted" `Quick
-            test_sharded_adopts_disk_k;
-          Alcotest.test_case "legacy file beats ?shards" `Quick
-            test_legacy_file_beats_shards;
         ] );
     ]

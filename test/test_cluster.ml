@@ -303,6 +303,41 @@ let test_frontend () =
             Alcotest.(check bool) "frontend draining after wire shutdown" true
               (Frontend.draining fe)))
 
+(* a second router must not take over a live listener's socket, while a
+   stale socket file (nothing listening) is still replaced *)
+let test_frontend_live_socket () =
+  with_cluster ~n:1
+    ~rcfg:(fun () -> Router.config ~probe_interval_s:None ())
+    (fun _socks _servers router ->
+      let fsock = fresh_socket () in
+      let listener = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Unix.bind listener (Unix.ADDR_UNIX fsock);
+      Unix.listen listener 4;
+      let inode () = (Unix.stat fsock).Unix.st_ino in
+      let before = inode () in
+      (match Frontend.start router ~socket_path:fsock with
+       | Ok fe ->
+         Frontend.stop fe;
+         Alcotest.fail "took over a live socket"
+       | Error _ -> ());
+      Alcotest.(check bool) "live socket file kept" true
+        (Sys.file_exists fsock && inode () = before);
+      let reachable what =
+        let probe = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+        (match Unix.connect probe (Unix.ADDR_UNIX fsock) with
+         | () -> ()
+         | exception Unix.Unix_error (e, _, _) ->
+           Alcotest.failf "%s unreachable: %s" what (Unix.error_message e));
+        Unix.close probe
+      in
+      reachable "live listener";
+      Unix.close listener;
+      match Frontend.start router ~socket_path:fsock with
+      | Error msg -> Alcotest.failf "stale socket not replaced: %s" msg
+      | Ok fe ->
+        Fun.protect ~finally:(fun () -> Frontend.stop fe) (fun () ->
+            reachable "router on the replaced socket"))
+
 let () =
   Alcotest.run "cluster"
     [
@@ -324,5 +359,9 @@ let () =
             test_router_all_dead;
         ] );
       ( "frontend",
-        [ Alcotest.test_case "wire front-end" `Quick test_frontend ] );
+        [
+          Alcotest.test_case "wire front-end" `Quick test_frontend;
+          Alcotest.test_case "live socket refused, stale replaced" `Quick
+            test_frontend_live_socket;
+        ] );
     ]
