@@ -7,8 +7,9 @@
 # clean exit and no leaked socket file, plus a ladder smoke: the incremental
 # assumption-ladder sweep and the monolithic fresh-solver oracle must agree
 # on every verdict, both minima and circuit re-verification over a small
-# spec set, plus a CLI smoke: malformed specifications are refused as
-# usage errors, never as internal errors, plus a map smoke: the cut-based technology mapper must compile
+# spec set, plus a CLI smoke: malformed specifications and out-of-range
+# counts are refused as usage errors, never as internal errors, and every
+# subcommand exits with its status from the one exit table, plus a map smoke: the cut-based technology mapper must compile
 # two wider-than-SAT-cap workloads onto verified schedules (row-by-row
 # simulator validation is part of the command's own exit status), plus an
 # atlas smoke: build a tiny exact NPN atlas, deep-verify it, and prove the
@@ -111,14 +112,27 @@ smoke-ladder: build
 # arity outside 1..24, an --arity below the largest xK used, workload
 # sizes whose specs cannot be built or have no inputs (also as an atlas
 # --cover, which must not write the atlas), a one-cell truth table, a PLA
-# with ".i 0", and a --cache or atlas path that cannot hold the file (a
+# with ".i 0", a --cache or atlas path that cannot hold the file (a
 # directory, or a file in a missing directory; serve must refuse it
-# before binding its socket).
+# before binding its socket), negative counts and an --input row the spec
+# does not have, and a bad fault plan given to cluster (refused before it
+# spawns a shard or creates its shard directory).
+# The exit-table gate then runs each (status, invocation) pair and fails
+# on any other status: 3 when the budget runs out, when simulate finds no
+# circuit at its dimensions, or when an atlas header is unreadable; 4 when
+# resyn is given a circuit that does not realize its spec (a map artifact
+# with one spec_tables bit flipped) or a batch job fails verification;
+# 124 for removed options. Each case is killed after 30 s (status 137), so
+# a daemon that accepts a removed option fails the gate instead of hanging.
 smoke-cli: build
 	@set -e; \
 	tmp=$$(mktemp -d /tmp/mmsynth_cli_XXXXXX); \
 	echo 1 > $$tmp/one.tbl; \
 	printf '.i 0\n.o 1\n.e\n' > $$tmp/zero.pla; \
+	echo "not an atlas" > $$tmp/bad.mmatlas; \
+	$(MMSYNTH) map --workload adder2 --effort 1 --json > $$tmp/art.json; \
+	awk 't == 1 { sub(/"0/, "\"x"); sub(/"1/, "\"0"); sub(/"x/, "\"1"); t = 2 } \
+	  /"tables": \[/ { t = 1 } { print }' $$tmp/art.json > $$tmp/flip.json; \
 	fails=0; \
 	for args in 'synth --arity 0 -e 1' 'baseline --arity 0 -e 1' \
 	  'simulate --arity 0 -e 1' 'check --arity 0 -e 1' \
@@ -136,7 +150,12 @@ smoke-cli: build
 	  "batch --sweep 1 --cache $$tmp" \
 	  "batch --sweep 1 --cache $$tmp/missing/x.cache" \
 	  "map --workload adder2 --effort 1 --cache $$tmp" \
-	  "serve --socket $$tmp/s.sock --cache $$tmp"; do \
+	  "serve --socket $$tmp/s.sock --cache $$tmp" \
+	  'synth -e x1^x2 --rops=-1' 'synth -e x1^x2 --legs=-1' \
+	  'synth -e x1^x2 --steps=-1' 'simulate -e x1^x2 --rops=-1' \
+	  'simulate -e x1^x2 --input 4' 'simulate -e x1^x2 --input=-1' \
+	  'batch --sweep 2 --limit=-1' \
+	  "cluster --shards 1 --inject bogus:0.5 --socket $$tmp/c.sock --shard-dir $$tmp/shards"; do \
 	  rc=0; out=$$($(MMSYNTH) $$args 2>&1) || rc=$$?; \
 	  lines=$$(printf '%s\n' "$$out" | wc -l); \
 	  case "$$rc:$$lines:$$out" in \
@@ -146,13 +165,27 @@ smoke-cli: build
 	  if printf '%s' "$$out" | grep -q 'internal error'; then \
 	    echo "smoke-cli: '$$args' reported an internal error"; fails=$$((fails+1)); fi; \
 	done; \
-	for f in c.mmatlas s.sock; do \
+	for f in c.mmatlas s.sock c.sock shards; do \
 	  if [ -e $$tmp/$$f ]; then \
 	    echo "smoke-cli: a refused invocation left $$f behind"; fails=$$((fails+1)); fi; \
 	done; \
+	for case in '3 synth -e x1^x2^x3^x4 --rops 3 --legs 4 --steps 6 --timeout 0' \
+	  '3 synth --minimize -e (x1&x2)|(x3^x4) --timeout 0' \
+	  '3 simulate -e x1^x2^x3 --rops 0 --legs 1 --steps 1' \
+	  "4 resyn $$tmp/flip.json" \
+	  "3 atlas info $$tmp/bad.mmatlas" "3 atlas verify $$tmp/bad.mmatlas" \
+	  '4 batch --sweep 2 --inject verify:1' \
+	  '124 batch --sweep 1 --map-large' '124 batch --sweep 1 --resyn' \
+	  '124 batch --sweep 1 --no-npn' '124 batch --sweep 1 --no-incremental' \
+	  "124 serve --no-incremental --socket $$tmp/n.sock"; do \
+	  want=$${case%% *}; args=$${case#* }; \
+	  rc=0; timeout -s KILL 30 $(MMSYNTH) $$args > /dev/null 2>&1 || rc=$$?; \
+	  [ $$rc -eq $$want ] || { \
+	    echo "smoke-cli: '$$args' exited $$rc, expected $$want"; fails=$$((fails+1)); }; \
+	done; \
 	rm -rf $$tmp; \
-	[ $$fails -eq 0 ] || { echo "smoke-cli: $$fails invocation(s) not refused cleanly"; exit 1; }; \
-	echo "smoke-cli: OK (every malformed spec and file path refused with exit 124 and one line)"
+	[ $$fails -eq 0 ] || { echo "smoke-cli: $$fails invocation(s) off the exit table"; exit 1; }; \
+	echo "smoke-cli: OK (every malformed command line refused with exit 124 and one line; every exit-table case exits with its status)"
 
 # `mmsynth map` exits non-zero unless the stitched schedule re-verifies on
 # every input row, so the simulator check is implicit; the second adder run

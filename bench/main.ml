@@ -23,8 +23,16 @@ module Variation = Mm_device.Variation
 module Xbar = Mm_core.Xbar_schedule
 module Heuristic = Mm_core.Heuristic
 
-(* wall times in the BENCH files, to 0.1 ms *)
-let json_s x = Json.Float (Float.round (x *. 1e4) /. 1e4)
+(* a float in the BENCH files, to [digits] decimals (wall times: 0.1 ms) *)
+let json_s ?(digits = 4) x =
+  let scale = 10. ** float_of_int digits in
+  Json.Float (Float.round (x *. scale) /. scale)
+
+(* Every BENCH file is written here, as pretty-printed JSON. *)
+let write_bench file json =
+  Out_channel.with_open_text file (fun oc ->
+      output_string oc (Json.to_string_pretty json);
+      output_char oc '\n')
 
 let section title = Printf.printf "\n=== %s ===\n\n%!" title
 
@@ -391,9 +399,9 @@ let reliability ~trials () =
     "MM: %d R-ops (cascade depth %d); R-only baseline: %d R-ops (depth %d).\n\
      Monte Carlo: %d trials x 16 inputs per point, deterministic seed.\n\n%!"
     (C.n_rops mm)
-    (Reliability.rop_depth mm)
+    (C.rop_depth mm)
     (C.n_rops r_only)
-    (Reliability.rop_depth r_only)
+    (C.rop_depth r_only)
     trials;
   let study = Reliability.run spec ~mm ~r_only ~trials ~seed:2025 in
   let t = Table.create [ "variation"; "sigma"; "MM error"; "R-only error" ] in
@@ -646,15 +654,19 @@ let map_bench ?(budget = 0.5) () =
         (if failures = [] then "yes" else "NO");
       ];
     rows :=
-      Printf.sprintf
-        "    { \"function\": %S, \"n\": %d, \"mapped_v_steps\": %d,\n\
-        \      \"mapped_rops\": %d, \"mapped_total\": %d, \"blocks\": %d,\n\
-        \      \"optimal_blocks\": %d, \"exact_blocks\": %d,\n\
-        \      \"heuristic_total\": %d, \"baseline_total\": %d,\n\
-        \      \"time_s\": %.2f, \"verified\": %b }"
-        (Spec.name spec) (Spec.arity spec) (C.steps_per_leg c) (C.n_rops c)
-        (C.n_steps c) blocks optimal exact (C.n_steps hc) (C.n_steps bc) dt
-        (failures = [])
+      Json.Obj
+        [ ("function", Json.String (Spec.name spec));
+          ("n", Json.Int (Spec.arity spec));
+          ("mapped_v_steps", Json.Int (C.steps_per_leg c));
+          ("mapped_rops", Json.Int (C.n_rops c));
+          ("mapped_total", Json.Int (C.n_steps c));
+          ("blocks", Json.Int blocks);
+          ("optimal_blocks", Json.Int optimal);
+          ("exact_blocks", Json.Int exact);
+          ("heuristic_total", Json.Int (C.n_steps hc));
+          ("baseline_total", Json.Int (C.n_steps bc));
+          ("time_s", json_s ~digits:2 dt);
+          ("verified", Json.Bool (failures = [])) ]
       :: !rows
   in
   case (Arith.adder_bits 2);
@@ -668,26 +680,16 @@ let map_bench ?(budget = 0.5) () =
   case (Arith.parity 7);
   case (Arith.parity 8);
   Table.print t;
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"workload\": \"technology mapping vs heuristic vs QMC->NOR \
-       baseline\",\n\
-      \  \"host_cores\": %d,\n\
-      \  \"probe_budget_s\": %.2f,\n\
-      \  \"resyn_passes\": 0,\n\
-      \  \"cost_metric\": \"V-steps per leg + R-ops (total schedule \
-       steps)\",\n\
-      \  \"results\": [\n%s\n  ]\n\
-       }"
-      (Domain.recommended_domain_count ())
-      budget
-      (String.concat ",\n" (List.rev !rows))
-  in
-  let oc = open_out "BENCH_map.json" in
-  output_string oc json;
-  output_char oc '\n';
-  close_out oc;
+  write_bench "BENCH_map.json"
+    (Json.Obj
+       [ ( "workload",
+           Json.String "technology mapping vs heuristic vs QMC->NOR baseline" );
+         ("host_cores", Json.Int (Domain.recommended_domain_count ()));
+         ("probe_budget_s", json_s ~digits:2 budget);
+         ("resyn_passes", Json.Int 0);
+         ( "cost_metric",
+           Json.String "V-steps per leg + R-ops (total schedule steps)" );
+         ("results", Json.List (List.rev !rows)) ]);
   Printf.printf
     "\nShape: wide xor-heavy functions (parity) gain most — V-op blocks\n\
      absorb whole sub-trees the two-level baseline pays per-minterm for;\n\
@@ -752,21 +754,24 @@ let xbar_bench ?(budget = 0.5) ?(rows = 16) ?(ports = 4) () =
         (if r.Xstitch.verified then "yes" else "NO");
       ];
     results :=
-      Printf.sprintf
-        "    { \"function\": %S, \"n\": %d, \"steps_1d\": %d,\n\
-        \      \"cycles\": %d, \"v_cycles\": %d, \"r_cycles\": %d,\n\
-        \      \"t_cycles\": %d, \"transfers\": %d, \"readout\": %d,\n\
-        \      \"blocks\": %d, \"block_depth\": %d, \"rows_used\": %d,\n\
-        \      \"cols_used\": %d, \"polish_gain\": %d, \"time_s\": %.2f,\n\
-        \      \"faster_than_1d\": %b, \"verified\": %b }"
-        (Spec.name spec) (Spec.arity spec) steps_1d r.Xstitch.cycles
-        sc.Xsched.v_cycles sc.Xsched.r_cycles sc.Xsched.t_cycles
-        r.Xstitch.transfers r.Xstitch.readout
-        (Array.length st.Stitch.dag.Mapper.blocks)
-        st.Stitch.dag.Mapper.depth r.Xstitch.rows_used r.Xstitch.cols_used
-        sc.Xsched.polish_gain dt
-        (r.Xstitch.cycles < steps_1d)
-        r.Xstitch.verified
+      Json.Obj
+        [ ("function", Json.String (Spec.name spec));
+          ("n", Json.Int (Spec.arity spec));
+          ("steps_1d", Json.Int steps_1d);
+          ("cycles", Json.Int r.Xstitch.cycles);
+          ("v_cycles", Json.Int sc.Xsched.v_cycles);
+          ("r_cycles", Json.Int sc.Xsched.r_cycles);
+          ("t_cycles", Json.Int sc.Xsched.t_cycles);
+          ("transfers", Json.Int r.Xstitch.transfers);
+          ("readout", Json.Int r.Xstitch.readout);
+          ("blocks", Json.Int (Array.length st.Stitch.dag.Mapper.blocks));
+          ("block_depth", Json.Int st.Stitch.dag.Mapper.depth);
+          ("rows_used", Json.Int r.Xstitch.rows_used);
+          ("cols_used", Json.Int r.Xstitch.cols_used);
+          ("polish_gain", Json.Int sc.Xsched.polish_gain);
+          ("time_s", json_s ~digits:2 dt);
+          ("faster_than_1d", Json.Bool (r.Xstitch.cycles < steps_1d));
+          ("verified", Json.Bool r.Xstitch.verified) ]
       :: !results
   in
   case (Arith.adder_bits 2);
@@ -780,31 +785,24 @@ let xbar_bench ?(budget = 0.5) ?(rows = 16) ?(ports = 4) () =
   case (Arith.parity 7);
   case (Arith.parity 8);
   Table.print t;
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"workload\": \"crossbar row-parallel scheduling (balanced-AIG \
-       cover) vs serial 1D schedule\",\n\
-      \  \"host_cores\": %d,\n\
-      \  \"probe_budget_s\": %.2f,\n\
-      \  \"resyn_passes\": 0,\n\
-      \  \"rows\": %d,\n\
-      \  \"ports\": %d,\n\
-      \  \"cycle_metric\": \"V broadcast cycles + parallel NOR cycles + \
-       transfer cycles (readout reported separately, matching the 1D step \
-       metric)\",\n\
-      \  \"faster_than_1d\": %d,\n\
-      \  \"workloads\": %d,\n\
-      \  \"results\": [\n%s\n  ]\n\
-       }"
-      (Domain.recommended_domain_count ())
-      budget rows ports !wins !total
-      (String.concat ",\n" (List.rev !results))
-  in
-  let oc = open_out "BENCH_xbar.json" in
-  output_string oc json;
-  output_char oc '\n';
-  close_out oc;
+  write_bench "BENCH_xbar.json"
+    (Json.Obj
+       [ ( "workload",
+           Json.String
+             "crossbar row-parallel scheduling (balanced-AIG cover) vs serial \
+              1D schedule" );
+         ("host_cores", Json.Int (Domain.recommended_domain_count ()));
+         ("probe_budget_s", json_s ~digits:2 budget);
+         ("resyn_passes", Json.Int 0);
+         ("rows", Json.Int rows);
+         ("ports", Json.Int ports);
+         ( "cycle_metric",
+           Json.String
+             "V broadcast cycles + parallel NOR cycles + transfer cycles \
+              (readout reported separately, matching the 1D step metric)" );
+         ("faster_than_1d", Json.Int !wins);
+         ("workloads", Json.Int !total);
+         ("results", Json.List (List.rev !results)) ]);
   Printf.printf
     "\nShape: %d/%d workloads need fewer crossbar cycles than 1D steps —\n\
      the R-op phase parallelizes across rows while placement affinity\n\
@@ -900,10 +898,7 @@ let resyn_bench ?(budget = 0.5) ?(passes = 4) () =
         ("workloads", Json.Int (List.length results));
         ("results", Json.List results) ]
   in
-  let oc = open_out "BENCH_resyn.json" in
-  output_string oc (Json.to_string_pretty json);
-  output_char oc '\n';
-  close_out oc;
+  write_bench "BENCH_resyn.json" json;
   Printf.printf
     "\nShape: %d/%d workloads meet the mapped+resyn <= heuristic gate —\n\
      sweeps absorb cross-block duplication and SCS rail compaction\n\
@@ -967,34 +962,22 @@ let engine_bench () =
       else 0.
     | None -> 0.
   in
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"workload\": \"all 256 3-input functions, minimize loop\",\n\
-      \  \"host_cores\": %d,\n\
-      \  \"cores\": %d,\n\
-      \  \"domains\": %d,\n\
-      \  \"functions\": %d,\n\
-      \  \"classes\": %d,\n\
-      \  \"sequential_wall_s\": %.3f,\n\
-      \  \"parallel_wall_s\": %.3f,\n\
-      \  \"speedup_vs_sequential\": %.2f,\n\
-      \  \"solves_per_s_sequential\": %.1f,\n\
-      \  \"solves_per_s_parallel\": %.1f,\n\
-      \  \"warm_wall_s\": %.3f,\n\
-      \  \"warm_solves_per_s\": %.1f,\n\
-      \  \"cold_cache_hit_rate\": %.3f,\n\
-      \  \"warm_cache_hit_rate\": %.3f\n\
-       }"
-      cores cores domains seq.Engine.functions seq.Engine.classes
-      seq.Engine.wall_s
-      par.Engine.wall_s speedup seq.Engine.solves_per_s par.Engine.solves_per_s
-      warm.Engine.wall_s warm.Engine.solves_per_s (hit_rate par) (hit_rate warm)
-  in
-  let oc = open_out "BENCH_engine.json" in
-  output_string oc json;
-  output_char oc '\n';
-  close_out oc;
+  write_bench "BENCH_engine.json"
+    (Json.Obj
+       [ ("workload", Json.String "all 256 3-input functions, minimize loop");
+         ("host_cores", Json.Int cores);
+         ("domains", Json.Int domains);
+         ("functions", Json.Int seq.Engine.functions);
+         ("classes", Json.Int seq.Engine.classes);
+         ("sequential_wall_s", json_s ~digits:3 seq.Engine.wall_s);
+         ("parallel_wall_s", json_s ~digits:3 par.Engine.wall_s);
+         ("speedup_vs_sequential", json_s ~digits:2 speedup);
+         ("solves_per_s_sequential", json_s ~digits:1 seq.Engine.solves_per_s);
+         ("solves_per_s_parallel", json_s ~digits:1 par.Engine.solves_per_s);
+         ("warm_wall_s", json_s ~digits:3 warm.Engine.wall_s);
+         ("warm_solves_per_s", json_s ~digits:1 warm.Engine.solves_per_s);
+         ("cold_cache_hit_rate", json_s ~digits:3 (hit_rate par));
+         ("warm_cache_hit_rate", json_s ~digits:3 (hit_rate warm)) ]);
   List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) !cleanup;
   Printf.printf
     "\nspeedup %.2fx on %d cores (%d domains); warm hit rate %.0f%%;\n\
@@ -1152,10 +1135,7 @@ let ladder_bench ?(budget = 60.) ?(limit = 24) () =
         ("verdict_mismatches", Json.Int !mismatches);
         ("per_class", Json.List (List.rev !per_class)) ]
   in
-  let oc = open_out "BENCH_ladder.json" in
-  output_string oc (Json.to_string_pretty json);
-  output_char oc '\n';
-  close_out oc;
+  write_bench "BENCH_ladder.json" json;
   Printf.printf
     "\nincremental %.2fx vs monolithic (%d/%d classes, %d over budget, %d \
      mismatches); written to BENCH_ladder.json\n"
@@ -1227,32 +1207,27 @@ let robustness_bench () =
         ])
     outcomes;
   Table.print t;
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"workload\": \"all 256 3-input functions, minimize loop, retries=2, baseline fallback\",\n\
-      \  \"host_cores\": %d,\n\
-      \  \"seed\": 2025,\n\
-      \  \"points\": [\n%s\n\
-      \  ]\n\
-       }"
-      (Domain.recommended_domain_count ())
-      (String.concat ",\n"
-         (List.map
-            (fun (rate, (completion, (s : Engine.summary))) ->
-              Printf.sprintf
-                "    {\"fault_rate\": %.2f, \"completion_rate\": %.4f, \
-                 \"exact\": %d, \"fallbacks\": %d, \"retries_used\": %d, \
-                 \"wall_s\": %.3f, \"overhead_vs_clean\": %.3f}"
-                rate completion s.Engine.sat s.Engine.fallbacks
-                s.Engine.retries_used s.Engine.wall_s
-                (if base_wall > 0. then s.Engine.wall_s /. base_wall else 0.))
-            outcomes))
+  let point (rate, (completion, (s : Engine.summary))) =
+    Json.Obj
+      [ ("fault_rate", json_s ~digits:2 rate);
+        ("completion_rate", json_s completion);
+        ("exact", Json.Int s.Engine.sat);
+        ("fallbacks", Json.Int s.Engine.fallbacks);
+        ("retries_used", Json.Int s.Engine.retries_used);
+        ("wall_s", json_s ~digits:3 s.Engine.wall_s);
+        ( "overhead_vs_clean",
+          json_s ~digits:3
+            (if base_wall > 0. then s.Engine.wall_s /. base_wall else 0.) ) ]
   in
-  let oc = open_out "BENCH_robustness.json" in
-  output_string oc json;
-  output_char oc '\n';
-  close_out oc;
+  write_bench "BENCH_robustness.json"
+    (Json.Obj
+       [ ( "workload",
+           Json.String
+             "all 256 3-input functions, minimize loop, retries=2, baseline \
+              fallback" );
+         ("host_cores", Json.Int (Domain.recommended_domain_count ()));
+         ("seed", Json.Int 2025);
+         ("points", Json.List (List.map point outcomes)) ]);
   Printf.printf "\nwritten to BENCH_robustness.json\n"
 
 (* ------------------------------------------------------------------ *)
@@ -1559,10 +1534,7 @@ let serve_bench () =
         ("daemon_stats", Json.Obj [ ("final", daemon_stats) ]);
       ]
   in
-  let oc = open_out "BENCH_serve.json" in
-  output_string oc (Json.to_string_pretty json);
-  output_char oc '\n';
-  close_out oc;
+  write_bench "BENCH_serve.json" json;
   Printf.printf "written to BENCH_serve.json\n"
 
 (* ------------------------------------------------------------------ *)
@@ -1793,10 +1765,7 @@ let storm_bench () =
         ("router_stats", router_stats);
       ]
   in
-  let oc = open_out "BENCH_cluster.json" in
-  output_string oc (Json.to_string_pretty json);
-  output_char oc '\n';
-  close_out oc;
+  write_bench "BENCH_cluster.json" json;
   Printf.printf "written to BENCH_cluster.json\n";
   if availability < 0.99 then
     Printf.printf
@@ -1927,10 +1896,7 @@ let atlas_bench () =
   List.iter
     (fun (_, path, _, _, _) -> try Sys.remove path with Sys_error _ -> ())
     tiers;
-  let oc = open_out "BENCH_atlas.json" in
-  output_string oc (Json.to_string_pretty json);
-  output_char oc '\n';
-  close_out oc;
+  write_bench "BENCH_atlas.json" json;
   Printf.printf "written to BENCH_atlas.json\n"
 
 (* ------------------------------------------------------------------ *)

@@ -5,7 +5,12 @@
      mmsynth check -e "x1 ^ x2"            # V-op realizability
      mmsynth baseline -e "x1 ^ x2 ^ x3"    # QMC -> NOR-NOR gate count
      mmsynth simulate -e "x1 & x2" --rops 1 --legs 2 --steps 2 --input 3
-     mmsynth batch --sweep 3 --cache mm3.cache -j 4   # whole function space *)
+     mmsynth batch --sweep 3 --cache mm3.cache -j 4   # whole function space
+
+   One driver layer: the spec, the engine configuration and the fault plan
+   are terms declared once below and shared by the subcommands; the terms
+   refuse a command line that cannot be acted on before any work starts,
+   and every subcommand reports its outcome through one exit table. *)
 
 open Cmdliner
 
@@ -16,6 +21,95 @@ module C = Mm_core.Circuit
 module E = Mm_core.Encode
 module Synth = Mm_core.Synth
 module Schedule = Mm_core.Schedule
+module Engine = Mm_engine.Engine
+module Cache = Mm_engine.Cache
+module Fault = Mm_engine.Fault
+module Atlas = Mm_atlas.Atlas
+module Json = Mm_report.Json
+module Table = Mm_report.Table
+
+(* ---- the exit table ---------------------------------------------------- *)
+
+(* Status 124 is kept for command lines that cannot be acted on: every
+   [`Error] in this file fires while the command line is checked, before the
+   command solves, simulates or loads anything. A command that has started
+   work ends with a status below. *)
+let exit_no_answer = 3
+let exit_check_failed = 4
+
+let exits =
+  [ Cmd.Exit.info 0
+      ~doc:"the command answered: a verified circuit, or UNSAT where the \
+            command asks whether a circuit exists ($(b,synth) at fixed \
+            dimensions, $(b,batch)).";
+    Cmd.Exit.info 1
+      ~doc:"$(b,client) only: the daemon answered with an error other than \
+            a shed.";
+    Cmd.Exit.info exit_no_answer
+      ~doc:"no answer: the budget ran out, or the command needs a circuit \
+            and none exists at the requested dimensions, or an input file \
+            is damaged or unreadable.";
+    Cmd.Exit.info exit_check_failed
+      ~doc:"a check failed: a circuit disagrees with its spec on the \
+            simulator or with the other backend, a job crashed past its \
+            retries, quarantine files could not be removed, or a daemon or \
+            shard never came up.";
+    Cmd.Exit.info 5
+      ~doc:"$(b,client) only: the daemon shed the request (overloaded or \
+            draining).";
+    Cmd.Exit.info 6
+      ~doc:"$(b,client) only: transport error (daemon unreachable or hung \
+            up).";
+    Cmd.Exit.info Cmd.Exit.cli_error
+      ~doc:"a command line that cannot be acted on, refused before any \
+            work.";
+    Cmd.Exit.info Cmd.Exit.internal_error
+      ~doc:"an uncaught exception (a bug)." ]
+
+let cmd_info name ~doc = Cmd.info name ~exits ~doc
+
+(* A failure found after work began: one [mmsynth:] line on stderr, in the
+   form of a refused command line, and [status] from the table. *)
+let fail status fmt =
+  Printf.ksprintf
+    (fun msg ->
+      flush stdout;
+      prerr_endline ("mmsynth: " ^ msg);
+      `Ok status)
+    fmt
+
+(* ---- bounded counts ----------------------------------------------------- *)
+
+(* Count options are checked against their bounds by their term, so a value
+   out of range is refused with one line instead of reaching a library
+   guard. (A failing converter would make cmdliner add its usage block.) *)
+let out_of_bounds ?(hi = max_int) ~lo name n =
+  if n >= lo && n <= hi then None
+  else
+    let flag = (if String.length name = 1 then "-" else "--") ^ name in
+    Some
+      (if hi = max_int then Printf.sprintf "%s must be >= %d" flag lo
+       else Printf.sprintf "%s must be %d..%d" flag lo hi)
+
+let count ?hi ~lo ?(aliases = []) name ~docv ~doc default =
+  let check n =
+    match out_of_bounds ?hi ~lo name n with
+    | None -> `Ok n
+    | Some msg -> `Error (false, msg)
+  in
+  let arg = Arg.(value & opt int default & info (name :: aliases) ~docv ~doc) in
+  Term.(ret (const check $ arg))
+
+let count_opt ?hi ~lo name ~docv ~doc =
+  let check v =
+    match Option.bind v (out_of_bounds ?hi ~lo name) with
+    | None -> `Ok v
+    | Some msg -> `Error (false, msg)
+  in
+  let arg = Arg.(value & opt (some int) None & info [ name ] ~docv ~doc) in
+  Term.(ret (const check $ arg))
+
+(* ---- the spec term ------------------------------------------------------ *)
 
 (* Truth tables stop at 24 inputs. *)
 let max_arity = 24
@@ -65,21 +159,15 @@ let workload_of_name s =
 let out_of_range n = n < 1 || n > max_arity
 
 (* build the spec from -e expressions, a --pla/--tables file, or a named
-   --workload *)
-let read_spec names exprs arity pla tables workload =
-  let name = match names with Some n -> n | None -> "cli" in
+   --workload; exactly one source is given *)
+let read_spec name exprs arity pla tables workload =
+  let name = Option.value name ~default:"cli" in
   let sources =
-    (if exprs <> [] then 1 else 0)
-    + (if pla <> None then 1 else 0)
-    + (if tables <> None then 1 else 0)
-    + (if workload <> None then 1 else 0)
+    List.length
+      (List.filter Fun.id
+         [ exprs <> []; pla <> None; tables <> None; workload <> None ])
   in
-  if sources = 0 then
-    Error
-      "no specification: use -e EXPR, --pla FILE, --tables FILE or \
-       --workload NAME"
-  else if sources > 1 then
-    Error "give exactly one of -e, --pla, --tables, --workload"
+  if sources > 1 then Error "give exactly one of -e, --pla, --tables, --workload"
   else
     match workload, exprs, pla, tables with
     | Some w, _, _, _ -> workload_of_name w
@@ -110,10 +198,11 @@ let read_spec names exprs arity pla tables workload =
         Mm_boolfun.Io.parse_tables ~name contents)
     | None, [], None, None -> assert false
 
-(* Every subcommand takes its spec from here, so no later stage sees an
-   arity it cannot handle or an exception from building the tables. *)
-let spec_of_inputs names exprs arity pla tables workload =
-  match read_spec names exprs arity pla tables workload with
+(* Only the spec term and [atlas build --cover] build specs, so no later
+   stage sees an arity it cannot handle or an exception from building the
+   tables. *)
+let spec_of_inputs name exprs arity pla tables workload =
+  match read_spec name exprs arity pla tables workload with
   | exception Invalid_argument msg -> Error msg
   | Ok spec when out_of_range (Spec.arity spec) ->
     Error
@@ -121,74 +210,113 @@ let spec_of_inputs names exprs arity pla tables workload =
          (Spec.arity spec) max_arity)
   | r -> r
 
-(* common options *)
-let exprs =
-  let doc = "Output function as a Boolean expression over x1, x2, ... \
-             (operators: ~ & | ^, or the paper's * and +). Repeatable: one \
-             per output. Alternatively load a spec with --pla or --tables." in
-  Arg.(value & opt_all string [] & info [ "e"; "expr" ] ~docv:"EXPR" ~doc)
+(* The checked spec of [-e], [--pla], [--tables] or [--workload] (with
+   [--arity] and [--name]), or [None] when no source is given. *)
+let spec_t =
+  let exprs =
+    Arg.(value & opt_all string [] & info [ "e"; "expr" ] ~docv:"EXPR"
+           ~doc:"Output function as a Boolean expression over x1, x2, ... \
+                 (operators: ~ & | ^, or the paper's * and +). Repeatable: \
+                 one per output. Alternatively load a spec with --pla or \
+                 --tables.")
+  in
+  let pla_file =
+    Arg.(value & opt (some file) None & info [ "pla" ] ~docv:"FILE"
+           ~doc:"Load the specification from a Berkeley-PLA file.")
+  in
+  let tables_file =
+    Arg.(value & opt (some file) None & info [ "tables" ] ~docv:"FILE"
+           ~doc:"Load the specification from a truth-table file (one \
+                 2^n-character 0/1 line per output).")
+  in
+  let arity =
+    Arg.(value & opt (some int) None & info [ "n"; "arity" ] ~docv:"N"
+           ~doc:"Force the number of inputs: 1..24 and at least the largest \
+                 variable used (default: the largest variable used).")
+  in
+  let workload =
+    Arg.(value & opt (some string) None & info [ "workload" ] ~docv:"NAME"
+           ~doc:"Built-in benchmark spec: $(b,adderN) (N-bit ripple adder, \
+                 2N+1 inputs), $(b,majorityN), $(b,parityN), $(b,cmpN), \
+                 $(b,cmp3_N) (full 3-output comparator), $(b,mulN), \
+                 $(b,mux21), $(b,mux41), $(b,andor4), $(b,table2), \
+                 $(b,full_adder).")
+  in
+  let spec_name =
+    Arg.(value & opt (some string) None & info [ "name" ] ~docv:"NAME"
+           ~doc:"Name for the specification.")
+  in
+  let check name exprs arity pla tables workload =
+    if exprs = [] && pla = None && tables = None && workload = None then `Ok None
+    else
+      match spec_of_inputs name exprs arity pla tables workload with
+      | Ok spec -> `Ok (Some spec)
+      | Error msg -> `Error (false, msg)
+  in
+  Term.(
+    ret
+      (const check $ spec_name $ exprs $ arity $ pla_file $ tables_file
+      $ workload))
 
-let pla_file =
-  Arg.(value & opt (some file) None & info [ "pla" ] ~docv:"FILE"
-         ~doc:"Load the specification from a Berkeley-PLA file.")
+let no_spec =
+  "no specification: use -e EXPR, --pla FILE, --tables FILE or --workload NAME"
 
-let tables_file =
-  Arg.(value & opt (some file) None & info [ "tables" ] ~docv:"FILE"
-         ~doc:"Load the specification from a truth-table file (one \
-               2^n-character 0/1 line per output).")
+(* The spec of a command that cannot run without one. *)
+let required_spec_t =
+  let need = function Some spec -> `Ok spec | None -> `Error (false, no_spec) in
+  Term.(ret (const need $ spec_t))
 
-let arity =
-  let doc = "Force the number of inputs: 1..24 and at least the largest \
-             variable used (default: the largest variable used)." in
-  Arg.(value & opt (some int) None & info [ "n"; "arity" ] ~docv:"N" ~doc)
+(* ---- options shared by several subcommands ------------------------------ *)
 
-let workload_t =
-  Arg.(value & opt (some string) None & info [ "workload" ] ~docv:"NAME"
-         ~doc:"Built-in benchmark spec: $(b,adderN) (N-bit ripple adder, \
-               2N+1 inputs), $(b,majorityN), $(b,parityN), $(b,cmpN), \
-               $(b,cmp3_N) (full 3-output comparator), $(b,mulN), \
-               $(b,mux21), $(b,mux41), $(b,andor4), $(b,table2), \
-               $(b,full_adder).")
-
-let name_t =
-  Arg.(value & opt (some string) None & info [ "name" ] ~docv:"NAME"
-         ~doc:"Name for the specification.")
-
-let timeout =
+let timeout_t =
   Arg.(value & opt float 60.0 & info [ "timeout" ] ~docv:"SECONDS"
          ~doc:"Solver budget per SAT call.")
 
-let rops = Arg.(value & opt (some int) None & info [ "rops" ] ~docv:"N_R"
-                  ~doc:"Number of stateful R-ops (NOR gates).")
+let rops_t =
+  count_opt ~lo:0 "rops" ~docv:"N_R" ~doc:"Number of stateful R-ops (NOR gates)."
 
-let legs = Arg.(value & opt (some int) None & info [ "legs" ] ~docv:"N_L"
-                  ~doc:"Number of V-legs (default: N_R + #outputs).")
+let legs_t =
+  count_opt ~lo:0 "legs" ~docv:"N_L"
+    ~doc:"Number of V-legs (default: N_R + #outputs)."
 
-let steps = Arg.(value & opt (some int) None & info [ "steps" ] ~docv:"N_VS"
-                   ~doc:"V-op steps per leg (default: arity + 2).")
+let steps_t =
+  count_opt ~lo:0 "steps" ~docv:"N_VS" ~doc:"V-op steps per leg (default: arity + 2)."
 
-let minimize_flag =
-  Arg.(value & flag & info [ "minimize" ]
-         ~doc:"Run the paper's optimality loop: smallest N_R, then smallest N_VS.")
-
-let r_only = Arg.(value & flag & info [ "r-only" ]
-                    ~doc:"Synthesize with stateful R-ops only (no V-legs).")
-
-let final_taps =
+let final_taps_t =
   Arg.(value & flag & info [ "final-taps" ]
          ~doc:"Restrict R-op inputs to leg-final values (directly \
                schedulable; the paper's formula allows intermediate taps).")
 
-let no_incremental =
-  Arg.(value & flag & info [ "no-incremental" ]
-         ~doc:"Disable the incremental assumption-ladder sweep and solve \
-               every budget point on a fresh solver (the monolithic \
-               differential-testing oracle; slower).")
+let dot_t = Arg.(value & opt (some string) None & info [ "dot" ] ~docv:"FILE"
+                   ~doc:"Write the circuit as Graphviz dot.")
 
-let dot_out = Arg.(value & opt (some string) None & info [ "dot" ] ~docv:"FILE"
-                     ~doc:"Write the circuit as Graphviz dot.")
+let json_t = Arg.(value & flag & info [ "json" ] ~doc:"Print the circuit as JSON.")
 
-let json_flag = Arg.(value & flag & info [ "json" ] ~doc:"Print the circuit as JSON.")
+let jobs_t =
+  Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"D"
+         ~doc:"Worker domains (default: cores - 1; 1 = sequential): per run \
+               for $(b,batch) and $(b,atlas build), per synthesis batch for \
+               $(b,serve), per shard for $(b,cluster).")
+
+let quiet_t =
+  Arg.(value & flag & info [ "quiet"; "q" ] ~doc:"No log lines on stderr.")
+
+let max_pending_t =
+  Arg.(value & opt int 64 & info [ "max-pending" ] ~docv:"N"
+         ~doc:"Admission bound: requests beyond N queued jobs are shed with \
+               a typed $(b,overloaded) reply ($(b,cluster) passes it to \
+               every shard).")
+
+let max_batch_t =
+  Arg.(value & opt int 16 & info [ "max-batch" ] ~docv:"N"
+         ~doc:"Queued jobs dispatched per engine micro-batch: they share one \
+               worker-pool spin-up and NPN-deduplicate ($(b,cluster) passes \
+               it to every shard).")
+
+let resyn_passes_t =
+  Arg.(value & opt int 4 & info [ "resyn-passes" ] ~docv:"N"
+         ~doc:"Resynthesis cleanup passes before giving up on a fixed point \
+               ($(b,map) with $(b,--resyn), and $(b,resyn)).")
 
 let taps_of final = if final then E.Final_only else E.Any_vop
 
@@ -206,13 +334,40 @@ let print_circuit ~json ~dot c =
     Printf.printf "dot written to %s\n" path
   | None -> ()
 
+(* Replay [c] on the line-array simulator for every input row and print the
+   tally; the rows it gets wrong. *)
+let simulator_validation spec c =
+  let failures = Schedule.verify (Schedule.plan c) spec in
+  let rows = 1 lsl Spec.arity spec in
+  Printf.printf "simulator validation: %d/%d rows correct\n"
+    (rows - List.length failures) rows;
+  failures
+
+let checked failures =
+  if failures = [] then `Ok 0
+  else
+    fail exit_check_failed "schedule simulation disagrees with the spec on %d row(s)"
+      (List.length failures)
+
+(* ---- synth / check / baseline / simulate -------------------------------- *)
+
 let synth_cmd =
-  let run exprs pla tables workload arity name timeout rops legs steps minimize
-      r_only final no_inc json dot =
-    match spec_of_inputs name exprs arity pla tables workload with
-    | Error msg -> `Error (false, msg)
-    | Ok spec ->
-    let n_out = Spec.output_count spec in
+  let minimize_flag =
+    Arg.(value & flag & info [ "minimize" ]
+           ~doc:"Run the paper's optimality loop: smallest N_R, then smallest \
+                 N_VS.")
+  in
+  let r_only =
+    Arg.(value & flag & info [ "r-only" ]
+           ~doc:"Synthesize with stateful R-ops only (no V-legs).")
+  in
+  let no_incremental =
+    Arg.(value & flag & info [ "no-incremental" ]
+           ~doc:"Disable the incremental assumption-ladder sweep and solve \
+                 every budget point on a fresh solver (the monolithic \
+                 differential-testing oracle; slower).")
+  in
+  let run spec timeout rops legs steps minimize r_only final no_inc json dot =
     if minimize then begin
       let incremental = not no_inc in
       let report =
@@ -230,7 +385,7 @@ let synth_cmd =
           report.Synth.rops_proven_minimal report.Synth.steps_proven_minimal;
         print_circuit ~json ~dot c;
         `Ok 0
-      | None -> `Error (false, "no circuit found within the budget")
+      | None -> fail exit_no_answer "no circuit found within the budget"
     end
     else begin
       let n_rops = Option.value rops ~default:(if r_only then 4 else 1) in
@@ -242,7 +397,6 @@ let synth_cmd =
         if r_only then 0
         else Option.value steps ~default:(Spec.arity spec + 2)
       in
-      ignore n_out;
       let cfg =
         E.config ~taps:(taps_of final) ~n_legs ~steps_per_leg ~n_rops ()
       in
@@ -251,34 +405,23 @@ let synth_cmd =
       match a.Synth.verdict with
       | Synth.Sat c ->
         print_circuit ~json ~dot c;
-        let plan = Schedule.plan c in
-        let failures = Schedule.verify plan spec in
-        Printf.printf "simulator validation: %d/%d rows correct\n"
-          ((1 lsl Spec.arity spec) - List.length failures)
-          (1 lsl Spec.arity spec);
-        `Ok 0
+        checked (simulator_validation spec c)
       | Synth.Unsat ->
         Printf.printf "UNSAT: no circuit with these dimensions (optimality certificate)\n";
         `Ok 0
-      | Synth.Timeout -> `Error (false, "solver budget exhausted")
+      | Synth.Timeout -> fail exit_no_answer "solver budget exhausted"
     end
   in
-  let term =
+  Cmd.v
+    (cmd_info "synth" ~doc:"Synthesize a mixed-mode memristive circuit via SAT.")
     Term.(
       ret
-        (const run $ exprs $ pla_file $ tables_file $ workload_t $ arity
-        $ name_t $ timeout $ rops $ legs $ steps $ minimize_flag $ r_only
-        $ final_taps $ no_incremental $ json_flag $ dot_out))
-  in
-  Cmd.v
-    (Cmd.info "synth" ~doc:"Synthesize a mixed-mode memristive circuit via SAT.")
-    term
+        (const run $ required_spec_t $ timeout_t $ rops_t $ legs_t $ steps_t
+        $ minimize_flag $ r_only $ final_taps_t $ no_incremental $ json_t
+        $ dot_t))
 
 let check_cmd =
-  let run exprs pla tables workload arity name =
-    match spec_of_inputs name exprs arity pla tables workload with
-    | Error msg -> `Error (false, msg)
-    | Ok spec ->
+  let run spec =
     if Spec.arity spec > 4 then
       `Error (false, "V-op realizability check supports up to 4 inputs")
     else begin
@@ -293,86 +436,71 @@ let check_cmd =
     end
   in
   Cmd.v
-    (Cmd.info "check"
+    (cmd_info "check"
        ~doc:"Check whether each output is realizable by V-ops alone (n <= 4).")
-    Term.(
-      ret
-        (const run $ exprs $ pla_file $ tables_file $ workload_t $ arity
-        $ name_t))
+    Term.(ret (const run $ required_spec_t))
 
 let baseline_cmd =
-  let run exprs pla tables workload arity name =
-    match spec_of_inputs name exprs arity pla tables workload with
-    | Error msg -> `Error (false, msg)
-    | Ok spec ->
-      let c = Mm_core.Baseline.nor_network spec in
-      Format.printf "%a@." C.pp c;
-      Printf.printf
-        "QMC -> NOR-NOR baseline: %d NOR gates, %d devices, %d steps\n"
-        (C.n_rops c) (C.n_devices c) (C.n_steps c);
-      `Ok 0
+  let run spec =
+    let c = Mm_core.Baseline.nor_network spec in
+    Format.printf "%a@." C.pp c;
+    Printf.printf
+      "QMC -> NOR-NOR baseline: %d NOR gates, %d devices, %d steps\n"
+      (C.n_rops c) (C.n_devices c) (C.n_steps c);
+    0
   in
   Cmd.v
-    (Cmd.info "baseline"
+    (cmd_info "baseline"
        ~doc:"Gate-oriented baseline: Quine-McCluskey cover mapped to 2-input NORs.")
-    Term.(
-      ret
-        (const run $ exprs $ pla_file $ tables_file $ workload_t $ arity
-        $ name_t))
+    Term.(const run $ required_spec_t)
 
 let simulate_cmd =
   let input =
-    Arg.(value & opt (some int) None & info [ "input" ] ~docv:"ROW"
-           ~doc:"Input row to trace (default: verify all rows).")
+    count_opt ~lo:0 "input" ~docv:"ROW"
+      ~doc:"Input row to trace, 0..2^n-1 (default: verify all rows)."
   in
-  let run exprs pla tables workload arity name timeout rops legs steps final
-      input =
-    match spec_of_inputs name exprs arity pla tables workload with
-    | Error msg -> `Error (false, msg)
-    | Ok spec ->
-    let n_rops = Option.value rops ~default:1 in
-    let n_legs = Option.value legs ~default:(Synth.default_legs spec ~n_rops) in
-    let steps_per_leg = Option.value steps ~default:(Spec.arity spec + 2) in
-    let cfg = E.config ~taps:(taps_of final) ~n_legs ~steps_per_leg ~n_rops () in
-    let a = Synth.solve_instance ~timeout cfg spec in
-    match a.Synth.verdict with
-    | Synth.Sat c ->
-      let plan = Schedule.plan c in
-      (match input with
-       | Some row ->
-         let r = Schedule.execute plan ~input:row () in
-         Format.printf "%a@." Mm_device.Waveform.pp r.Schedule.waveform;
-         Printf.printf "outputs:";
-         Array.iteri
-           (fun o b -> Printf.printf " out%d=%d" (o + 1) (if b then 1 else 0))
-           r.Schedule.outputs;
-         print_newline ();
-         `Ok 0
-       | None ->
-         let failures = Schedule.verify plan spec in
-         Printf.printf "simulator validation: %d/%d rows correct\n"
-           ((1 lsl Spec.arity spec) - List.length failures)
-           (1 lsl Spec.arity spec);
-         `Ok 0)
-    | Synth.Unsat -> `Error (false, "UNSAT at these dimensions")
-    | Synth.Timeout -> `Error (false, "solver budget exhausted")
+  let run spec timeout rops legs steps final input =
+    let rows = 1 lsl Spec.arity spec in
+    match input with
+    | Some row when row >= rows ->
+      `Error
+        (false,
+         Printf.sprintf "--input %d is outside 0..%d, the rows of the spec" row
+           (rows - 1))
+    | _ -> (
+      let n_rops = Option.value rops ~default:1 in
+      let n_legs = Option.value legs ~default:(Synth.default_legs spec ~n_rops) in
+      let steps_per_leg = Option.value steps ~default:(Spec.arity spec + 2) in
+      let cfg = E.config ~taps:(taps_of final) ~n_legs ~steps_per_leg ~n_rops () in
+      let a = Synth.solve_instance ~timeout cfg spec in
+      match a.Synth.verdict with
+      | Synth.Sat c -> (
+        match input with
+        | Some row ->
+          let r = Schedule.execute (Schedule.plan c) ~input:row () in
+          Format.printf "%a@." Mm_device.Waveform.pp r.Schedule.waveform;
+          Printf.printf "outputs:";
+          Array.iteri
+            (fun o b -> Printf.printf " out%d=%d" (o + 1) (if b then 1 else 0))
+            r.Schedule.outputs;
+          print_newline ();
+          `Ok 0
+        | None -> checked (simulator_validation spec c))
+      | Synth.Unsat -> fail exit_no_answer "UNSAT at these dimensions"
+      | Synth.Timeout -> fail exit_no_answer "solver budget exhausted")
   in
   Cmd.v
-    (Cmd.info "simulate"
+    (cmd_info "simulate"
        ~doc:"Synthesize, then execute on the behavioral line-array simulator.")
     Term.(
       ret
-        (const run $ exprs $ pla_file $ tables_file $ workload_t $ arity
-        $ name_t $ timeout $ rops $ legs $ steps $ final_taps $ input))
-
-(* ---- batch: NPN-canonicalizing, cached, multicore sweep ---------------- *)
+        (const run $ required_spec_t $ timeout_t $ rops_t $ legs_t $ steps_t
+        $ final_taps_t $ input))
 
 (* ---- the two-tier store: atlas tier + overlay, shared by batch / serve /
    map ------------------------------------------------------------------- *)
 
-module Atlas = Mm_atlas.Atlas
-
-let atlas_arg =
+let atlas_t =
   Arg.(value & opt (some string) None & info [ "atlas" ] ~docv:"FILE"
          ~doc:"Read-only NPN block atlas attached as the immutable front \
                tier of the result cache: covered whole-function requests \
@@ -418,7 +546,6 @@ let store_t =
                  that does not exist, is refused.")
   in
   let open_store cache_file atlas () =
-    let module Cache = Mm_engine.Cache in
     let cache =
       match cache_file, atlas with
       | Some path, _ -> Some (Cache.create ~path ())
@@ -452,34 +579,95 @@ let store_t =
       | None -> `Ok (open_store cache_file atlas))
     | None -> `Ok (open_store cache_file atlas)
   in
-  Term.(ret (const check $ cache_file $ atlas_arg))
+  Term.(ret (const check $ cache_file $ atlas_t))
+
+(* ---- the engine term, shared by batch and serve -------------------------- *)
+
+let fallback_t =
+  Arg.(value
+       & opt
+           (some
+              (enum
+                 [ ("none", Engine.No_fallback);
+                   ("baseline", Engine.Use_baseline);
+                   ("heuristic", Engine.Use_heuristic) ]))
+           None
+       & info [ "fallback" ] ~docv:"KIND"
+           ~doc:"When an instance exhausts its budget or crashes past its \
+                 retries, emit a verified non-optimal circuit instead of \
+                 dropping the spec: $(b,baseline) (QMC->NOR network) or \
+                 $(b,heuristic) (Shannon decomposition); $(b,none) drops it \
+                 (the default of $(b,batch) and $(b,serve)). For \
+                 $(b,client), the policy asked of the daemon for this \
+                 request (default: the daemon's own).")
+
+(* The fault plan is parsed with the command line, so a bad plan is refused
+   before any work; its text is kept for [cluster], which passes it on to
+   its shards. *)
+let inject_t =
+  let text =
+    Arg.(value & opt (some string) None & info [ "inject" ] ~docv:"SPEC"
+           ~doc:"Deterministic fault injection for robustness testing: \
+                 comma-separated STAGE:RATE pairs, e.g. \
+                 $(b,worker:0.3,solver:0.1). Engine stages: worker, solver, \
+                 cache-read, cache-write, verify; serve stages: conn (drop \
+                 connections), kill (abrupt daemon death), partition \
+                 (refuse connections). $(b,cluster) passes the plan to every \
+                 shard.")
+  in
+  let parse = function
+    | None -> `Ok None
+    | Some spec -> (
+      match Fault.parse_spec spec with
+      | Ok rules -> `Ok (Some (spec, rules))
+      | Error msg -> `Error (false, "--inject: " ^ msg))
+  in
+  Term.(ret (const parse $ text))
+
+let inject_seed_t =
+  Arg.(value & opt int 0 & info [ "inject-seed" ] ~docv:"SEED"
+         ~doc:"Seed for the $(b,--inject) plan (same seed, same faults; \
+               $(b,cluster) gives shard $(i,i) SEED+$(i,i)).")
+
+type engine_opts = {
+  timeout : float;
+  jobs : int option;
+  fallback : Engine.degrade;
+  fault : Fault.t option;
+  open_store : unit -> Cache.t option;
+}
+
+let engine_t =
+  let make timeout jobs fallback inject seed open_store =
+    { timeout; jobs;
+      fallback = Option.value fallback ~default:Engine.No_fallback;
+      fault = Option.map (fun (_, rules) -> Fault.create ~seed rules) inject;
+      open_store }
+  in
+  Term.(
+    const make $ timeout_t $ jobs_t $ fallback_t $ inject_t $ inject_seed_t
+    $ store_t)
+
+(* The engine configuration of [batch] and [serve]; opens the store. *)
+let engine_config ?taps ?deadline ?retries o =
+  Engine.config ~timeout_per_call:o.timeout ?domains:o.jobs ?taps
+    ?cache:(o.open_store ()) ?deadline ?retries ~fallback:o.fallback
+    ?fault:o.fault ()
+
+(* ---- batch: NPN-canonicalizing, cached, multicore sweep ---------------- *)
 
 let batch_cmd =
-  let module Engine = Mm_engine.Engine in
-  let module Cache = Mm_engine.Cache in
-  let module Table = Mm_report.Table in
-  let batch_arity =
-    Arg.(value & opt (some int) None & info [ "sweep" ] ~docv:"N"
-           ~doc:"Sweep all $(b,2^2^N) single-output functions of N inputs \
-                 (1-4; the 4-input space is 65 536 functions in 222 NPN \
-                 classes).")
-  in
-  let jobs =
-    Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"D"
-           ~doc:"Worker domains (default: cores - 1; 1 = sequential).")
-  in
-  let no_npn =
-    Arg.(value & flag & info [ "no-npn" ]
-           ~doc:"Disable NPN class sharing (every function gets its own \
-                 solver job).")
+  let sweep =
+    count_opt ~lo:1 ~hi:4 "sweep" ~docv:"N"
+      ~doc:"Sweep all $(b,2^2^N) single-output functions of N inputs (1-4; \
+            the 4-input space is 65 536 functions in 222 NPN classes)."
   in
   let stats_flag =
     Arg.(value & flag & info [ "stats" ]
            ~doc:"Print the per-function solver statistics table.")
   in
   let limit =
-    Arg.(value & opt (some int) None & info [ "limit" ] ~docv:"K"
-           ~doc:"Only the first K functions of the sweep.")
+    count_opt ~lo:0 "limit" ~docv:"K" ~doc:"Only the first K functions of the sweep."
   in
   let deadline_flag =
     Arg.(value & opt (some float) None & info [ "deadline" ] ~docv:"SECONDS"
@@ -492,224 +680,115 @@ let batch_cmd =
            ~doc:"Extra attempts for a crashed job, with bounded exponential \
                  backoff between rounds.")
   in
-  let fallback_flag =
-    Arg.(value
-         & opt
-             (enum
-                [ ("none", Engine.No_fallback);
-                  ("baseline", Engine.Use_baseline);
-                  ("heuristic", Engine.Use_heuristic) ])
-             Engine.No_fallback
-         & info [ "fallback" ] ~docv:"KIND"
-             ~doc:"When an instance exhausts its budget or crashes past its \
-                   retries, emit a verified non-optimal circuit instead of \
-                   dropping the spec: $(b,baseline) (QMC->NOR network) or \
-                   $(b,heuristic) (Shannon decomposition).")
-  in
-  let inject_flag =
-    Arg.(value & opt (some string) None & info [ "inject" ] ~docv:"SPEC"
-           ~doc:"Deterministic fault injection for robustness testing: \
-                 comma-separated STAGE:RATE pairs (stages: worker, solver, \
-                 cache-read, cache-write, verify), e.g. \
-                 $(b,worker:0.3,solver:0.1).")
-  in
-  let inject_seed_flag =
-    Arg.(value & opt int 0 & info [ "inject-seed" ] ~docv:"SEED"
-           ~doc:"Seed for the $(b,--inject) plan (same seed, same faults).")
-  in
   let json_stats_flag =
     Arg.(value & flag & info [ "json" ]
            ~doc:"Also print the run summary as JSON (the shared \
                  $(b,mmsynth-stats-v5) schema used by the serve daemon's \
                  stats endpoint and the benches).")
   in
-  let map_large_flag =
-    Arg.(value & flag & info [ "map-large" ]
-           ~doc:"Divert specs wider than the 4-input exact-SAT/NPN cap \
-                 through the cut-based technology mapper ($(b,mmsynth map)) \
-                 instead of attempting a monolithic encoding. Mapped \
-                 circuits are verified row-by-row but built from \
-                 per-block-optimal pieces, not proven globally optimal.")
+  let print_stats results =
+    let t =
+      Table.create
+        [ "function"; "class"; "verdict"; "N_R"; "N_L"; "N_VS"; "vars";
+          "clauses"; "conflicts"; "time" ]
+    in
+    Array.iter
+      (fun r ->
+        let cls =
+          match r.Engine.class_rep with
+          | Some rep ->
+            Printf.sprintf "%04x%s" (Mm_boolfun.Truth_table.to_int rep)
+              (if r.Engine.shared then "*" else "")
+          | None -> "-"
+        in
+        let verdict, att =
+          match (r.Engine.provenance, r.Engine.circuit) with
+          | Engine.Exact, Some _ -> (
+            match r.Engine.report.Synth.best with
+            | Some (_, a) -> ("SAT", Some a)
+            | None -> ("SAT", None))
+          | Engine.From_atlas, Some _ -> ("SAT(atlas)", None)
+          | Engine.Via_baseline, Some _ -> ("fallback(b)", None)
+          | Engine.Via_heuristic, Some _ -> ("fallback(h)", None)
+          | _, None -> (
+            match
+              (r.Engine.error, List.rev r.Engine.report.Synth.attempts)
+            with
+            | Some _, _ -> ("error", None)
+            | None, last :: _ ->
+              ((match last.Synth.verdict with
+                | Synth.Timeout -> "timeout"
+                | _ -> "UNSAT"),
+               Some last)
+            | None, [] -> ("timeout", None))
+        in
+        let cell f = match att with None -> "-" | Some a -> f a in
+        Table.add_row t
+          [ Spec.name r.Engine.spec; cls; verdict;
+            cell (fun a -> string_of_int a.Synth.n_rops);
+            cell (fun a -> string_of_int a.Synth.n_legs);
+            cell (fun a -> string_of_int a.Synth.steps_per_leg);
+            cell (fun a -> string_of_int a.Synth.vars);
+            cell (fun a -> string_of_int a.Synth.clauses);
+            cell (fun a ->
+                string_of_int a.Synth.solver_stats.Mm_sat.Solver.conflicts);
+            cell (fun a -> Printf.sprintf "%.3fs" a.Synth.time_s) ])
+      results;
+    Table.print t;
+    print_newline ()
   in
-  let batch_resyn_flag =
-    Arg.(value & flag & info [ "resyn" ]
-           ~doc:"Run post-mapping resynthesis (see $(b,mmsynth map \
-                 --resyn)) on every cover produced by $(b,--map-large); \
-                 each optimized schedule is re-verified row-by-row and never \
-                 worse than the stitched one.")
+  let fail_line r =
+    let rescued = if r.Engine.circuit <> None then " (rescued by fallback)" else "" in
+    match r.Engine.error with
+    | None -> None
+    | Some (Engine.Crashed { exn; backtrace }) ->
+      Some
+        (Printf.sprintf "%s: crashed: %s%s%s" (Spec.name r.Engine.spec) exn
+           rescued
+           (if backtrace = "" then ""
+            else "\n    " ^ String.concat "\n    "
+                   (String.split_on_char '\n' (String.trim backtrace))))
+    | Some (Engine.Verify_failed { row }) ->
+      Some
+        (Printf.sprintf "%s: decanonicalized circuit wrong on row %d%s"
+           (Spec.name r.Engine.spec) row rescued)
   in
-  let run exprs pla tables workload arity name timeout batch_arity jobs
-      open_store no_npn final no_inc stats limit deadline
-      retries fallback inject inject_seed json_stats map_large batch_resyn =
+  let run spec sweep engine final stats limit deadline retries json_stats =
     let specs =
-      match batch_arity with
-      | Some n when n >= 1 && n <= 4 -> Ok (Engine.all_functions ~arity:n)
-      | Some _ -> Error "batch --sweep must be 1..4"
-      | None -> (
-        match spec_of_inputs name exprs arity pla tables workload with
-        | Ok spec ->
-          (* each output is an independent single-output batch member *)
-          Ok
-            (Array.mapi
-               (fun o tt ->
-                 Spec.make
-                   ~name:(Printf.sprintf "%s.%d" (Spec.name spec) (o + 1))
-                   [| tt |])
-               (Spec.outputs spec))
-        | Error e -> Error e)
+      match sweep, spec with
+      | Some n, _ -> Ok (Engine.all_functions ~arity:n)
+      | None, Some spec ->
+        (* each output is an independent single-output batch member *)
+        Ok
+          (Array.mapi
+             (fun o tt ->
+               Spec.make
+                 ~name:(Printf.sprintf "%s.%d" (Spec.name spec) (o + 1))
+                 [| tt |])
+             (Spec.outputs spec))
+      | None, None -> Error no_spec
     in
-    let fault =
-      match inject with
-      | None -> Ok None
-      | Some spec -> (
-        match Mm_engine.Fault.parse_spec spec with
-        | Ok rules -> Ok (Some (Mm_engine.Fault.create ~seed:inject_seed rules))
-        | Error msg -> Error ("--inject: " ^ msg))
-    in
-    match (specs, fault) with
-    | Error msg, _ | _, Error msg -> `Error (false, msg)
-    | Ok specs, Ok fault ->
+    match specs with
+    | Error msg -> `Error (false, msg)
+    | Ok specs ->
       let specs =
         match limit with
         | Some k when k < Array.length specs -> Array.sub specs 0 k
         | Some _ | None -> specs
       in
-      let specs, mapped_specs =
-        if map_large then
-          ( Array.of_list
-              (List.filter (fun s -> Spec.arity s <= 4) (Array.to_list specs)),
-            List.filter (fun s -> Spec.arity s > 4) (Array.to_list specs) )
-        else (specs, [])
-      in
-      let cache = open_store () in
-      let cfg =
-        Engine.config ~timeout_per_call:timeout ?domains:jobs
-          ~canonicalize:(not no_npn) ~taps:(taps_of final) ?cache
-          ?deadline ~retries ~fallback ?fault ~incremental:(not no_inc) ()
-      in
-      Printf.printf "batch: %d functions, %d domains%s\n%!"
-        (Array.length specs) cfg.Engine.domains
-        (if cfg.Engine.canonicalize then ", NPN sharing on" else "");
+      let cfg = engine_config ~taps:(taps_of final) ?deadline ~retries engine in
+      Printf.printf "batch: %d functions, %d domains, NPN sharing on\n%!"
+        (Array.length specs) cfg.Engine.domains;
       let results, summary = Engine.run cfg specs in
-      if stats then begin
-        let t =
-          Table.create
-            [ "function"; "class"; "verdict"; "N_R"; "N_L"; "N_VS"; "vars";
-              "clauses"; "conflicts"; "time" ]
-        in
-        Array.iter
-          (fun r ->
-            let cls =
-              match r.Engine.class_rep with
-              | Some rep ->
-                Printf.sprintf "%04x%s" (Mm_boolfun.Truth_table.to_int rep)
-                  (if r.Engine.shared then "*" else "")
-              | None -> "-"
-            in
-            let verdict, att =
-              match (r.Engine.provenance, r.Engine.circuit) with
-              | Engine.Exact, Some _ -> (
-                match r.Engine.report.Synth.best with
-                | Some (_, a) -> ("SAT", Some a)
-                | None -> ("SAT", None))
-              | Engine.From_atlas, Some _ -> ("SAT(atlas)", None)
-              | Engine.Via_baseline, Some _ -> ("fallback(b)", None)
-              | Engine.Via_heuristic, Some _ -> ("fallback(h)", None)
-              | _, None -> (
-                match
-                  (r.Engine.error,
-                   List.rev r.Engine.report.Synth.attempts)
-                with
-                | Some _, _ -> ("error", None)
-                | None, last :: _ ->
-                  ((match last.Synth.verdict with
-                    | Synth.Timeout -> "timeout"
-                    | _ -> "UNSAT"),
-                   Some last)
-                | None, [] -> ("timeout", None))
-            in
-            let cell f = match att with None -> "-" | Some a -> f a in
-            Table.add_row t
-              [ Spec.name r.Engine.spec; cls; verdict;
-                cell (fun a -> string_of_int a.Synth.n_rops);
-                cell (fun a -> string_of_int a.Synth.n_legs);
-                cell (fun a -> string_of_int a.Synth.steps_per_leg);
-                cell (fun a -> string_of_int a.Synth.vars);
-                cell (fun a -> string_of_int a.Synth.clauses);
-                cell (fun a ->
-                    string_of_int
-                      a.Synth.solver_stats.Mm_sat.Solver.conflicts);
-                cell (fun a -> Printf.sprintf "%.3fs" a.Synth.time_s) ])
-          results;
-        Table.print t;
-        print_newline ()
-      end;
+      if stats then print_stats results;
       Format.printf "%a@." Engine.pp_summary summary;
       if json_stats then
         print_endline
-          (Mm_report.Json.to_string_pretty (Engine.stats_to_json summary));
-      let fail_lines r =
-        match r.Engine.error with
-        | None -> None
-        | Some (Engine.Crashed { exn; backtrace }) ->
-          let rescued = if r.Engine.circuit <> None then " (rescued by fallback)" else "" in
-          Some
-            (Printf.sprintf "%s: crashed: %s%s%s" (Spec.name r.Engine.spec) exn
-               rescued
-               (if backtrace = "" then ""
-                else "\n    " ^ String.concat "\n    "
-                       (String.split_on_char '\n' (String.trim backtrace))))
-        | Some (Engine.Verify_failed { row }) ->
-          Some
-            (Printf.sprintf "%s: decanonicalized circuit wrong on row %d%s"
-               (Spec.name r.Engine.spec) row
-               (if r.Engine.circuit <> None then " (rescued by fallback)" else ""))
-      in
+          (Json.to_string_pretty (Engine.stats_to_json summary));
       Array.iter
-        (fun r -> Option.iter (Printf.printf "warning: %s\n") (fail_lines r))
+        (fun r -> Option.iter (Printf.printf "warning: %s\n") (fail_line r))
         results;
-      (* specs diverted by --map-large go through the technology mapper:
-         each is a verified (not proven-optimal) composition of library
-         blocks, so it counts as answered *)
-      let map_failed = ref 0 in
-      if mapped_specs <> [] then begin
-        let map_cfg =
-          Engine.config ~timeout_per_call:(Float.min timeout 0.5) ~max_rops:8
-            ~domains:1 ~taps:(taps_of final) ?cache
-            ~incremental:(not no_inc) ()
-        in
-        List.iter
-          (fun spec ->
-            match Mm_map.Stitch.compile map_cfg spec with
-            | r ->
-              let c = r.Mm_map.Stitch.stitched.Mm_map.Stitch.circuit in
-              let c, resyn_note =
-                if not batch_resyn then (c, "")
-                else
-                  match Mm_resyn.Resyn.run spec c with
-                  | t ->
-                    ( t.Mm_resyn.Resyn.circuit,
-                      Printf.sprintf " (resyn: %d -> %d steps)"
-                        t.Mm_resyn.Resyn.stats.Mm_resyn.Resyn.steps_before
-                        t.Mm_resyn.Resyn.stats.Mm_resyn.Resyn.steps_after )
-                  | exception (Failure msg | Invalid_argument msg) ->
-                    (c, Printf.sprintf " (resyn skipped: %s)" msg)
-              in
-              Printf.printf
-                "map: %s (arity %d): verified cover of %d blocks, %d (V) + \
-                 %d (R) steps%s\n"
-                (Spec.name spec) (Spec.arity spec)
-                (List.length r.Mm_map.Stitch.stitched.Mm_map.Stitch.placed)
-                (C.steps_per_leg c) (C.n_rops c) resyn_note
-            | exception (Failure msg | Invalid_argument msg) ->
-              incr map_failed;
-              Printf.printf "warning: map: %s: %s\n" (Spec.name spec) msg)
-          mapped_specs
-      end;
-      (* exit codes: 0 = every spec answered (exact circuit, proven UNSAT,
-         verified fallback, or verified mapper cover); 3 = budget exhausted
-         without fallback; 4 = hard failures (unrescued crash or
-         verification failure) *)
+      (* answered: an exact circuit, proven UNSAT or a verified fallback *)
       let unsat_proven r =
         r.Engine.error = None
         && r.Engine.report.Synth.attempts <> []
@@ -718,100 +797,68 @@ let batch_cmd =
                 (fun a -> a.Synth.verdict = Synth.Timeout)
                 r.Engine.report.Synth.attempts)
       in
-      let hard = ref !map_failed and unanswered = ref 0 in
-      Array.iter
-        (fun r ->
-          if r.Engine.circuit = None then
-            if r.Engine.error <> None then incr hard
-            else if not (unsat_proven r) then incr unanswered)
-        results;
-      let wide_unanswered =
-        Array.exists
-          (fun r ->
-            r.Engine.circuit = None && Spec.arity r.Engine.spec > 4
-            && r.Engine.error = None && not (unsat_proven r))
-          results
+      let unanswered =
+        List.filter
+          (fun r -> r.Engine.circuit = None && not (unsat_proven r))
+          (Array.to_list results)
       in
-      if !hard > 0 then begin
-        Printf.printf "batch: %d hard failure(s) left unanswered\n" !hard;
-        `Ok 4
+      let hard, budget =
+        List.partition (fun r -> r.Engine.error <> None) unanswered
+      in
+      if hard <> [] then begin
+        Printf.printf "batch: %d hard failure(s) left unanswered\n"
+          (List.length hard);
+        `Ok exit_check_failed
       end
-      else if !unanswered > 0 then begin
+      else if budget <> [] then begin
         Printf.printf
           "batch: %d spec(s) unanswered within the budget (consider \
            --fallback%s)\n"
-          !unanswered
-          (if wide_unanswered then
+          (List.length budget)
+          (if List.exists (fun r -> Spec.arity r.Engine.spec > 4) budget then
              "; specs wider than 4 inputs exceed the exact-SAT cap — use \
-              --map-large or mmsynth map"
+              mmsynth map"
            else "");
-        `Ok 3
+        `Ok exit_no_answer
       end
       else `Ok 0
   in
-  let exits =
-    Cmd.Exit.defaults
-    @ [
-        Cmd.Exit.info 3
-          ~doc:"some specs ran out of budget and no fallback was enabled";
-        Cmd.Exit.info 4
-          ~doc:"hard failures (crash past retries, or failed verification) \
-                left specs unanswered";
-      ]
-  in
   Cmd.v
-    (Cmd.info "batch" ~exits
+    (cmd_info "batch"
        ~doc:"Batch synthesis of many functions: NPN class sharing, a \
              persistent result cache, a multicore worker pool, a global \
              deadline with retries and graceful degradation to verified \
              heuristic circuits.")
     Term.(
       ret
-        (const run $ exprs $ pla_file $ tables_file $ workload_t $ arity
-        $ name_t $ timeout $ batch_arity $ jobs $ store_t $ no_npn
-        $ final_taps $ no_incremental
-        $ stats_flag $ limit $ deadline_flag $ retries_flag $ fallback_flag
-        $ inject_flag $ inject_seed_flag $ json_stats_flag $ map_large_flag
-        $ batch_resyn_flag))
+        (const run $ spec_t $ sweep $ engine_t $ final_taps_t $ stats_flag
+        $ limit $ deadline_flag $ retries_flag $ json_stats_flag))
 
 (* ---- serve / client: resident synthesis daemon ------------------------ *)
 
 module Server = Mm_serve.Server
 module Client = Mm_serve.Client
 module Wire = Mm_serve.Wire
-module Json = Mm_report.Json
-module Engine = Mm_engine.Engine
 
-let socket_arg =
+let socket_t =
   Arg.(value & opt string "/tmp/mmsynth.sock"
        & info [ "socket" ] ~docv:"PATH"
            ~doc:"Unix-domain socket the daemon listens on.")
 
-let fallback_tag =
-  Arg.(value & opt (some (enum [ ("none", "none"); ("baseline", "baseline");
-                                 ("heuristic", "heuristic") ])) None
-       & info [ "fallback" ] ~docv:"KIND"
-           ~doc:"Degradation policy: $(b,none), $(b,baseline) or \
-                 $(b,heuristic).")
+(* A socket path a new listener may bind: a live listener behind it refuses
+   the command line before any work (a stale socket file is removed). *)
+let free_socket_t socket =
+  let check path =
+    match Server.free_socket_path path with
+    | Ok () -> `Ok path
+    | Error msg -> `Error (false, msg)
+  in
+  Term.(ret (const check $ socket))
 
 let serve_cmd =
   let tcp =
     Arg.(value & opt (some int) None & info [ "tcp" ] ~docv:"PORT"
            ~doc:"Also listen on 127.0.0.1:PORT.")
-  in
-  let jobs =
-    Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"D"
-           ~doc:"Worker domains per synthesis batch.")
-  in
-  let max_pending =
-    Arg.(value & opt int 64 & info [ "max-pending" ] ~docv:"N"
-           ~doc:"Admission bound: requests beyond N queued jobs are shed \
-                 with a typed $(b,overloaded) reply.")
-  in
-  let max_batch =
-    Arg.(value & opt int 16 & info [ "max-batch" ] ~docv:"N"
-           ~doc:"Queued jobs dispatched per engine micro-batch (they share \
-                 one worker-pool spin-up and NPN-deduplicate).")
   in
   let request_deadline =
     Arg.(value & opt (some float) None
@@ -824,76 +871,36 @@ let serve_cmd =
            ~doc:"Seconds to let clients disconnect after a drain empties \
                  the queue.")
   in
-  let inject =
-    Arg.(value & opt (some string) None & info [ "inject" ] ~docv:"SPEC"
-           ~doc:"Fault injection, e.g. $(b,conn:0.2) to drop connections \
-                 (engine stages apply to dispatched batches).")
-  in
-  let inject_seed =
-    Arg.(value & opt int 0 & info [ "inject-seed" ] ~docv:"SEED"
-           ~doc:"Seed for the $(b,--inject) plan.")
-  in
-  let quiet =
-    Arg.(value & flag & info [ "quiet"; "q" ] ~doc:"No log lines on stderr.")
-  in
   let shard_id =
     Arg.(value & opt (some string) None & info [ "shard-id" ] ~docv:"ID"
            ~doc:"Identity reported in $(b,stats)/$(b,health) snapshots \
                  (defaults to the socket path); set by $(b,mmsynth cluster) \
                  so the router can attribute per-shard metrics.")
   in
-  let run socket tcp jobs open_store timeout max_pending
-      max_batch request_deadline drain_grace fallback inject inject_seed
-      no_inc quiet shard_id =
-    let fault =
-      match inject with
-      | None -> Ok None
-      | Some spec -> (
-        match Mm_engine.Fault.parse_spec spec with
-        | Ok rules -> Ok (Some (Mm_engine.Fault.create ~seed:inject_seed rules))
-        | Error msg -> Error ("--inject: " ^ msg))
+  let run socket tcp engine max_pending max_batch request_deadline
+      drain_grace quiet shard_id =
+    let log =
+      if quiet then None
+      else Some (fun s -> Printf.eprintf "mmsynth serve: %s\n%!" s)
     in
-    match fault with
-    | Error msg -> `Error (false, msg)
-    | Ok fault ->
-      let cache = open_store () in
-      let fb =
-        match fallback with
-        | Some "baseline" -> Engine.Use_baseline
-        | Some "heuristic" -> Engine.Use_heuristic
-        | Some _ | None -> Engine.No_fallback
-      in
-      let engine =
-        Engine.config ~timeout_per_call:timeout ?domains:jobs ?cache
-          ~fallback:fb ?fault ~incremental:(not no_inc) ()
-      in
-      let log =
-        if quiet then None
-        else
-          Some
-            (fun s ->
-              Printf.eprintf "mmsynth serve: %s\n%!" s)
-      in
-      let cfg =
-        Server.config ?tcp_port:tcp ~engine ~max_pending ~max_batch
-          ?default_deadline:request_deadline ~drain_grace ?fault ?log
-          ?shard_id ~socket_path:socket ()
-      in
-      (match Server.run cfg with
-       | Ok () -> `Ok 0
-       | Error msg -> `Error (false, msg))
+    let cfg =
+      Server.config ?tcp_port:tcp ~engine:(engine_config engine) ~max_pending
+        ~max_batch ?default_deadline:request_deadline ~drain_grace
+        ?fault:engine.fault ?log ?shard_id ~socket_path:socket ()
+    in
+    match Server.run cfg with
+    | Ok () -> `Ok 0
+    | Error msg -> fail exit_check_failed "%s" msg
   in
   Cmd.v
-    (Cmd.info "serve"
+    (cmd_info "serve"
        ~doc:"Run the resident synthesis daemon: warm cache and NPN tables, \
              bounded admission queue with load shedding, micro-batched \
              dispatch, live stats, graceful drain on SIGTERM.")
     Term.(
       ret
-        (const run $ socket_arg $ tcp $ jobs $ store_t $ timeout
-        $ max_pending $ max_batch $ request_deadline
-        $ drain_grace $ fallback_tag $ inject $ inject_seed $ no_incremental
-        $ quiet $ shard_id))
+        (const run $ free_socket_t socket_t $ tcp $ engine_t $ max_pending_t
+        $ max_batch_t $ request_deadline $ drain_grace $ quiet_t $ shard_id))
 
 let client_cmd =
   let tcp =
@@ -977,16 +984,28 @@ let client_cmd =
       | exception Invalid_argument msg | exception Failure msg ->
         Error (Printf.sprintf "line %d: %s" idx msg)
   in
-  let run socket tcp exprs pla tables workload arity name stdin_mode stats
-      health ping shutdown req_timeout deadline fallback retry_budget
-      retry_tries =
+  let wire_fallback = function
+    | Engine.No_fallback -> "none"
+    | Engine.Use_baseline -> "baseline"
+    | Engine.Use_heuristic -> "heuristic"
+  in
+  let run socket tcp spec stdin_mode stats health ping shutdown req_timeout
+      deadline fallback retry_budget retry_tries =
+    let fallback = Option.map wire_fallback fallback in
     let retry =
       Option.map
         (fun b -> Client.retry ~budget_s:b ~max_tries:retry_tries ())
         retry_budget
     in
+    let control =
+      List.assoc_opt true
+        [ (stats, Wire.Stats); (health, Wire.Health); (ping, Wire.Ping);
+          (shutdown, Wire.Shutdown) ]
+    in
     match addr_of socket tcp with
     | Error msg -> `Error (false, msg)
+    | Ok _ when control = None && (not stdin_mode) && spec = None ->
+      `Error (false, no_spec)
     | Ok addr -> (
       match Client.connect addr with
       | Error msg ->
@@ -994,21 +1013,22 @@ let client_cmd =
         `Ok 6
       | Ok c ->
         let finish code = Client.close c; `Ok code in
-        let one req =
-          match Client.request ?retry c req with
-          | Error msg ->
-            Printf.eprintf "mmsynth client: %s\n" msg;
-            6
-          | Ok (Wire.Result r) ->
-            print_endline (Json.to_string_pretty r);
-            0
-          | Ok (Wire.Err _ as rep) -> print_reply rep
+        let synth spec =
+          Client.synth ?timeout:req_timeout ?deadline ?fallback ?retry c spec
         in
-        if stats then finish (one Wire.Stats)
-        else if health then finish (one Wire.Health)
-        else if ping then finish (one Wire.Ping)
-        else if shutdown then finish (one Wire.Shutdown)
-        else if stdin_mode then begin
+        (* a transport failure is status 6 *)
+        let transport r =
+          Result.map_error
+            (fun msg -> Printf.eprintf "mmsynth client: %s\n" msg; 6)
+            r
+        in
+        let reply r =
+          match transport r with Error code -> code | Ok rep -> print_reply rep
+        in
+        match control, spec with
+        | Some req, _ -> finish (reply (Client.request ?retry c req))
+        | None, Some spec when not stdin_mode -> finish (reply (synth spec))
+        | None, _ ->
           let code = ref 0 in
           let bump c = if c > !code then code := c in
           let idx = ref 0 in
@@ -1022,53 +1042,26 @@ let client_cmd =
                    Printf.eprintf "mmsynth client: %s\n" msg;
                    bump 1
                  | Ok spec -> (
-                   match
-                     Client.synth ?timeout:req_timeout ?deadline ?fallback
-                       ?retry c spec
-                   with
-                   | Error msg ->
-                     Printf.eprintf "mmsynth client: %s\n" msg;
-                     bump 6
+                   match transport (synth spec) with
+                   | Error code -> bump code
                    | Ok (Wire.Result r) -> print_endline (Json.to_string r)
                    | Ok (Wire.Err _ as rep) -> bump (print_reply rep))
                end
              done
            with End_of_file -> ());
-          finish !code
-        end
-        else (
-          match spec_of_inputs name exprs arity pla tables workload with
-          | Error msg -> Client.close c; `Error (false, msg)
-          | Ok spec -> (
-            match
-              Client.synth ?timeout:req_timeout ?deadline ?fallback ?retry c
-                spec
-            with
-            | Error msg ->
-              Printf.eprintf "mmsynth client: %s\n" msg;
-              finish 6
-            | Ok rep -> finish (print_reply rep))))
-  in
-  let exits =
-    Cmd.Exit.defaults
-    @ [
-        Cmd.Exit.info 5
-          ~doc:"the daemon shed the request (overloaded or draining)";
-        Cmd.Exit.info 6 ~doc:"transport error (daemon unreachable or hung up)";
-      ]
+          finish !code)
   in
   Cmd.v
-    (Cmd.info "client" ~exits
+    (cmd_info "client"
        ~doc:"Send requests to a running $(b,mmsynth serve) daemon: one \
              synthesis (spec options as for $(b,synth)), a $(b,--stdin) \
              batch, or $(b,--stats)/$(b,--health)/$(b,--ping)/\
              $(b,--shutdown).")
     Term.(
       ret
-        (const run $ socket_arg $ tcp $ exprs $ pla_file $ tables_file
-        $ workload_t $ arity $ name_t $ stdin_flag $ stats_flag $ health_flag
-        $ ping_flag $ shutdown_flag $ req_timeout $ deadline $ fallback_tag
-        $ retry_budget $ retry_tries))
+        (const run $ socket_t $ tcp $ spec_t $ stdin_flag $ stats_flag
+        $ health_flag $ ping_flag $ shutdown_flag $ req_timeout $ deadline
+        $ fallback_t $ retry_budget $ retry_tries))
 
 (* ---- cluster: supervised shards behind a failover router -------------- *)
 
@@ -1077,8 +1070,8 @@ let cluster_cmd =
   let module Frontend = Mm_cluster.Frontend in
   let module Supervisor = Mm_cluster.Supervisor in
   let shards_n =
-    Arg.(value & opt int 2 & info [ "shards"; "n" ] ~docv:"N"
-           ~doc:"Number of shard daemons to spawn and supervise.")
+    count ~lo:1 ~aliases:[ "n" ] "shards" ~docv:"N"
+      ~doc:"Number of shard daemons to spawn and supervise." 2
   in
   let router_socket =
     Arg.(value & opt string "/tmp/mmsynth-cluster.sock"
@@ -1117,28 +1110,6 @@ let cluster_cmd =
            ~doc:"Health-probe period feeding the per-shard circuit \
                  breakers.")
   in
-  let max_pending =
-    Arg.(value & opt int 64 & info [ "max-pending" ] ~docv:"N"
-           ~doc:"Admission bound passed to every shard.")
-  in
-  let max_batch =
-    Arg.(value & opt int 16 & info [ "max-batch" ] ~docv:"N"
-           ~doc:"Micro-batch bound passed to every shard.")
-  in
-  let jobs =
-    Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"D"
-           ~doc:"Worker domains per shard.")
-  in
-  let inject =
-    Arg.(value & opt (some string) None & info [ "inject" ] ~docv:"SPEC"
-           ~doc:"Fault plan passed to every shard (e.g. $(b,kill:0.01) for \
-                 random abrupt shard deaths the router must ride out).")
-  in
-  let inject_seed =
-    Arg.(value & opt int 0 & info [ "inject-seed" ] ~docv:"SEED"
-           ~doc:"Seed for the shards' $(b,--inject) plans (shard $(i,i) \
-                 uses SEED+$(i,i)).")
-  in
   let chaos_kill_after =
     Arg.(value & opt (some float) None
          & info [ "chaos-kill-after" ] ~docv:"SECONDS"
@@ -1149,124 +1120,118 @@ let cluster_cmd =
     Arg.(value & opt int 0 & info [ "chaos-shard" ] ~docv:"I"
            ~doc:"Which shard $(b,--chaos-kill-after) kills.")
   in
-  let quiet =
-    Arg.(value & flag & info [ "quiet"; "q" ] ~doc:"No log lines on stderr.")
-  in
   let run n router_socket shard_dir cache_dir atlas timeout replicas
       hedge_after retry_budget probe_interval max_pending max_batch jobs
       inject inject_seed chaos_kill_after chaos_shard quiet =
-    if n < 1 then `Error (false, "--shards must be at least 1")
-    else begin
-      let log =
-        if quiet then None
-        else Some (fun s -> Printf.eprintf "mmsynth cluster: %s\n%!" s)
-      in
-      let logf fmt =
-        Printf.ksprintf
-          (fun s -> match log with Some f -> f s | None -> ())
-          fmt
-      in
-      let ensure_dir d =
-        try Unix.mkdir d 0o755 with
-        | Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-        | Unix.Unix_error (e, _, _) ->
-          failwith (Printf.sprintf "cannot create %s: %s" d
-                      (Unix.error_message e))
-      in
-      match
-        ensure_dir shard_dir;
-        Option.iter ensure_dir cache_dir
-      with
-      | exception Failure msg -> `Error (false, msg)
-      | () ->
-        let exe = Sys.executable_name in
-        let shard_socket i = Filename.concat shard_dir
-            (Printf.sprintf "shard-%d.sock" i) in
-        let spawn_of i =
-          let argv =
-            [ exe; "serve"; "--socket"; shard_socket i;
-              "--shard-id"; Printf.sprintf "shard-%d" i;
-              "--max-pending"; string_of_int max_pending;
-              "--max-batch"; string_of_int max_batch;
-              "--timeout"; string_of_float timeout; "--quiet" ]
-            @ (match jobs with
-               | Some j -> [ "-j"; string_of_int j ] | None -> [])
-            @ (match cache_dir with
-               | Some d ->
-                 [ "--cache";
-                   Filename.concat d (Printf.sprintf "shard-%d.mmcache" i) ]
-               | None -> [])
-            @ (match atlas with Some a -> [ "--atlas"; a ] | None -> [])
-            @ (match inject with
-               | Some spec ->
-                 [ "--inject"; spec;
-                   "--inject-seed"; string_of_int (inject_seed + i) ]
-               | None -> [])
-          in
-          { Supervisor.id = Printf.sprintf "shard-%d" i;
-            argv = Array.of_list argv }
+    let log =
+      if quiet then None
+      else Some (fun s -> Printf.eprintf "mmsynth cluster: %s\n%!" s)
+    in
+    let logf fmt =
+      Printf.ksprintf
+        (fun s -> match log with Some f -> f s | None -> ())
+        fmt
+    in
+    let ensure_dir d =
+      try Unix.mkdir d 0o755 with
+      | Unix.Unix_error (Unix.EEXIST, _, _) -> ()
+      | Unix.Unix_error (e, _, _) ->
+        failwith (Printf.sprintf "cannot create %s: %s" d
+                    (Unix.error_message e))
+    in
+    match
+      ensure_dir shard_dir;
+      Option.iter ensure_dir cache_dir
+    with
+    | exception Failure msg -> `Error (false, msg)
+    | () ->
+      let exe = Sys.executable_name in
+      let shard_socket i = Filename.concat shard_dir
+          (Printf.sprintf "shard-%d.sock" i) in
+      let spawn_of i =
+        let argv =
+          [ exe; "serve"; "--socket"; shard_socket i;
+            "--shard-id"; Printf.sprintf "shard-%d" i;
+            "--max-pending"; string_of_int max_pending;
+            "--max-batch"; string_of_int max_batch;
+            "--timeout"; string_of_float timeout; "--quiet" ]
+          @ (match jobs with
+             | Some j -> [ "-j"; string_of_int j ] | None -> [])
+          @ (match cache_dir with
+             | Some d ->
+               [ "--cache";
+                 Filename.concat d (Printf.sprintf "shard-%d.mmcache" i) ]
+             | None -> [])
+          @ (match atlas with Some a -> [ "--atlas"; a ] | None -> [])
+          @ (match inject with
+             | Some (spec, _) ->
+               [ "--inject"; spec;
+                 "--inject-seed"; string_of_int (inject_seed + i) ]
+             | None -> [])
         in
-        let sup =
-          Supervisor.start ?log (List.init n spawn_of)
+        { Supervisor.id = Printf.sprintf "shard-%d" i;
+          argv = Array.of_list argv }
+      in
+      let sup =
+        Supervisor.start ?log (List.init n spawn_of)
+      in
+      (* wait for every shard socket to accept before opening the door *)
+      let ready = ref true in
+      for i = 0 to n - 1 do
+        match Client.wait_ready ~timeout:10.0
+                (Client.Unix_sock (shard_socket i)) with
+        | Ok c -> Client.close c
+        | Error msg ->
+          logf "shard-%d never came up: %s" i msg;
+          ready := false
+      done;
+      if not !ready then begin
+        Supervisor.stop sup;
+        fail exit_check_failed "not all shards came up"
+      end
+      else begin
+        let infos =
+          List.init n (fun i ->
+              { Router.id = Printf.sprintf "shard-%d" i;
+                addr = Client.Unix_sock (shard_socket i) })
         in
-        (* wait for every shard socket to accept before opening the door *)
-        let ready = ref true in
-        for i = 0 to n - 1 do
-          match Client.wait_ready ~timeout:10.0
-                  (Client.Unix_sock (shard_socket i)) with
-          | Ok c -> Client.close c
-          | Error msg ->
-            logf "shard-%d never came up: %s" i msg;
-            ready := false
-        done;
-        if not !ready then begin
+        let rcfg =
+          Router.config ~replicas ?hedge_after_s:hedge_after
+            ~retry_budget_s:retry_budget
+            ~probe_interval_s:(Some probe_interval) ?log ()
+        in
+        let router = Router.create rcfg infos in
+        match Frontend.start ?log router ~socket_path:router_socket with
+        | Error msg ->
+          Router.close router; Supervisor.stop sup;
+          fail exit_check_failed "%s" msg
+        | Ok fe ->
+          logf "%d shard(s) up, router on %s" n router_socket;
+          let stop_req = ref false in
+          let handler = Sys.Signal_handle (fun _ -> stop_req := true) in
+          Sys.set_signal Sys.sigterm handler;
+          Sys.set_signal Sys.sigint handler;
+          (match chaos_kill_after with
+           | Some after ->
+             ignore
+               (Thread.create
+                  (fun () ->
+                     Thread.delay after;
+                     Supervisor.kill_one sup chaos_shard)
+                  ())
+           | None -> ());
+          while not (!stop_req || Frontend.draining fe) do
+            Thread.delay 0.1
+          done;
+          logf "shutting down";
+          Frontend.stop fe;
+          Router.close router;
           Supervisor.stop sup;
-          `Error (false, "not all shards came up")
-        end
-        else begin
-          let infos =
-            List.init n (fun i ->
-                { Router.id = Printf.sprintf "shard-%d" i;
-                  addr = Client.Unix_sock (shard_socket i) })
-          in
-          let rcfg =
-            Router.config ~replicas ?hedge_after_s:hedge_after
-              ~retry_budget_s:retry_budget
-              ~probe_interval_s:(Some probe_interval) ?log ()
-          in
-          let router = Router.create rcfg infos in
-          match Frontend.start ?log router ~socket_path:router_socket with
-          | Error msg ->
-            Router.close router; Supervisor.stop sup;
-            `Error (false, msg)
-          | Ok fe ->
-            logf "%d shard(s) up, router on %s" n router_socket;
-            let stop_req = ref false in
-            let handler = Sys.Signal_handle (fun _ -> stop_req := true) in
-            Sys.set_signal Sys.sigterm handler;
-            Sys.set_signal Sys.sigint handler;
-            (match chaos_kill_after with
-             | Some after ->
-               ignore
-                 (Thread.create
-                    (fun () ->
-                       Thread.delay after;
-                       Supervisor.kill_one sup chaos_shard)
-                    ())
-             | None -> ());
-            while not (!stop_req || Frontend.draining fe) do
-              Thread.delay 0.1
-            done;
-            logf "shutting down";
-            Frontend.stop fe;
-            Router.close router;
-            Supervisor.stop sup;
-            `Ok 0
-        end
-    end
+          `Ok 0
+      end
   in
   Cmd.v
-    (Cmd.info "cluster"
+    (cmd_info "cluster"
        ~doc:"Spawn and supervise N $(b,serve) shards behind a failover \
              router: consistent-hash routing by NPN class, replica \
              fallback, hedged retries, circuit breakers, crashed shards \
@@ -1274,10 +1239,11 @@ let cluster_cmd =
              wire protocol as a single daemon.")
     Term.(
       ret
-        (const run $ shards_n $ router_socket $ shard_dir $ cache_dir
-        $ atlas_arg $ timeout $ replicas $ hedge_after $ retry_budget
-        $ probe_interval $ max_pending $ max_batch $ jobs $ inject
-        $ inject_seed $ chaos_kill_after $ chaos_shard $ quiet))
+        (const run $ shards_n $ free_socket_t router_socket $ shard_dir
+        $ cache_dir $ atlas_t $ timeout_t $ replicas $ hedge_after
+        $ retry_budget $ probe_interval $ max_pending_t $ max_batch_t
+        $ jobs_t $ inject_t $ inject_seed_t $ chaos_kill_after $ chaos_shard
+        $ quiet_t))
 
 (* ---- line-array report, shared by map (line target) and resyn ---------- *)
 
@@ -1299,10 +1265,7 @@ let line_report ?(extra = []) spec c (resyn : Mm_resyn.Resyn.stats option) =
         (if s.Resyn.fixed_point then ", fixed point" else "")
         s.Resyn.wall_s)
     resyn;
-  let failures = Schedule.verify (Schedule.plan c) spec in
-  let rows = 1 lsl Spec.arity spec in
-  Printf.printf "simulator validation: %d/%d rows correct\n"
-    (rows - List.length failures) rows;
+  let failures = simulator_validation spec c in
   let resyn_json (s : Resyn.stats) =
     Json.Obj
       [ ("passes", Json.Int s.Resyn.passes);
@@ -1335,34 +1298,35 @@ let line_report ?(extra = []) spec c (resyn : Mm_resyn.Resyn.stats option) =
 (* ---- map: cut-based technology mapping onto SAT-optimal blocks --------- *)
 
 let map_cmd =
-  let module Cache = Mm_engine.Cache in
   let module Resyn = Mm_resyn.Resyn in
   let module Stitch = Mm_map.Stitch in
   let module Blocklib = Mm_map.Blocklib in
   let module Mapper = Mm_map.Mapper in
   let module Xsched = Mm_map.Xsched in
   let module Xstitch = Mm_map.Xstitch in
-  let module Table = Mm_report.Table in
   let k_arg =
-    Arg.(value & opt int 4 & info [ "k" ] ~docv:"K"
-           ~doc:"Maximum cut width (2-4): every library block sees at most \
-                 K leaves.")
+    count ~lo:2 ~hi:4 "k" ~docv:"K"
+      ~doc:"Maximum cut width (2-4): every library block sees at most K \
+            leaves."
+      4
   in
   let cut_limit =
-    Arg.(value & opt int 8 & info [ "cut-limit" ] ~docv:"N"
-           ~doc:"Priority cuts kept per AIG node (larger = better covers, \
-                 slower).")
+    count ~lo:1 "cut-limit" ~docv:"N"
+      ~doc:"Priority cuts kept per AIG node (larger = better covers, \
+            slower)."
+      8
   in
   let passes =
-    Arg.(value & opt int 3 & info [ "passes" ] ~docv:"N"
-           ~doc:"Area-recovery refinement passes over the cover.")
+    count ~lo:1 "passes" ~docv:"N"
+      ~doc:"Area-recovery refinement passes over the cover." 3
   in
   let effort =
-    Arg.(value & opt int 2 & info [ "effort" ] ~docv:"LEVEL"
-           ~doc:"Library-probe budget: $(b,1) = 50ms/call with shallow \
-                 sweeps, $(b,2) = 0.5s, $(b,3) = 5s uncapped. Probes that \
-                 expire degrade to verified QMC\xe2\x86\x92NOR fallback blocks, so \
-                 the mapped circuit is correct at any effort.")
+    count ~lo:1 ~hi:3 "effort" ~docv:"LEVEL"
+      ~doc:"Library-probe budget: $(b,1) = 50ms/call with shallow sweeps, \
+            $(b,2) = 0.5s, $(b,3) = 5s uncapped. Probes that expire degrade \
+            to verified QMC\xe2\x86\x92NOR fallback blocks, so the mapped \
+            circuit is correct at any effort."
+      2
   in
   let stats_flag =
     Arg.(value & flag & info [ "stats" ]
@@ -1377,12 +1341,12 @@ let map_cmd =
                    V-cycles and explicit peripheral transfer cycles.")
   in
   let rows_arg =
-    Arg.(value & opt int 16 & info [ "rows" ] ~docv:"R"
-           ~doc:"Crossbar rows available to the placer (xbar target).")
+    count ~lo:1 "rows" ~docv:"R"
+      ~doc:"Crossbar rows available to the placer (xbar target)." 16
   in
   let ports_arg =
-    Arg.(value & opt int 4 & info [ "ports" ] ~docv:"P"
-           ~doc:"Peripheral transfers per transfer cycle (xbar target).")
+    count ~lo:1 "ports" ~docv:"P"
+      ~doc:"Peripheral transfers per transfer cycle (xbar target)." 4
   in
   let no_polish =
     Arg.(value & flag & info [ "no-polish" ]
@@ -1397,287 +1361,261 @@ let map_cmd =
                  change is re-verified against the spec (line target \
                  only).")
   in
-  let resyn_passes_arg =
-    Arg.(value & opt int 4 & info [ "resyn-passes" ] ~docv:"N"
-           ~doc:"Cleanup passes before giving up on a fixed point \
-                 (--resyn).")
+  let print_blocks placed =
+    let t =
+      Table.create
+        [ "block"; "leaves"; "kind"; "source"; "optimal"; "N_L"; "N_VS"; "N_R" ]
+    in
+    List.iter
+      (fun (p : Stitch.placed) ->
+        Table.add_row t
+          [ Printf.sprintf "n%d" p.Stitch.root;
+            String.concat ","
+              (List.map string_of_int (Array.to_list p.Stitch.leaves));
+            (match p.Stitch.kind with
+             | Blocklib.Mixed -> "mixed"
+             | Blocklib.R_only -> "r-only");
+            (if p.Stitch.exact then "SAT" else "fallback");
+            (if p.Stitch.optimal then "yes" else "no");
+            string_of_int p.Stitch.legs;
+            string_of_int p.Stitch.steps;
+            string_of_int p.Stitch.rops ])
+      placed;
+    Table.print t;
+    print_newline ()
   in
-  let run exprs pla tables workload arity name k cut_limit passes open_store
-      effort stats json dot target rows ports no_polish
-      resyn resyn_passes =
-    match spec_of_inputs name exprs arity pla tables workload with
-    | Error msg -> `Error (false, msg)
-    | Ok spec ->
-      if k < 2 || k > 4 then `Error (false, "--k must be 2..4")
-      else if effort < 1 || effort > 3 then
-        `Error (false, "--effort must be 1..3")
-      else if resyn && target = `Xbar then
-        `Error (false, "--resyn applies to --target line")
-      else begin
-        let timeout_per_call, max_rops =
-          match effort with
-          | 1 -> (0.05, Some 5)
-          | 2 -> (0.5, Some 8)
-          | _ -> (5.0, None)
+  let block_json (p : Stitch.placed) =
+    Json.Obj
+      [ ("root", Json.Int p.Stitch.root);
+        ( "leaves",
+          Json.List
+            (List.map (fun l -> Json.Int l) (Array.to_list p.Stitch.leaves)) );
+        ( "kind",
+          Json.String
+            (match p.Stitch.kind with
+             | Blocklib.Mixed -> "mixed"
+             | Blocklib.R_only -> "r-only") );
+        ("exact", Json.Bool p.Stitch.exact);
+        ("optimal", Json.Bool p.Stitch.optimal);
+        ("legs", Json.Int p.Stitch.legs);
+        ("steps", Json.Int p.Stitch.steps);
+        ("rops", Json.Int p.Stitch.rops) ]
+  in
+  let xbar_report ~stats ~json ~rows ~ports spec (r : Stitch.result)
+      (xr : Xstitch.result) =
+    let xst = xr.Xstitch.stitch in
+    let sc = xr.Xstitch.sched in
+    let p = sc.Xsched.place in
+    let n_rows_spec = 1 lsl Spec.arity spec in
+    Printf.printf
+      "aig (balanced): %d inputs, %d AND nodes; cover: %d blocks (%d exact, \
+       %d fallback), critical-path depth %d\n"
+      xst.Stitch.aig_inputs xst.Stitch.aig_ands
+      (List.length xst.Stitch.stitched.Stitch.placed)
+      xst.Stitch.lib_exact xst.Stitch.lib_fallbacks xst.Stitch.dag.Mapper.depth;
+    Printf.printf "placement: %d rows x %d cols, %d transfer(s), %d inverter(s)\n"
+      xr.Xstitch.rows_used xr.Xstitch.cols_used xr.Xstitch.transfers
+      (Array.length p.Mm_map.Place.invs);
+    Printf.printf
+      "schedule: %d cycles (%d V + %d R + %d T) + %d readout, polish -%d\n\n"
+      xr.Xstitch.cycles sc.Xsched.v_cycles sc.Xsched.r_cycles
+      sc.Xsched.t_cycles xr.Xstitch.readout sc.Xsched.polish_gain;
+    if stats then print_blocks xst.Stitch.stitched.Stitch.placed;
+    (* zero-trust: replay the schedule on the crossbar simulator for every
+       input row *)
+    let failures = Xstitch.verify sc spec in
+    Printf.printf "simulator validation: %d/%d rows correct\n"
+      (n_rows_spec - List.length failures)
+      n_rows_spec;
+    (* and cross-check the two backends row by row *)
+    let plan = Schedule.plan r.Stitch.stitched.Stitch.circuit in
+    let disagree = ref [] in
+    for input = n_rows_spec - 1 downto 0 do
+      let line = Schedule.execute plan ~input () in
+      let xrow = Xstitch.execute sc ~input () in
+      if
+        Xstitch.word_of line.Schedule.outputs
+        <> Xstitch.word_of xrow.Xstitch.outputs
+      then disagree := input :: !disagree
+    done;
+    Printf.printf "cross-check vs 1D backend: %d/%d rows agree\n"
+      (n_rows_spec - List.length !disagree)
+      n_rows_spec;
+    if json then begin
+      let module Place = Mm_map.Place in
+      let cycle_json i cyc =
+        let typ, ops =
+          match cyc with
+          | Xsched.C_v set ->
+            ( "V",
+              List.map
+                (fun (s, st) ->
+                  Json.Obj
+                    [ ("slot", Json.Int s);
+                      ("step", Json.Int st);
+                      ("row", Json.Int p.Place.slots.(s).Place.row) ])
+                set )
+          | Xsched.C_r refs ->
+            ( "R",
+              List.map
+                (function
+                  | Xsched.Gate (s, j) ->
+                    Json.Obj
+                      [ ("slot", Json.Int s);
+                        ("rop", Json.Int j);
+                        ("row", Json.Int p.Place.slots.(s).Place.row) ]
+                  | Xsched.Inverter iv ->
+                    Json.Obj
+                      [ ("inverter", Json.Int iv);
+                        ( "row",
+                          Json.Int p.Place.invs.(iv).Place.i_out.Place.row ) ])
+                refs )
+          | Xsched.C_t ixs ->
+            ( "T",
+              List.map
+                (fun ix ->
+                  let x = p.Place.xfers.(ix) in
+                  Json.Obj
+                    [ ("transfer", Json.Int ix);
+                      ("src_row", Json.Int x.Place.x_src.Place.row);
+                      ("dst_row", Json.Int x.Place.x_dst.Place.row) ])
+                ixs )
         in
-        let cache = open_store () in
-        let cfg =
-          Engine.config ~timeout_per_call ?max_rops ~domains:1
-            ~taps:E.Final_only ?cache ()
-        in
-        match Stitch.compile ~k ~cut_limit ~passes cfg spec with
-        | exception (Invalid_argument msg | Failure msg) -> `Error (false, msg)
-        | r ->
-        let print_blocks placed =
-          let t =
-            Table.create
-              [ "block"; "leaves"; "kind"; "source"; "optimal"; "N_L";
-                "N_VS"; "N_R" ]
-          in
-          List.iter
-            (fun (p : Stitch.placed) ->
-              Table.add_row t
-                [ Printf.sprintf "n%d" p.Stitch.root;
-                  String.concat ","
-                    (List.map string_of_int
-                       (Array.to_list p.Stitch.leaves));
-                  (match p.Stitch.kind with
-                   | Blocklib.Mixed -> "mixed"
-                   | Blocklib.R_only -> "r-only");
-                  (if p.Stitch.exact then "SAT" else "fallback");
-                  (if p.Stitch.optimal then "yes" else "no");
-                  string_of_int p.Stitch.legs;
-                  string_of_int p.Stitch.steps;
-                  string_of_int p.Stitch.rops ])
-            placed;
-          Table.print t;
-          print_newline ()
-        in
-        let block_json (p : Stitch.placed) =
-          Json.Obj
-            [ ("root", Json.Int p.Stitch.root);
-              ( "leaves",
-                Json.List
-                  (List.map (fun l -> Json.Int l)
-                     (Array.to_list p.Stitch.leaves)) );
-              ( "kind",
-                Json.String
-                  (match p.Stitch.kind with
-                   | Blocklib.Mixed -> "mixed"
-                   | Blocklib.R_only -> "r-only") );
-              ("exact", Json.Bool p.Stitch.exact);
-              ("optimal", Json.Bool p.Stitch.optimal);
-              ("legs", Json.Int p.Stitch.legs);
-              ("steps", Json.Int p.Stitch.steps);
-              ("rops", Json.Int p.Stitch.rops) ]
-        in
+        Json.Obj
+          [ ("cycle", Json.Int i);
+            ("type", Json.String typ);
+            ("ops", Json.List ops) ]
+      in
+      print_endline
+        (Json.to_string_pretty
+           (Json.Obj
+              [ ("spec", Json.String (Spec.name spec));
+                ("arity", Json.Int (Spec.arity spec));
+                ("outputs", Json.Int (Spec.output_count spec));
+                ("target", Json.String "xbar");
+                ( "aig",
+                  Json.Obj
+                    [ ("inputs", Json.Int xst.Stitch.aig_inputs);
+                      ("ands", Json.Int xst.Stitch.aig_ands);
+                      ("balanced", Json.Bool true) ] );
+                ("block_depth", Json.Int xst.Stitch.dag.Mapper.depth);
+                ("rows", Json.Int rows);
+                ("ports", Json.Int ports);
+                ("rows_used", Json.Int xr.Xstitch.rows_used);
+                ("cols_used", Json.Int xr.Xstitch.cols_used);
+                ("cycles", Json.Int xr.Xstitch.cycles);
+                ("v_cycles", Json.Int sc.Xsched.v_cycles);
+                ("r_cycles", Json.Int sc.Xsched.r_cycles);
+                ("t_cycles", Json.Int sc.Xsched.t_cycles);
+                ("transfers", Json.Int xr.Xstitch.transfers);
+                ("readout", Json.Int xr.Xstitch.readout);
+                ("polish_gain", Json.Int sc.Xsched.polish_gain);
+                ("verified", Json.Bool (failures = []));
+                ("agrees_with_line", Json.Bool (!disagree = []));
+                ( "blocks",
+                  Json.List
+                    (List.map block_json xst.Stitch.stitched.Stitch.placed) );
+                ( "schedule",
+                  Json.List
+                    (List.mapi cycle_json (Array.to_list sc.Xsched.cycles)) ) ]))
+    end;
+    if failures <> [] then
+      fail exit_check_failed "crossbar schedule failed simulator validation"
+    else if !disagree <> [] then
+      fail exit_check_failed "crossbar schedule disagrees with the 1D backend"
+    else `Ok 0
+  in
+  let line_target ~stats ~dot ~json spec (r : Stitch.result)
+      (resyn_t : Resyn.t option) =
+    let st = r.Stitch.stitched in
+    let c =
+      match resyn_t with
+      | Some t -> t.Resyn.circuit
+      | None -> st.Stitch.circuit
+    in
+    Printf.printf
+      "aig: %d inputs, %d AND nodes; cover: %d blocks (%d exact, %d \
+       fallback), %d stitch inverter(s) (%d shared)\n"
+      r.Stitch.aig_inputs r.Stitch.aig_ands
+      (List.length st.Stitch.placed)
+      r.Stitch.lib_exact r.Stitch.lib_fallbacks st.Stitch.inverters
+      st.Stitch.shared_inverters;
+    Printf.printf
+      "library: %d lookups, %d memo hits; block DAG critical-path depth %d\n\n"
+      r.Stitch.lib_lookups r.Stitch.lib_memo_hits r.Stitch.dag.Mapper.depth;
+    if stats then print_blocks st.Stitch.placed;
+    print_circuit ~json:false ~dot c;
+    let failures, artifact =
+      line_report spec c
+        (Option.map (fun (t : Resyn.t) -> t.Resyn.stats) resyn_t)
+        ~extra:
+          [ ( "aig",
+              Json.Obj
+                [ ("inputs", Json.Int r.Stitch.aig_inputs);
+                  ("ands", Json.Int r.Stitch.aig_ands) ] );
+            ( "library",
+              Json.Obj
+                [ ("lookups", Json.Int r.Stitch.lib_lookups);
+                  ("memo_hits", Json.Int r.Stitch.lib_memo_hits);
+                  ("exact", Json.Int r.Stitch.lib_exact);
+                  ("fallbacks", Json.Int r.Stitch.lib_fallbacks) ] );
+            ("inverters", Json.Int st.Stitch.inverters);
+            ("shared_inverters", Json.Int st.Stitch.shared_inverters);
+            ("block_depth", Json.Int r.Stitch.dag.Mapper.depth);
+            ("blocks", Json.List (List.map block_json st.Stitch.placed)) ]
+    in
+    if json then print_endline (Json.to_string_pretty artifact);
+    checked failures
+  in
+  let run spec k cut_limit passes open_store effort stats json dot target rows
+      ports no_polish resyn resyn_passes =
+    if resyn && target = `Xbar then
+      `Error (false, "--resyn applies to --target line")
+    else begin
+      let timeout_per_call, max_rops =
+        match effort with
+        | 1 -> (0.05, Some 5)
+        | 2 -> (0.5, Some 8)
+        | _ -> (5.0, None)
+      in
+      let cache = open_store () in
+      let cfg =
+        Engine.config ~timeout_per_call ?max_rops ~domains:1
+          ~taps:E.Final_only ?cache ()
+      in
+      let compile () =
+        let r = Stitch.compile ~k ~cut_limit ~passes cfg spec in
         match target with
         | `Xbar ->
-          if rows < 1 then `Error (false, "--rows must be >= 1")
-          else if ports < 1 then `Error (false, "--ports must be >= 1")
-          else begin
-            match
+          `Xbar
+            ( r,
               Xstitch.compile ~k ~cut_limit ~passes ~rows ~ports
-                ~polish:(not no_polish) cfg spec
-            with
-            | exception (Invalid_argument msg | Failure msg) ->
-              `Error (false, msg)
-            | xr ->
-              Option.iter Cache.flush cache;
-              let xst = xr.Xstitch.stitch in
-              let sc = xr.Xstitch.sched in
-              let p = sc.Xsched.place in
-              let n_rows_spec = 1 lsl Spec.arity spec in
-              Printf.printf
-                "aig (balanced): %d inputs, %d AND nodes; cover: %d blocks \
-                 (%d exact, %d fallback), critical-path depth %d\n"
-                xst.Stitch.aig_inputs xst.Stitch.aig_ands
-                (List.length xst.Stitch.stitched.Stitch.placed)
-                xst.Stitch.lib_exact xst.Stitch.lib_fallbacks
-                xst.Stitch.dag.Mapper.depth;
-              Printf.printf
-                "placement: %d rows x %d cols, %d transfer(s), %d \
-                 inverter(s)\n"
-                xr.Xstitch.rows_used xr.Xstitch.cols_used
-                xr.Xstitch.transfers
-                (Array.length p.Mm_map.Place.invs);
-              Printf.printf
-                "schedule: %d cycles (%d V + %d R + %d T) + %d readout, \
-                 polish -%d\n\n"
-                xr.Xstitch.cycles sc.Xsched.v_cycles sc.Xsched.r_cycles
-                sc.Xsched.t_cycles xr.Xstitch.readout sc.Xsched.polish_gain;
-              if stats then print_blocks xst.Stitch.stitched.Stitch.placed;
-              (* zero-trust: replay the schedule on the crossbar simulator
-                 for every input row *)
-              let failures = Xstitch.verify sc spec in
-              Printf.printf "simulator validation: %d/%d rows correct\n"
-                (n_rows_spec - List.length failures)
-                n_rows_spec;
-              (* and cross-check the two backends row by row *)
-              let plan = Schedule.plan r.Stitch.stitched.Stitch.circuit in
-              let disagree = ref [] in
-              for input = n_rows_spec - 1 downto 0 do
-                let line = Schedule.execute plan ~input () in
-                let xrow = Xstitch.execute sc ~input () in
-                if
-                  Xstitch.word_of line.Schedule.outputs
-                  <> Xstitch.word_of xrow.Xstitch.outputs
-                then disagree := input :: !disagree
-              done;
-              Printf.printf "cross-check vs 1D backend: %d/%d rows agree\n"
-                (n_rows_spec - List.length !disagree)
-                n_rows_spec;
-              if json then begin
-                let module Place = Mm_map.Place in
-                let cycle_json i cyc =
-                  let typ, ops =
-                    match cyc with
-                    | Xsched.C_v set ->
-                      ( "V",
-                        List.map
-                          (fun (s, st) ->
-                            Json.Obj
-                              [ ("slot", Json.Int s);
-                                ("step", Json.Int st);
-                                ( "row",
-                                  Json.Int p.Place.slots.(s).Place.row ) ])
-                          set )
-                    | Xsched.C_r refs ->
-                      ( "R",
-                        List.map
-                          (function
-                            | Xsched.Gate (s, j) ->
-                              Json.Obj
-                                [ ("slot", Json.Int s);
-                                  ("rop", Json.Int j);
-                                  ( "row",
-                                    Json.Int p.Place.slots.(s).Place.row ) ]
-                            | Xsched.Inverter iv ->
-                              Json.Obj
-                                [ ("inverter", Json.Int iv);
-                                  ( "row",
-                                    Json.Int
-                                      p.Place.invs.(iv).Place.i_out
-                                        .Place.row ) ])
-                          refs )
-                    | Xsched.C_t ixs ->
-                      ( "T",
-                        List.map
-                          (fun ix ->
-                            let x = p.Place.xfers.(ix) in
-                            Json.Obj
-                              [ ("transfer", Json.Int ix);
-                                ( "src_row",
-                                  Json.Int x.Place.x_src.Place.row );
-                                ( "dst_row",
-                                  Json.Int x.Place.x_dst.Place.row ) ])
-                          ixs )
-                  in
-                  Json.Obj
-                    [ ("cycle", Json.Int i);
-                      ("type", Json.String typ);
-                      ("ops", Json.List ops) ]
-                in
-                print_endline
-                  (Json.to_string_pretty
-                     (Json.Obj
-                        [ ("spec", Json.String (Spec.name spec));
-                          ("arity", Json.Int (Spec.arity spec));
-                          ("outputs", Json.Int (Spec.output_count spec));
-                          ("target", Json.String "xbar");
-                          ( "aig",
-                            Json.Obj
-                              [ ("inputs", Json.Int xst.Stitch.aig_inputs);
-                                ("ands", Json.Int xst.Stitch.aig_ands);
-                                ("balanced", Json.Bool true) ] );
-                          ( "block_depth",
-                            Json.Int xst.Stitch.dag.Mapper.depth );
-                          ("rows", Json.Int rows);
-                          ("ports", Json.Int ports);
-                          ("rows_used", Json.Int xr.Xstitch.rows_used);
-                          ("cols_used", Json.Int xr.Xstitch.cols_used);
-                          ("cycles", Json.Int xr.Xstitch.cycles);
-                          ("v_cycles", Json.Int sc.Xsched.v_cycles);
-                          ("r_cycles", Json.Int sc.Xsched.r_cycles);
-                          ("t_cycles", Json.Int sc.Xsched.t_cycles);
-                          ("transfers", Json.Int xr.Xstitch.transfers);
-                          ("readout", Json.Int xr.Xstitch.readout);
-                          ("polish_gain", Json.Int sc.Xsched.polish_gain);
-                          ("verified", Json.Bool (failures = []));
-                          ( "agrees_with_line",
-                            Json.Bool (!disagree = []) );
-                          ( "blocks",
-                            Json.List
-                              (List.map block_json
-                                 xst.Stitch.stitched.Stitch.placed) );
-                          ( "schedule",
-                            Json.List
-                              (List.mapi cycle_json
-                                 (Array.to_list sc.Xsched.cycles)) ) ]))
-              end;
-              if failures = [] && !disagree = [] then `Ok 0
-              else
-                `Error
-                  (false, "crossbar schedule failed simulator validation")
-          end
-        | `Line -> begin
-          let st = r.Stitch.stitched in
-          match
-            if resyn then
-              Some (Resyn.run ~max_passes:resyn_passes spec st.Stitch.circuit)
-            else None
-          with
-          | exception (Invalid_argument msg | Failure msg) ->
-            `Error (false, "resyn: " ^ msg)
-          | resyn_t ->
-            Option.iter Cache.flush cache;
-            let c =
-              match resyn_t with
-              | Some t -> t.Resyn.circuit
-              | None -> st.Stitch.circuit
-            in
-            Printf.printf
-              "aig: %d inputs, %d AND nodes; cover: %d blocks (%d exact, %d \
-               fallback), %d stitch inverter(s) (%d shared)\n"
-              r.Stitch.aig_inputs r.Stitch.aig_ands
-              (List.length st.Stitch.placed)
-              r.Stitch.lib_exact r.Stitch.lib_fallbacks st.Stitch.inverters
-              st.Stitch.shared_inverters;
-            Printf.printf
-              "library: %d lookups, %d memo hits; block DAG critical-path \
-               depth %d\n\n"
-              r.Stitch.lib_lookups r.Stitch.lib_memo_hits
-              r.Stitch.dag.Mapper.depth;
-            if stats then print_blocks st.Stitch.placed;
-            print_circuit ~json:false ~dot c;
-            let failures, artifact =
-              line_report spec c
-                (Option.map (fun (t : Resyn.t) -> t.Resyn.stats) resyn_t)
-                ~extra:
-                  [ ( "aig",
-                      Json.Obj
-                        [ ("inputs", Json.Int r.Stitch.aig_inputs);
-                          ("ands", Json.Int r.Stitch.aig_ands) ] );
-                    ( "library",
-                      Json.Obj
-                        [ ("lookups", Json.Int r.Stitch.lib_lookups);
-                          ("memo_hits", Json.Int r.Stitch.lib_memo_hits);
-                          ("exact", Json.Int r.Stitch.lib_exact);
-                          ("fallbacks", Json.Int r.Stitch.lib_fallbacks) ] );
-                    ("inverters", Json.Int st.Stitch.inverters);
-                    ("shared_inverters", Json.Int st.Stitch.shared_inverters);
-                    ("block_depth", Json.Int r.Stitch.dag.Mapper.depth);
-                    ( "blocks",
-                      Json.List (List.map block_json st.Stitch.placed) ) ]
-            in
-            if json then print_endline (Json.to_string_pretty artifact);
-            if failures = [] then `Ok 0
-            else `Error (false, "schedule simulation disagrees with the spec")
-          end
-      end
+                ~polish:(not no_polish) cfg spec )
+        | `Line ->
+          `Line
+            ( r,
+              if resyn then
+                Some
+                  (Resyn.run ~max_passes:resyn_passes spec
+                     r.Stitch.stitched.Stitch.circuit)
+              else None )
+      in
+      (* the options are checked, so what the compilers raise is a failed
+         internal check: a stitched, scheduled or resynthesized circuit that
+         does not verify *)
+      match compile () with
+      | exception (Invalid_argument msg | Failure msg) ->
+        fail exit_check_failed "%s" msg
+      | `Xbar (r, xr) ->
+        Option.iter Cache.flush cache;
+        xbar_report ~stats ~json ~rows ~ports spec r xr
+      | `Line (r, resyn_t) ->
+        Option.iter Cache.flush cache;
+        line_target ~stats ~dot ~json spec r resyn_t
+    end
   in
   Cmd.v
-    (Cmd.info "map"
+    (cmd_info "map"
        ~doc:"Compile a function of any width onto a library of SAT-optimal \
              mixed-mode blocks: AIG construction, priority-cut enumeration \
              (width <= 4), NPN-canonicalized library probes, DAG-aware \
@@ -1685,81 +1623,82 @@ let map_cmd =
              schedule.")
     Term.(
       ret
-        (const run $ exprs $ pla_file $ tables_file $ workload_t $ arity
-        $ name_t $ k_arg $ cut_limit $ passes $ store_t $ effort
-        $ stats_flag $ json_flag $ dot_out $ target_arg
-        $ rows_arg $ ports_arg $ no_polish $ resyn_flag $ resyn_passes_arg))
+        (const run $ required_spec_t $ k_arg $ cut_limit $ passes $ store_t
+        $ effort $ stats_flag $ json_t $ dot_t $ target_arg $ rows_arg
+        $ ports_arg $ no_polish $ resyn_flag $ resyn_passes_t))
 
 (* ---- resyn: re-optimize a previously emitted map artifact -------------- *)
 
 let resyn_cmd =
   let module Resyn = Mm_resyn.Resyn in
   let module Artifact = Mm_resyn.Artifact in
-  let artifact_arg =
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"ARTIFACT"
-           ~doc:"A $(b,map --json) artifact. The human-readable report may \
-                 precede the JSON object; parsing starts at the first \
-                 '{'.")
-  in
-  let passes_arg =
-    Arg.(value & opt int 4 & info [ "resyn-passes" ] ~docv:"N"
-           ~doc:"Cleanup passes before giving up on a fixed point.")
+  (* the artifact is read with the command line: a file that is not a
+     resynthesizable artifact is a command line that cannot be acted on *)
+  let artifact_t =
+    let path =
+      Arg.(required & pos 0 (some file) None & info [] ~docv:"ARTIFACT"
+             ~doc:"A $(b,map --json) artifact. The human-readable report \
+                   may precede the JSON object; parsing starts at the first \
+                   '{'.")
+    in
+    let read artifact =
+      let text = In_channel.with_open_bin artifact In_channel.input_all in
+      match String.index_opt text '{' with
+      | None -> `Error (false, artifact ^ ": no JSON object found")
+      | Some i -> (
+        match Json.of_string (String.sub text i (String.length text - i)) with
+        | Error msg -> `Error (false, artifact ^ ": " ^ msg)
+        | Ok root -> (
+          match
+            (Json.member "circuit_ir" root, Json.member "spec_tables" root)
+          with
+          | None, _ | _, None ->
+            `Error
+              ( false,
+                artifact
+                ^ ": not a resynthesizable artifact (missing circuit_ir / \
+                   spec_tables — emit it with map --json)" )
+          | Some cj, Some sj -> (
+            match (Artifact.circuit_of_json cj, Artifact.spec_of_json sj) with
+            | Error msg, _ | _, Error msg -> `Error (false, msg)
+            | Ok c0, Ok spec -> `Ok (spec, c0))))
+    in
+    Term.(ret (const read $ path))
   in
   let out_arg =
     Arg.(value & opt (some string) None & info [ "o"; "out" ] ~docv:"FILE"
            ~doc:"Write the re-optimized artifact JSON to FILE (same shape \
                  as $(b,map --json), so it can be re-fed to this command).")
   in
-  let run artifact passes json out =
-    let text = In_channel.with_open_bin artifact In_channel.input_all in
-    match String.index_opt text '{' with
-    | None -> `Error (false, artifact ^ ": no JSON object found")
-    | Some i -> (
-      match Json.of_string (String.sub text i (String.length text - i)) with
-      | Error msg -> `Error (false, artifact ^ ": " ^ msg)
-      | Ok root -> (
-        match (Json.member "circuit_ir" root, Json.member "spec_tables" root) with
-        | None, _ | _, None ->
-          `Error
-            ( false,
-              artifact
-              ^ ": not a resynthesizable artifact (missing circuit_ir / \
-                 spec_tables — emit it with map --json)" )
-        | Some cj, Some sj -> (
-          match (Artifact.circuit_of_json cj, Artifact.spec_of_json sj) with
-          | Error msg, _ | _, Error msg -> `Error (false, msg)
-          | Ok c0, Ok spec -> (
-            match Resyn.run ~max_passes:passes spec c0 with
-            | exception (Invalid_argument msg | Failure msg) ->
-              `Error (false, msg)
-            | t ->
-              let failures, artifact_json =
-                line_report spec t.Resyn.circuit (Some t.Resyn.stats)
-              in
-              (match out with
-              | Some path ->
-                Out_channel.with_open_bin path (fun oc ->
-                    output_string oc (Json.to_string_pretty artifact_json);
-                    output_char oc '\n')
-              | None -> ());
-              if json then print_endline (Json.to_string_pretty artifact_json);
-              if failures = [] then `Ok 0
-              else
-                `Error (false, "schedule simulation disagrees with the spec")))))
+  let run (spec, c0) passes json out =
+    match Resyn.run ~max_passes:passes spec c0 with
+    | exception (Invalid_argument msg | Failure msg) ->
+      fail exit_check_failed "%s" msg
+    | t ->
+      let failures, artifact_json =
+        line_report spec t.Resyn.circuit (Some t.Resyn.stats)
+      in
+      (match out with
+       | Some path ->
+         Out_channel.with_open_bin path (fun oc ->
+             output_string oc (Json.to_string_pretty artifact_json);
+             output_char oc '\n')
+       | None -> ());
+      if json then print_endline (Json.to_string_pretty artifact_json);
+      checked failures
   in
   Cmd.v
-    (Cmd.info "resyn"
+    (cmd_info "resyn"
        ~doc:"Re-optimize a previously emitted $(b,map --json) artifact: \
              semantic sweeping, dead-code elimination and shared-BE-rail \
              leg compaction over the committed schedule, without re-running \
              the mapper. The result is re-verified row-by-row before it is \
              reported.")
-    Term.(ret (const run $ artifact_arg $ passes_arg $ json_flag $ out_arg))
+    Term.(ret (const run $ artifact_t $ resyn_passes_t $ json_t $ out_arg))
 
 (* ---- cache info / gc --------------------------------------------------- *)
 
 let cache_cmd =
-  let module Cache = Mm_engine.Cache in
   let cache_path =
     Arg.(required & opt (some string) None & info [ "cache" ] ~docv:"FILE"
            ~doc:"The cache file to inspect.")
@@ -1798,22 +1737,19 @@ let cache_cmd =
               ]));
       (* non-zero when the file needs attention, so scripts can gate on it *)
       match (i.Cache.status, i.Cache.corrupt_siblings) with
-      | (Cache.Fresh | Cache.Loaded _), [] -> `Ok 0
-      | _ -> `Ok 3
+      | (Cache.Fresh | Cache.Loaded _), [] -> 0
+      | _ -> exit_no_answer
     in
     Cmd.v
-      (Cmd.info "info"
-         ~exits:
-           (Cmd.Exit.defaults
-           @ [ Cmd.Exit.info 3
-                 ~doc:"the cache is damaged or quarantine files exist" ])
+      (cmd_info "info"
          ~doc:"Read-only report on a cache file: size, format version, \
                intact entry count, and any $(b,.corrupt) quarantine \
                siblings. The on-disk format version is reported when the \
                header is readable, so files from other builds are \
                identified. Never modifies anything — safe against a live \
-               daemon's cache.")
-      Term.(ret (const run $ cache_path))
+               daemon's cache. Exits 3 when the cache is damaged or \
+               quarantine files exist.")
+      Term.(const run $ cache_path)
   in
   let gc_cmd =
     let archive =
@@ -1848,19 +1784,20 @@ let cache_cmd =
                 Printf.eprintf "mmsynth cache gc: %s\n" msg;
                 incr failures))
           victims;
-        if !failures > 0 then `Error (false, "some quarantine files survived")
+        if !failures > 0 then
+          fail exit_check_failed "some quarantine files survived"
         else `Ok 0
       end
     in
     Cmd.v
-      (Cmd.info "gc"
+      (cmd_info "gc"
          ~doc:"Delete (or $(b,--archive) into a directory) the \
                $(b,<cache>.corrupt) quarantine files left by damaged-cache \
                recovery.")
       Term.(ret (const run $ cache_path $ archive))
   in
   Cmd.group
-    (Cmd.info "cache" ~doc:"Inspect and clean persistent result caches.")
+    (cmd_info "cache" ~doc:"Inspect and clean persistent result caches.")
     [ info_cmd; gc_cmd ]
 
 (* ---- atlas build / info / verify --------------------------------------- *)
@@ -1876,21 +1813,19 @@ let atlas_cmd =
   in
   let build_cmd =
     let max_n =
-      Arg.(value & opt int 3 & info [ "max-n" ] ~docv:"N"
-             ~doc:"Enumerate every NPN class of arity 1..N (1-4). N=4 is \
-                   the paper's full 222-class universe; the default 3 \
-                   (2+4+14 classes) builds in seconds.")
+      count ~lo:1 ~hi:4 "max-n" ~docv:"N"
+        ~doc:"Enumerate every NPN class of arity 1..N (1-4). N=4 is the \
+              paper's full 222-class universe; the default 3 (2+4+14 \
+              classes) builds in seconds."
+        3
     in
     let effort =
-      Arg.(value & opt int 2 & info [ "effort" ] ~docv:"LEVEL"
-             ~doc:"$(b,1) = verified heuristic circuits, no SAT; $(b,2) = \
-                   exact minimization within $(b,--timeout) per call; \
-                   $(b,3) = 4x budget, keeping the UNSAT-ladder optimality \
-                   certificates as provenance metadata.")
-    in
-    let jobs =
-      Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"D"
-             ~doc:"Worker domains (default: cores - 1).")
+      count ~lo:1 ~hi:3 "effort" ~docv:"LEVEL"
+        ~doc:"$(b,1) = verified heuristic circuits, no SAT; $(b,2) = exact \
+              minimization within $(b,--timeout) per call; $(b,3) = 4x \
+              budget, keeping the UNSAT-ladder optimality certificates as \
+              provenance metadata."
+        2
     in
     let timeout =
       Arg.(value & opt float 10.0 & info [ "timeout" ] ~docv:"SECONDS"
@@ -1935,13 +1870,9 @@ let atlas_cmd =
     in
     let run path max_n effort jobs timeout no_resume modes rop final cover
         cover_exprs =
-      if max_n < 1 || max_n > 4 then `Error (false, "--max-n must be 1..4")
-      else if effort < 1 || effort > 3 then
-        `Error (false, "--effort must be 1..3")
-      else
-        match record_path_problem path with
-        | Some why -> `Error (false, Printf.sprintf "%s: %s" path why)
-        | None -> begin
+      match record_path_problem path with
+      | Some why -> `Error (false, Printf.sprintf "%s: %s" path why)
+      | None -> begin
         let cover_tts = ref [] and cover_errs = ref [] in
         List.iter
           (fun w ->
@@ -1997,32 +1928,30 @@ let atlas_cmd =
                 %.1fs\n"
                st.Atlas.total st.Atlas.built st.Atlas.reused st.Atlas.failed
                st.Atlas.wall_s;
-             if st.Atlas.failed > 0 then `Ok 3 else `Ok 0
+             if st.Atlas.failed > 0 then `Ok exit_no_answer else `Ok 0
            | Error e ->
-             `Error
-               (false,
-                Format.asprintf "%s: %a (use --no-resume to rebuild)" path
+             fail exit_no_answer "%s"
+               (Format.asprintf "%s: %a (use --no-resume to rebuild)" path
                   Atlas.pp_error e))
       end
     in
     Cmd.v
-      (Cmd.info "build"
-         ~exits:
-           (Cmd.Exit.defaults
-           @ [ Cmd.Exit.info 3 ~doc:"some goals found no circuit at any tier" ])
+      (cmd_info "build"
          ~doc:"Enumerate the NPN class universe offline and persist the \
                checksummed read-only artifact. Resumable: an interrupted or \
                lower-effort build is continued, not restarted; the file is \
-               flushed atomically after every chunk.")
+               flushed atomically after every chunk. Exits 3 when some \
+               goals found no circuit at any tier.")
       Term.(
         ret
-          (const run $ atlas_path $ max_n $ effort $ jobs $ timeout
-          $ no_resume $ modes $ rop $ final_taps $ cover $ cover_expr))
+          (const run $ atlas_path $ max_n $ effort $ jobs_t $ timeout
+          $ no_resume $ modes $ rop $ final_taps_t $ cover $ cover_expr))
   in
   let info_cmd =
     let run path =
       match Atlas.info path with
-      | Error e -> `Error (false, Format.asprintf "%s: %a" path Atlas.pp_error e)
+      | Error e ->
+        fail exit_no_answer "%s" (Format.asprintf "%s: %a" path Atlas.pp_error e)
       | Ok i ->
         print_endline
           (Json.to_string_pretty
@@ -2056,17 +1985,15 @@ let atlas_cmd =
                       Json.Obj
                         [ ("dropped_records", Json.Int dropped);
                           ("torn_tail", Json.Bool torn) ] ) ]));
-        if i.Atlas.i_damage = None then `Ok 0 else `Ok 3
+        if i.Atlas.i_damage = None then `Ok 0 else `Ok exit_no_answer
     in
     Cmd.v
-      (Cmd.info "info"
-         ~exits:
-           (Cmd.Exit.defaults
-           @ [ Cmd.Exit.info 3 ~doc:"the atlas is damaged" ])
+      (cmd_info "info"
          ~doc:"Read-only JSON summary of an atlas artifact: record counts \
                by arity, mode and effort tier, proof coverage, certificate \
                counts, and any detected damage (tolerant — a damaged file \
-               is still summarized, with exit 3).")
+               is still summarized, with exit 3; an unreadable header exits \
+               3 with no summary).")
       Term.(ret (const run $ atlas_path))
   in
   let verify_cmd =
@@ -2074,28 +2001,25 @@ let atlas_cmd =
       match Atlas.verify path with
       | Ok n ->
         Printf.printf "atlas verify: %s: %d records OK\n" path n;
-        `Ok 0
+        0
       | Error issues ->
         List.iter
           (fun i -> Format.eprintf "atlas verify: %a@." Atlas.pp_issue i)
           issues;
         Format.eprintf "atlas verify: %s: %d problem(s)@." path
           (List.length issues);
-        `Ok 3
+        exit_no_answer
     in
     Cmd.v
-      (Cmd.info "verify"
-         ~exits:
-           (Cmd.Exit.defaults
-           @ [ Cmd.Exit.info 3 ~doc:"the atlas failed verification" ])
+      (cmd_info "verify"
          ~doc:"Deep re-verification: header, per-record checksums and \
                framing, then every stored circuit re-simulated against its \
                target on all rows with the stored metrics cross-checked. \
-               Any damaged byte exits nonzero.")
-      Term.(ret (const run $ atlas_path))
+               Any damaged byte exits 3.")
+      Term.(const run $ atlas_path)
   in
   Cmd.group
-    (Cmd.info "atlas"
+    (cmd_info "atlas"
        ~doc:"Build, inspect and verify the precomputed NPN block atlas \
              served by $(b,--atlas) on $(b,batch), $(b,serve) and \
              $(b,map).")
@@ -2103,7 +2027,7 @@ let atlas_cmd =
 
 let main =
   let doc = "optimal synthesis of memristive mixed-mode circuits" in
-  Cmd.group (Cmd.info "mmsynth" ~version:"1.0.0" ~doc)
+  Cmd.group (Cmd.info "mmsynth" ~version:"1.0.0" ~exits ~doc)
     [ synth_cmd; check_cmd; baseline_cmd; simulate_cmd; batch_cmd;
       map_cmd; resyn_cmd; serve_cmd; client_cmd; cluster_cmd; cache_cmd;
       atlas_cmd ]

@@ -25,8 +25,8 @@ let () =
     "GF(2^2) multiplier two ways:\n\
     \  mixed-mode: %2d R-ops, cascade depth %d, %2d devices, %2d steps\n\
     \  R-only    : %2d R-ops, cascade depth %d, %2d devices, %2d steps\n\n"
-    (C.n_rops mm) (Reliability.rop_depth mm) (C.n_devices mm) (C.n_steps mm)
-    (C.n_rops r_only) (Reliability.rop_depth r_only) (C.n_devices r_only)
+    (C.n_rops mm) (C.rop_depth mm) (C.n_devices mm) (C.n_steps mm)
+    (C.n_rops r_only) (C.rop_depth r_only) (C.n_devices r_only)
     (C.n_steps r_only);
 
   (* variation sweep *)

@@ -113,9 +113,3 @@ let fold f acc t =
   let acc = ref acc in
   iteri (fun _ b -> acc := f !acc b) t;
   !acc
-
-let map2 f a b =
-  check_same_length a b;
-  init a.len (fun i -> f (get a i) (get b i))
-
-let pp ppf t = Format.pp_print_string ppf (to_string t)

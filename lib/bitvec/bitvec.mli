@@ -64,5 +64,3 @@ val to_int : t -> int
 
 val iteri : (int -> bool -> unit) -> t -> unit
 val fold : ('a -> bool -> 'a) -> 'a -> t -> 'a
-val map2 : (bool -> bool -> bool) -> t -> t -> t
-val pp : Format.formatter -> t -> unit

@@ -145,5 +145,3 @@ and atom e =
   match e with
   | Const _ | Var _ | Not _ -> to_string e
   | And _ | Or _ | Xor _ -> "(" ^ to_string e ^ ")"
-
-let pp ppf e = Format.pp_print_string ppf (to_string e)

@@ -35,4 +35,3 @@ val table : ?n:int -> t -> Truth_table.t
 val spec : name:string -> ?n:int -> t list -> Spec.t
 
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit

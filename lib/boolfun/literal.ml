@@ -60,5 +60,3 @@ let to_string = function
   | Const1 -> "const-1"
   | Pos i -> Printf.sprintf "x%d" i
   | Neg i -> Printf.sprintf "~x%d" i
-
-let pp ppf l = Format.pp_print_string ppf (to_string l)

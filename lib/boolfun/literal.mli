@@ -34,4 +34,3 @@ val eval : int -> t -> int -> bool
 val negate : t -> t
 val equal : t -> t -> bool
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit

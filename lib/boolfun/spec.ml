@@ -12,10 +12,6 @@ let of_fun ~name ~arity ~outputs f =
     (Array.init outputs (fun o ->
          Truth_table.of_fun arity (fun row -> f ~row ~output:o)))
 
-let of_int_fun ~name ~arity ~outputs f =
-  of_fun ~name ~arity ~outputs (fun ~row ~output ->
-      (f row lsr output) land 1 = 1)
-
 let name t = t.name
 let arity t = t.arity
 let output_count t = Array.length t.outputs

@@ -11,10 +11,6 @@ val make : name:string -> Truth_table.t array -> t
     [f ~row:q ~output:o]. *)
 val of_fun : name:string -> arity:int -> outputs:int -> (row:int -> output:int -> bool) -> t
 
-(** [of_int_fun ~name ~arity ~outputs f] interprets [f row] as an
-    [outputs]-bit word, bit 0 = output 0. *)
-val of_int_fun : name:string -> arity:int -> outputs:int -> (int -> int) -> t
-
 val name : t -> string
 val arity : t -> int
 val output_count : t -> int

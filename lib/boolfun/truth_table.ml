@@ -94,6 +94,4 @@ let project t vars =
         vars;
       eval t !q)
 
-let to_bitvec t = t.bits
-let of_bitvec n bits = make n bits
 let pp ppf t = Format.fprintf ppf "%s" (to_string t)

@@ -75,6 +75,4 @@ val support : t -> int list
     variable [y_(i+1)] standing for [List.nth vars i]. *)
 val project : t -> int list -> t
 
-val to_bitvec : t -> Mm_bitvec.Bitvec.t
-val of_bitvec : int -> Mm_bitvec.Bitvec.t -> t
 val pp : Format.formatter -> t -> unit

@@ -93,12 +93,6 @@ let start ?(restart_base_s = 0.2) ?(restart_cap_s = 5.0) ?log specs =
   t.thread <- Some (Thread.create (supervise_loop t) ());
   t
 
-let poll t = Mutex.protect t.m (fun () -> poll_locked t)
-
-let alive t =
-  Mutex.protect t.m (fun () ->
-      Array.fold_left (fun n p -> if p.pid > 0 then n + 1 else n) 0 t.procs)
-
 let restarts t =
   Mutex.protect t.m (fun () ->
       Array.fold_left (fun n p -> n + p.restarts) 0 t.procs)

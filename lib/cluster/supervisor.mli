@@ -31,13 +31,6 @@ val start :
   spawn list ->
   t
 
-(** One synchronous reap/restart sweep (the background thread does this
-    every 100 ms; exposed for tests). *)
-val poll : t -> unit
-
-(** Shards currently running. *)
-val alive : t -> int
-
 (** Total restarts performed across all shards. *)
 val restarts : t -> int
 

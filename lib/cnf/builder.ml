@@ -89,8 +89,6 @@ let define_andn t lits =
 let define_orn t lits =
   Lit.negate (define_andn t (List.map Lit.negate lits))
 
-let implies_lit t antecedent c = add t (c :: List.map Lit.negate antecedent)
-
 let implies_clause t antecedent cs =
   add t (List.map Lit.negate antecedent @ cs)
 
@@ -98,7 +96,6 @@ let implies_equiv t antecedent a b =
   implies_clause t antecedent [ Lit.negate a; b ];
   implies_clause t antecedent [ a; Lit.negate b ]
 
-let equiv t a b = implies_equiv t [] a b
 let fix t l b = add t [ (if b then l else Lit.negate l) ]
 
 let chain_implies t lits =

@@ -50,17 +50,11 @@ val define_orn : t -> Lit.t list -> Lit.t
 
 (** {2 Constraint helpers} *)
 
-(** [implies_lit t antecedent c]: clause [¬a1 ∨ ... ∨ ¬ak ∨ c]. *)
-val implies_lit : t -> Lit.t list -> Lit.t -> unit
-
 (** [implies_clause t antecedent cs]: [a1 ∧ ... ∧ ak → (c1 ∨ ... ∨ cm)]. *)
 val implies_clause : t -> Lit.t list -> Lit.t list -> unit
 
 (** [implies_equiv t antecedent a b]: under the antecedent, [a ≡ b]. *)
 val implies_equiv : t -> Lit.t list -> Lit.t -> Lit.t -> unit
-
-(** [equiv t a b]: [a ≡ b]. *)
-val equiv : t -> Lit.t -> Lit.t -> unit
 
 (** [fix t l b]: unit clause assigning [l] the value [b]. *)
 val fix : t -> Lit.t -> bool -> unit

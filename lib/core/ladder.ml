@@ -69,7 +69,6 @@ let create ?(rop_kind = Rop.Nor) ?(taps = Encode.Final_only)
   }
 
 let size t = (Builder.num_vars t.builder, Builder.num_clauses t.builder)
-let cumulative_stats t = Solver.stats t.solver
 let certificates t = List.length t.certs
 
 (* The activation assignment of a budget point: variable [k] of a family

@@ -62,9 +62,6 @@ val create :
 (** Formula size of the shared encoding: (variables, clauses). *)
 val size : t -> int * int
 
-(** Cumulative statistics of the underlying solver (not per-point deltas). *)
-val cumulative_stats : t -> Solver.stats
-
 (** Number of recorded per-budget UNSAT certificates. *)
 val certificates : t -> int
 

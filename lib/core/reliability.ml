@@ -25,19 +25,6 @@ let run spec ~mm ~r_only ~trials ~seed =
   in
   { spec_name = Spec.name spec; mm_circuit = mm; r_only_circuit = r_only; points }
 
-let rop_depth c =
-  let n = Circuit.n_rops c in
-  let depth = Array.make n 1 in
-  Array.iteri
-    (fun i { Circuit.in1; in2 } ->
-      let d = function
-        | Circuit.From_rop r -> depth.(r)
-        | Circuit.From_literal _ | Circuit.From_leg _ | Circuit.From_vop _ -> 0
-      in
-      depth.(i) <- 1 + max (d in1) (d in2))
-    c.Circuit.rops;
-  Array.fold_left max 0 depth
-
 let max_switches_per_run c =
   let plan = Schedule.plan c in
   let worst = ref 0 in

@@ -27,10 +27,6 @@ type study = {
 val run :
   Spec.t -> mm:Circuit.t -> r_only:Circuit.t -> trials:int -> seed:int -> study
 
-(** R-op cascade depth (longest chain of R-ops feeding R-ops) — the
-    quantity the paper blames for fidelity loss. *)
-val rop_depth : Circuit.t -> int
-
 (** Switching events in one evaluation, summed over cells, worst input
     row (endurance pressure; the paper notes V-ops may switch a cell on
     every operation). Counted by the devices themselves, from the plan's

@@ -61,7 +61,6 @@ let plan c =
 
 let circuit t = t.circuit
 let depth t = t.depth
-let dimensions t = (t.n_rows, t.n_cols)
 
 let cycles t =
   Circuit.steps_per_leg t.circuit + (2 * t.depth) + Circuit.n_outputs t.circuit

@@ -21,9 +21,6 @@ val circuit : plan -> Circuit.t
 (** R-op DAG depth (number of parallel levels). *)
 val depth : plan -> int
 
-(** Crossbar dimensions used: (rows, cols). *)
-val dimensions : plan -> int * int
-
 (** Predicted cycle count including per-output readout. *)
 val cycles : plan -> int
 

@@ -202,11 +202,6 @@ let set_atlas t ~name f =
       t.atlas <- Some f;
       t.atlas_name <- Some name)
 
-let clear_atlas t =
-  Mutex.protect t.mutex (fun () ->
-      t.atlas <- None;
-      t.atlas_name <- None)
-
 let has_atlas t = Mutex.protect t.mutex (fun () -> t.atlas <> None)
 let atlas_name t = Mutex.protect t.mutex (fun () -> t.atlas_name)
 

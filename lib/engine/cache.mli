@@ -138,7 +138,6 @@ type class_answer = {
     reported by {!atlas_name} for stats/logs. *)
 val set_atlas : t -> name:string -> (class_query -> class_answer option) -> unit
 
-val clear_atlas : t -> unit
 val has_atlas : t -> bool
 val atlas_name : t -> string option
 

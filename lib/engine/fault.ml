@@ -23,8 +23,6 @@ let rule ?only stage rate action =
 
 let create ~seed rules = { seed; rules }
 
-let none = { seed = 0; rules = [] }
-
 let contains s sub =
   let n = String.length s and m = String.length sub in
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in

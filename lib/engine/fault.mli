@@ -55,9 +55,6 @@ val rule : ?only:string -> stage -> float -> action -> rule
 
 val create : seed:int -> rule list -> t
 
-(** The empty plan: nothing ever fires. *)
-val none : t
-
 (** [decide t ~stage ~key] — first matching rule that fires, if any.
     Pure in [(t, stage, key)]. *)
 val decide : t -> stage:stage -> key:string -> action option

@@ -186,9 +186,6 @@ let apply_circuit t c =
          c.C.rops)
     ~outputs:(Array.map map_src c.C.outputs) ()
 
-let equal a b =
-  a.n = b.n && a.perm = b.perm && a.neg = b.neg && a.out_neg = b.out_neg
-
 let pp ppf t =
   Format.fprintf ppf "perm=[%s] neg=[%s]%s"
     (String.concat ";" (Array.to_list (Array.map string_of_int t.perm)))

@@ -71,5 +71,4 @@ val apply_circuit : t -> Mm_core.Circuit.t -> Mm_core.Circuit.t
 (** All transforms of arity [n] (n! · 2^n · 2 of them, 768 for n = 4). *)
 val all : int -> t list
 
-val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -42,13 +42,6 @@ let parse_string s =
     let num_vars = if !num_vars >= 0 then max !num_vars max_var else max_var in
     Ok { num_vars; clauses = List.rev !clauses }
 
-let parse_file path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let s = really_input_string ic len in
-  close_in ic;
-  parse_string s
-
 let to_string p =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf
@@ -59,11 +52,6 @@ let to_string p =
       Buffer.add_string buf "0\n")
     p.clauses;
   Buffer.contents buf
-
-let write_file path p =
-  let oc = open_out path in
-  output_string oc (to_string p);
-  close_out oc
 
 let load solver p =
   while Solver.nvars solver < p.num_vars do

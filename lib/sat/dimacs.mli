@@ -9,12 +9,8 @@ type problem = { num_vars : int; clauses : int list list }
     0-terminated clauses. *)
 val parse_string : string -> (problem, string) result
 
-val parse_file : string -> (problem, string) result
-
 (** [to_string p] renders a DIMACS document. *)
 val to_string : problem -> string
-
-val write_file : string -> problem -> unit
 
 (** [load solver p] allocates missing variables and adds all clauses. *)
 val load : Solver.t -> problem -> unit

@@ -14,6 +14,3 @@ let to_dimacs l = if sign l then -(var l + 1) else var l + 1
 let of_dimacs d =
   if d = 0 then invalid_arg "Lit.of_dimacs: zero";
   if d > 0 then pos (d - 1) else neg_of (-d - 1)
-
-let to_string l = string_of_int (to_dimacs l)
-let pp ppf l = Format.pp_print_int ppf (to_dimacs l)

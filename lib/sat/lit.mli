@@ -26,5 +26,3 @@ val negate : t -> t
 val to_dimacs : t -> int
 
 val of_dimacs : int -> t
-val to_string : t -> string
-val pp : Format.formatter -> t -> unit

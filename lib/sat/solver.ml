@@ -938,10 +938,3 @@ let stats t =
          float_of_int t.propagations /. t.solve_time_s
        else 0.);
   }
-
-let pp_stats ppf (s : stats) =
-  Format.fprintf ppf
-    "conflicts=%d decisions=%d propagations=%d restarts=%d learnt=%d \
-     peak_learnt=%d props/s=%.0f"
-    s.conflicts s.decisions s.propagations s.restarts
-    s.learnt_clauses s.peak_learnts s.props_per_s

@@ -116,11 +116,6 @@ let note_conn_accepted t =
 let note_conn_dropped t =
   Mutex.protect t.m (fun () -> t.conns_dropped <- t.conns_dropped + 1)
 
-let shed_count t =
-  Mutex.protect t.m (fun () ->
-      let n tag = Option.value (Hashtbl.find_opt t.errors tag) ~default:0 in
-      n "overloaded" + n "unavailable")
-
 let note_batch t summary =
   Mutex.protect t.m (fun () ->
       t.batches <- t.batches + 1;

@@ -46,9 +46,6 @@ val note_reply_err : t -> Wire.error_code -> unit
 val note_conn_accepted : t -> unit
 val note_conn_dropped : t -> unit
 
-(** Count of [overloaded]+[unavailable] replies (the shed rate numerator). *)
-val shed_count : t -> int
-
 (** One engine batch completed: accumulate its summary. *)
 val note_batch : t -> Mm_engine.Engine.summary -> unit
 

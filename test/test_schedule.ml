@@ -256,10 +256,10 @@ let test_simulator_identity () =
 
 let test_rop_depth () =
   Alcotest.(check int) "gf ref depth 2" 2
-    (Reliability.rop_depth (Reference.gf4_mul_circuit ()));
-  Alcotest.(check int) "xor2 depth 1" 1 (Reliability.rop_depth (xor2_circuit ()));
+    (C.rop_depth (Reference.gf4_mul_circuit ()));
+  Alcotest.(check int) "xor2 depth 1" 1 (C.rop_depth (xor2_circuit ()));
   Alcotest.(check int) "v-only depth 0" 0
-    (Reliability.rop_depth (Reference.table2_circuit ()))
+    (C.rop_depth (Reference.table2_circuit ()))
 
 (* The device counters see every switch, the first cycle's included:
    gf4_mul's worst input row switches 11 times, counted from the plan's
