@@ -115,8 +115,10 @@ smoke-ladder: build
 # with ".i 0", a --cache or atlas path that cannot hold the file (a
 # directory, or a file in a missing directory; serve must refuse it
 # before binding its socket), negative counts and an --input row the spec
-# does not have, and a bad fault plan given to cluster (refused before it
-# spawns a shard or creates its shard directory).
+# does not have, a spec given with batch --sweep, and cluster command lines
+# refused before it spawns a shard or creates its shard directory: a bad
+# fault plan, a router socket a live daemon already serves, --replicas 0
+# and a --chaos-shard outside 0..N-1.
 # The exit-table gate then runs each (status, invocation) pair and fails
 # on any other status: 3 when the budget runs out, when simulate finds no
 # circuit at its dimensions, or when an atlas header is unreadable; 4 when
@@ -133,6 +135,9 @@ smoke-cli: build
 	$(MMSYNTH) map --workload adder2 --effort 1 --json > $$tmp/art.json; \
 	awk 't == 1 { sub(/"0/, "\"x"); sub(/"1/, "\"0"); sub(/"x/, "\"1"); t = 2 } \
 	  /"tables": \[/ { t = 1 } { print }' $$tmp/art.json > $$tmp/flip.json; \
+	$(MMSYNTH) serve --socket $$tmp/live.sock -q & live=$$!; \
+	for i in $$(seq 1 100); do [ -S $$tmp/live.sock ] && break; sleep 0.1; done; \
+	[ -S $$tmp/live.sock ] || { echo "smoke-cli: serve never bound $$tmp/live.sock"; kill $$live; exit 1; }; \
 	fails=0; \
 	for args in 'synth --arity 0 -e 1' 'baseline --arity 0 -e 1' \
 	  'simulate --arity 0 -e 1' 'check --arity 0 -e 1' \
@@ -154,8 +159,12 @@ smoke-cli: build
 	  'synth -e x1^x2 --rops=-1' 'synth -e x1^x2 --legs=-1' \
 	  'synth -e x1^x2 --steps=-1' 'simulate -e x1^x2 --rops=-1' \
 	  'simulate -e x1^x2 --input 4' 'simulate -e x1^x2 --input=-1' \
-	  'batch --sweep 2 --limit=-1' \
-	  "cluster --shards 1 --inject bogus:0.5 --socket $$tmp/c.sock --shard-dir $$tmp/shards"; do \
+	  'batch --sweep 2 --limit=-1' 'batch --sweep 1 -e x1&x2&x3' \
+	  "cluster --shards 1 --inject bogus:0.5 --socket $$tmp/c.sock --shard-dir $$tmp/shards" \
+	  "cluster --shards 1 --socket $$tmp/live.sock --shard-dir $$tmp/shards" \
+	  "cluster --shards 2 --replicas 0 --socket $$tmp/c.sock --shard-dir $$tmp/shards" \
+	  "cluster --shards 2 --chaos-shard 2 --socket $$tmp/c.sock --shard-dir $$tmp/shards" \
+	  "cluster --shards 2 --chaos-shard=-1 --socket $$tmp/c.sock --shard-dir $$tmp/shards"; do \
 	  rc=0; out=$$($(MMSYNTH) $$args 2>&1) || rc=$$?; \
 	  lines=$$(printf '%s\n' "$$out" | wc -l); \
 	  case "$$rc:$$lines:$$out" in \
@@ -169,6 +178,7 @@ smoke-cli: build
 	  if [ -e $$tmp/$$f ]; then \
 	    echo "smoke-cli: a refused invocation left $$f behind"; fails=$$((fails+1)); fi; \
 	done; \
+	$(MMSYNTH) client --socket $$tmp/live.sock --shutdown > /dev/null; wait $$live; \
 	for case in '3 synth -e x1^x2^x3^x4 --rops 3 --legs 4 --steps 6 --timeout 0' \
 	  '3 synth --minimize -e (x1&x2)|(x3^x4) --timeout 0' \
 	  '3 simulate -e x1^x2^x3 --rops 0 --legs 1 --steps 1' \
@@ -321,13 +331,14 @@ smoke-cluster: build
 	  sleep 0.1; \
 	done; \
 	[ $$fails -eq 0 ] || { echo "smoke-cluster: $$fails request(s) lost across the shard kill"; kill $$pid 2>/dev/null; exit 1; }; \
-	$(MMSYNTH) client --socket $(CLUSTER_SOCK) --stats | grep -q mmsynth-cluster-stats-v1 \
+	$(MMSYNTH) client --socket $(CLUSTER_SOCK) --stats | grep -q mmsynth-cluster-stats-v2 \
 	  || { echo "smoke-cluster: no cluster stats"; kill $$pid 2>/dev/null; exit 1; }; \
 	$(MMSYNTH) client --socket $(CLUSTER_SOCK) --shutdown > /dev/null; \
 	wait $$pid; rc=$$?; \
 	[ $$rc -eq 0 ] || { echo "cluster exited $$rc after shutdown"; exit 1; }; \
+	[ ! -e $(CLUSTER_SOCK) ] || { echo "smoke-cluster: leaked socket $(CLUSTER_SOCK)"; exit 1; }; \
 	rm -rf $(CLUSTER_DIR) $(CLUSTER_SOCK); \
-	echo "smoke-cluster: OK (40/40 answered across a mid-stream shard kill)"
+	echo "smoke-cluster: OK (40/40 answered across a mid-stream shard kill, no leaked socket)"
 
 check: test smoke smoke-fault smoke-serve smoke-ladder smoke-cli smoke-map \
   smoke-xbar smoke-resyn smoke-atlas smoke-cluster

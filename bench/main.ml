@@ -913,7 +913,6 @@ let resyn_bench ?(budget = 0.5) ?(passes = 4) () =
 let engine_bench () =
   let module Engine = Mm_engine.Engine in
   let module Cache = Mm_engine.Cache in
-  let module Pool = Mm_engine.Pool in
   section "Engine: batch synthesis over the full 3-input function space";
   let specs = Engine.all_functions ~arity:3 in
   let tmp suffix =
@@ -942,8 +941,10 @@ let engine_bench () =
       (if bad > 0 then Printf.sprintf "  (%d ERRORS)" bad else "");
     s
   in
+  (* the engine's worker pool counts the calling domain as a worker, so
+     the parallel passes use one domain per core *)
   let cores = Domain.recommended_domain_count () in
-  let domains = Pool.default_domains () in
+  let domains = cores in
   let seq = run ~label:"sequential, cold:" ~domains:1 ~cache_path:(tmp "seq") in
   let par =
     run ~label:(Printf.sprintf "%d domains, cold:" domains) ~domains
@@ -1575,8 +1576,8 @@ let storm_bench () =
   let servers = Array.init n_shards boot in
   let router =
     Router.create
-      (Router.config ~replicas:2 ~retry_budget_s:2.0 ~max_rounds:4
-         ~probe_interval_s:(Some 0.1) ~pool_size:4 ~seed:42 ())
+      (Router.config ~replicas:2 ~retry_budget_s:2.0
+         ~probe_interval_s:(Some 0.1) ~seed:42 ())
       (List.init n_shards (fun i ->
            { Router.id = Printf.sprintf "shard-%d" i;
              addr = Client.Unix_sock (sock i) }))
@@ -1651,7 +1652,7 @@ let storm_bench () =
     (* slice the answered latencies by the shard that answered *)
     let by_shard = Hashtbl.create 8 in
     let ok = ref 0 and shed = ref 0 and erred = ref 0 and failed = ref 0 in
-    let failovers = ref 0 and hedged = ref 0 in
+    let failovers = ref 0 in
     let lats = ref [] in
     Array.iter
       (function
@@ -1660,7 +1661,6 @@ let storm_bench () =
           match r with
           | Ok o -> (
             if o.Router.failover then incr failovers;
-            if o.Router.hedged then incr hedged;
             match o.Router.reply with
             | Wire.Result _ ->
               incr ok;
@@ -1682,10 +1682,10 @@ let storm_bench () =
     Array.sort compare all;
     Printf.printf
       "  %s: %d req @ %.0f rps in %.2fs -> ok %d, shed %d, err %d, \
-       no-answer %d; availability %.2f%%; failover %d, hedged %d; p50 %.1f \
-       ms p95 %.1f ms p99 %.1f ms\n%!"
+       no-answer %d; availability %.2f%%; failover %d; p50 %.1f ms \
+       p95 %.1f ms p99 %.1f ms\n%!"
       label n_requests rate wall !ok !shed !erred !failed
-      (100. *. availability) !failovers !hedged
+      (100. *. availability) !failovers
       (1e3 *. percentile all 0.50)
       (1e3 *. percentile all 0.95)
       (1e3 *. percentile all 0.99);
@@ -1721,7 +1721,6 @@ let storm_bench () =
           ("unanswered", Json.Int !failed);
           ("availability", Json.Float availability);
           ("failovers", Json.Int !failovers);
-          ("hedged", Json.Int !hedged);
           ("p50_s", Json.Float (percentile all 0.50));
           ("p95_s", Json.Float (percentile all 0.95));
           ("p99_s", Json.Float (percentile all 0.99));

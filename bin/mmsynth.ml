@@ -756,7 +756,9 @@ let batch_cmd =
   let run spec sweep engine final stats limit deadline retries json_stats =
     let specs =
       match sweep, spec with
-      | Some n, _ -> Ok (Engine.all_functions ~arity:n)
+      | Some _, Some _ ->
+        Error "--sweep synthesizes a whole function space; it takes no spec"
+      | Some n, None -> Ok (Engine.all_functions ~arity:n)
       | None, Some spec ->
         (* each output is an independent single-output batch member *)
         Ok
@@ -1067,7 +1069,6 @@ let client_cmd =
 
 let cluster_cmd =
   let module Router = Mm_cluster.Router in
-  let module Frontend = Mm_cluster.Frontend in
   let module Supervisor = Mm_cluster.Supervisor in
   let shards_n =
     count ~lo:1 ~aliases:[ "n" ] "shards" ~docv:"N"
@@ -1092,13 +1093,8 @@ let cluster_cmd =
                  NPN class, so each shard's cache sees only its slice).")
   in
   let replicas =
-    Arg.(value & opt int 2 & info [ "replicas" ] ~docv:"N"
-           ~doc:"Distinct shards the router tries per request round.")
-  in
-  let hedge_after =
-    Arg.(value & opt (some float) None & info [ "hedge-after" ] ~docv:"SECONDS"
-           ~doc:"Fire a hedged duplicate at the next replica when the \
-                 primary is silent this long (first reply wins).")
+    count ~lo:1 "replicas" ~docv:"N"
+      ~doc:"Distinct shards the router tries per request round." 2
   in
   let retry_budget =
     Arg.(value & opt float 2.0 & info [ "retry-budget" ] ~docv:"SECONDS"
@@ -1118,11 +1114,11 @@ let cluster_cmd =
   in
   let chaos_shard =
     Arg.(value & opt int 0 & info [ "chaos-shard" ] ~docv:"I"
-           ~doc:"Which shard $(b,--chaos-kill-after) kills.")
+           ~doc:"Which shard $(b,--chaos-kill-after) kills: 0..N-1.")
   in
   let run n router_socket shard_dir cache_dir atlas timeout replicas
-      hedge_after retry_budget probe_interval max_pending max_batch jobs
-      inject inject_seed chaos_kill_after chaos_shard quiet =
+      retry_budget probe_interval max_pending max_batch jobs inject
+      inject_seed chaos_kill_after chaos_shard quiet =
     let log =
       if quiet then None
       else Some (fun s -> Printf.eprintf "mmsynth cluster: %s\n%!" s)
@@ -1140,6 +1136,8 @@ let cluster_cmd =
                     (Unix.error_message e))
     in
     match
+      Option.iter failwith
+        (out_of_bounds ~lo:0 ~hi:(n - 1) "chaos-shard" chaos_shard);
       ensure_dir shard_dir;
       Option.iter ensure_dir cache_dir
     with
@@ -1190,60 +1188,50 @@ let cluster_cmd =
         fail exit_check_failed "not all shards came up"
       end
       else begin
-        let infos =
-          List.init n (fun i ->
-              { Router.id = Printf.sprintf "shard-%d" i;
-                addr = Client.Unix_sock (shard_socket i) })
+        let router =
+          Router.create
+            (Router.config ~replicas ~retry_budget_s:retry_budget
+               ~probe_interval_s:(Some probe_interval) ?log ())
+            (List.init n (fun i ->
+                 { Router.id = Printf.sprintf "shard-%d" i;
+                   addr = Client.Unix_sock (shard_socket i) }))
         in
-        let rcfg =
-          Router.config ~replicas ?hedge_after_s:hedge_after
-            ~retry_budget_s:retry_budget
-            ~probe_interval_s:(Some probe_interval) ?log ()
+        logf "%d shard(s) up" n;
+        Option.iter
+          (fun after ->
+            ignore
+              (Thread.create
+                 (fun () ->
+                   Thread.delay after;
+                   Supervisor.kill_one sup chaos_shard)
+                 ()))
+          chaos_kill_after;
+        (* the router is a daemon like [serve]: SIGTERM/SIGINT or a wire
+           shutdown drains it, then the shards are stopped *)
+        let served =
+          Server.run ~handlers:(Router.handlers router)
+            (Server.config ?log ~socket_path:router_socket ())
         in
-        let router = Router.create rcfg infos in
-        match Frontend.start ?log router ~socket_path:router_socket with
-        | Error msg ->
-          Router.close router; Supervisor.stop sup;
-          fail exit_check_failed "%s" msg
-        | Ok fe ->
-          logf "%d shard(s) up, router on %s" n router_socket;
-          let stop_req = ref false in
-          let handler = Sys.Signal_handle (fun _ -> stop_req := true) in
-          Sys.set_signal Sys.sigterm handler;
-          Sys.set_signal Sys.sigint handler;
-          (match chaos_kill_after with
-           | Some after ->
-             ignore
-               (Thread.create
-                  (fun () ->
-                     Thread.delay after;
-                     Supervisor.kill_one sup chaos_shard)
-                  ())
-           | None -> ());
-          while not (!stop_req || Frontend.draining fe) do
-            Thread.delay 0.1
-          done;
-          logf "shutting down";
-          Frontend.stop fe;
-          Router.close router;
-          Supervisor.stop sup;
-          `Ok 0
+        Router.close router;
+        Supervisor.stop sup;
+        match served with
+        | Ok () -> `Ok 0
+        | Error msg -> fail exit_check_failed "%s" msg
       end
   in
   Cmd.v
     (cmd_info "cluster"
        ~doc:"Spawn and supervise N $(b,serve) shards behind a failover \
              router: consistent-hash routing by NPN class, replica \
-             fallback, hedged retries, circuit breakers, crashed shards \
-             restarted with backoff. The router socket speaks the same \
-             wire protocol as a single daemon.")
+             fallback, circuit breakers, crashed shards restarted with \
+             backoff. The router is served by the same daemon core as \
+             $(b,serve) and speaks the same wire protocol.")
     Term.(
       ret
         (const run $ shards_n $ free_socket_t router_socket $ shard_dir
-        $ cache_dir $ atlas_t $ timeout_t $ replicas $ hedge_after
-        $ retry_budget $ probe_interval $ max_pending_t $ max_batch_t
-        $ jobs_t $ inject_t $ inject_seed_t $ chaos_kill_after $ chaos_shard
-        $ quiet_t))
+        $ cache_dir $ atlas_t $ timeout_t $ replicas $ retry_budget
+        $ probe_interval $ max_pending_t $ max_batch_t $ jobs_t $ inject_t
+        $ inject_seed_t $ chaos_kill_after $ chaos_shard $ quiet_t))
 
 (* ---- line-array report, shared by map (line target) and resyn ---------- *)
 

@@ -2,43 +2,41 @@ module Json = Mm_report.Json
 module Spec = Mm_boolfun.Spec
 module Wire = Mm_serve.Wire
 module Client = Mm_serve.Client
+module Server = Mm_serve.Server
 module Rng = Mm_device.Rng
 
 type shard_info = { id : string; addr : Client.addr }
 
 type config = {
   replicas : int;
-  hedge_after_s : float option;
   retry_budget_s : float;
-  max_rounds : int;
   breaker : Breaker.config;
-  pool_size : int;
-  reply_timeout_s : float;
   probe_interval_s : float option;
   seed : int;
   log : (string -> unit) option;
 }
 
-let config ?(replicas = 2) ?hedge_after_s ?(retry_budget_s = 2.0)
-    ?(max_rounds = 4) ?(breaker = Breaker.config ()) ?(pool_size = 4)
-    ?(reply_timeout_s = 30.0) ?(probe_interval_s = Some 0.5) ?(seed = 0) ?log
-    () =
+let config ?(replicas = 2) ?(retry_budget_s = 2.0)
+    ?(breaker = Breaker.config ()) ?(probe_interval_s = Some 0.5) ?(seed = 0)
+    ?log () =
   {
     replicas = max 1 replicas;
-    hedge_after_s;
     retry_budget_s = max 0.0 retry_budget_s;
-    max_rounds = max 1 max_rounds;
     breaker;
-    pool_size = max 1 pool_size;
-    reply_timeout_s;
     probe_interval_s;
     seed;
     log;
   }
 
+(* Backoff rounds before a request gives up, and the wait for one shard
+   reply (a synth can sit in the shard's queue behind a batch). *)
+let max_rounds = 4
+let reply_timeout_s = 30.0
+
 type shard_state = {
   info : shard_info;
-  pool : Client.Pool.p;
+  dial : Mutex.t;  (* guards [conn] *)
+  mutable conn : Client.t option;  (* one pipelined connection *)
   breaker : Breaker.t;
   mutable n_req : int;
   mutable n_ok : int;
@@ -53,8 +51,6 @@ type t = {
   m : Mutex.t;  (* breakers, counters, rng *)
   rng : Rng.t;
   mutable failovers : int;
-  mutable hedges : int;
-  mutable hedge_wins : int;
   mutable backoffs : int;
   mutable served_ok : int;
   mutable served_err : int;
@@ -67,7 +63,6 @@ type outcome = {
   reply : Wire.reply;
   shard : string;
   failover : bool;
-  hedged : bool;
   attempts : int;
 }
 
@@ -79,16 +74,45 @@ let logf t fmt =
 let now () = Unix.gettimeofday ()
 
 let shard_id t idx = t.shards.(idx).info.id
-let n_shards t = Array.length t.shards
+
+(* ---- shard connections ---------------------------------------------- *)
+
+(* The shard's connection, dialled on first use. Dialling holds the
+   shard's mutex, so requests racing to a cold shard share one dial; a
+   dead connection is closed and replaced. *)
+let conn s =
+  Mutex.protect s.dial (fun () ->
+      match s.conn with
+      | Some c when Client.alive c -> Ok c
+      | stale -> (
+        Option.iter Client.close stale;
+        s.conn <- None;
+        match Client.connect ~read_timeout:reply_timeout_s s.info.addr with
+        | Ok c ->
+          s.conn <- Some c;
+          Ok c
+        | Error _ as e -> e))
+
+(* One request to one shard. A connection that dies under the request
+   (the shard restarted, an idle reset) is re-dialled once. *)
+let send s req =
+  let rec go redial =
+    match conn s with
+    | Error msg -> Error msg
+    | Ok c -> (
+      match Client.request c req with
+      | Error _ when redial && not (Client.alive c) -> go false
+      | r -> r)
+  in
+  go true
 
 (* ---- probing ------------------------------------------------------- *)
 
 let probe_once t =
   Array.iter
     (fun s ->
-      match Client.Pool.request ~attempts:1 s.pool Wire.Ping with
+      match send s Wire.Ping with
       | Ok _ -> Mutex.protect t.m (fun () -> Breaker.success s.breaker)
-      | Error msg when msg = "pool busy" -> ()  (* no verdict: just loaded *)
       | Error _ ->
           Mutex.protect t.m (fun () -> Breaker.failure s.breaker ~now:(now ())))
     t.shards
@@ -107,7 +131,7 @@ let probe_loop t interval () =
 
 (* ---- lifecycle ----------------------------------------------------- *)
 
-let create cfg infos =
+let create (cfg : config) infos =
   if infos = [] then invalid_arg "Router.create: need at least one shard";
   let shards =
     Array.of_list
@@ -115,9 +139,8 @@ let create cfg infos =
          (fun info ->
            {
              info;
-             pool =
-               Client.Pool.create ~size:cfg.pool_size
-                 ~read_timeout:cfg.reply_timeout_s info.addr;
+             dial = Mutex.create ();
+             conn = None;
              breaker = Breaker.create cfg.breaker;
              n_req = 0;
              n_ok = 0;
@@ -134,8 +157,6 @@ let create cfg infos =
       m = Mutex.create ();
       rng = Rng.create (cfg.seed lxor 0x524f5554);
       failovers = 0;
-      hedges = 0;
-      hedge_wins = 0;
       backoffs = 0;
       served_ok = 0;
       served_err = 0;
@@ -154,7 +175,12 @@ let close t =
   Mutex.protect t.m (fun () -> t.probe_stop <- true);
   (match t.prober with Some th -> Thread.join th | None -> ());
   t.prober <- None;
-  Array.iter (fun s -> Client.Pool.close s.pool) t.shards
+  Array.iter
+    (fun s ->
+      Mutex.protect s.dial (fun () ->
+          Option.iter Client.close s.conn;
+          s.conn <- None))
+    t.shards
 
 (* ---- dispatch ------------------------------------------------------ *)
 
@@ -178,8 +204,7 @@ let classify = function
 let attempt t idx req =
   let s = t.shards.(idx) in
   Mutex.protect t.m (fun () -> s.n_req <- s.n_req + 1);
-  let raw = Client.Pool.request s.pool req in
-  let v = classify raw in
+  let v = classify (send s req) in
   Mutex.protect t.m (fun () ->
       match v with
       | Good (Wire.Result _) ->
@@ -193,47 +218,6 @@ let attempt t idx req =
           s.n_fail <- s.n_fail + 1;
           Breaker.failure s.breaker ~now:(now ()));
   v
-
-(* Race [a] against a hedge on [b] fired after [after] seconds of silence.
-   Whichever attempt finishes first wins; the loser's reply is discarded
-   (its pool slot completes normally). Returns the winning shard, its
-   verdict, and whether the hedge actually fired. *)
-let hedged_attempt t req a b after =
-  let hm = Mutex.create () and hcv = Condition.create () in
-  let result = ref None in
-  let fired = ref false in
-  let submit idx () =
-    let v = attempt t idx req in
-    Mutex.protect hm (fun () ->
-        if !result = None then begin
-          result := Some (idx, v);
-          Condition.broadcast hcv
-        end)
-  in
-  ignore (Thread.create (submit a) ());
-  ignore
-    (Thread.create
-       (fun () ->
-         Thread.delay after;
-         let fire =
-           Mutex.protect hm (fun () ->
-               if !result = None then (fired := true; true) else false)
-         in
-         if fire then begin
-           Mutex.protect t.m (fun () -> t.hedges <- t.hedges + 1);
-           logf t "hedge fired: %s -> %s" (shard_id t a) (shard_id t b);
-           submit b ()
-         end)
-       ());
-  Mutex.lock hm;
-  while !result = None do
-    Condition.wait hcv hm
-  done;
-  let idx, v = Option.get !result in
-  let f = !fired in
-  Mutex.unlock hm;
-  if f && idx = b then Mutex.protect t.m (fun () -> t.hedge_wins <- t.hedge_wins + 1);
-  (idx, v, f)
 
 (* Candidates for one round: ring order for [key], restricted to shards
    whose breaker admits traffic, truncated to [replicas]. When every
@@ -255,7 +239,6 @@ let request t ~key req =
   let primary = Ring.primary t.ring key in
   let deadline = now () +. t.cfg.retry_budget_s in
   let attempts = ref 0 in
-  let hedged = ref false in
   let finish idx reply =
     let failover = idx <> primary in
     Mutex.protect t.m (fun () ->
@@ -263,92 +246,54 @@ let request t ~key req =
         match reply with
         | Wire.Result _ -> t.served_ok <- t.served_ok + 1
         | Wire.Err _ -> t.served_err <- t.served_err + 1);
-    Ok
-      {
-        reply;
-        shard = shard_id t idx;
-        failover;
-        hedged = !hedged;
-        attempts = !attempts;
-      }
+    Ok { reply; shard = shard_id t idx; failover; attempts = !attempts }
   in
   let rec round n last =
-    if n >= t.cfg.max_rounds then give_up last
-    else begin
-      let cands = candidates t key in
-      let hint = ref None in
-      let rec try_cands cands last =
-        match cands with
-        | [] -> (
-            (* Round exhausted. Sheds are transient — back off and go
-               again if budget remains; pure transport failure retries
-               too (a shard may be restarting under the supervisor). *)
-            let remaining = deadline -. now () in
-            if remaining <= 0.0 || n + 1 >= t.cfg.max_rounds then give_up last
-            else
-              let base = Option.value !hint ~default:0.05 in
-              let jitter =
-                Mutex.protect t.m (fun () -> 0.5 +. Rng.float t.rng)
-              in
-              let sleep =
-                Float.min remaining
-                  (base *. (2.0 ** float_of_int n) *. jitter)
-              in
-              Mutex.protect t.m (fun () -> t.backoffs <- t.backoffs + 1);
-              Thread.delay (Float.max 0.0 sleep);
-              round (n + 1) last)
-        | idx :: rest -> (
-            let widx, v, fired =
-              match (t.cfg.hedge_after_s, rest) with
-              | Some after, next :: _
-                when n = 0 && !attempts = 0 && not !hedged ->
-                  hedged_attempt t req idx next after
-              | _ -> (idx, attempt t idx req, false)
+    let hint = ref None in
+    let rec try_cands cands last =
+      match cands with
+      | [] ->
+          (* Round exhausted. Sheds are transient — back off and go again
+             if budget remains; pure transport failure retries too (a
+             shard may be restarting under the supervisor). *)
+          let remaining = deadline -. now () in
+          if remaining <= 0.0 || n + 1 >= max_rounds then give_up last
+          else begin
+            let sleep =
+              Mutex.protect t.m (fun () ->
+                  t.backoffs <- t.backoffs + 1;
+                  Client.backoff t.rng ~hint:!hint ~attempt:n ~remaining)
             in
-            incr attempts;
-            if fired then begin
-              hedged := true;
-              incr attempts
-            end;
-            (* Drop every candidate the (possibly hedged) attempt touched:
-               both contenders have a request in flight. *)
-            let rest =
-              if fired then List.filter (fun i -> i <> widx) rest else rest
-            in
-            match v with
-            | Good reply -> finish widx reply
-            | Shed h ->
-                (match (h, !hint) with
-                | Some h, Some h0 -> hint := Some (Float.max h h0)
-                | Some h, None -> hint := Some h
-                | None, _ -> ());
-                try_cands rest
-                  (Ok
-                     (Wire.Err
-                        {
-                          Wire.code = Wire.Overloaded;
-                          msg = "all replicas shedding";
-                          retry_after_s = h;
-                        }))
-            | Down msg ->
-                logf t "shard %s down for key %s: %s" (shard_id t widx) key
-                  msg;
-                try_cands rest (Error msg))
-      in
-      try_cands cands last
-    end
+            Thread.delay sleep;
+            round (n + 1) last
+          end
+      | idx :: rest -> (
+          incr attempts;
+          match attempt t idx req with
+          | Good reply -> finish idx reply
+          | Shed h ->
+              (match (h, !hint) with
+              | Some h, Some h0 -> hint := Some (Float.max h h0)
+              | Some h, None -> hint := Some h
+              | None, _ -> ());
+              try_cands rest
+                (Ok
+                   (Wire.Err
+                      {
+                        Wire.code = Wire.Overloaded;
+                        msg = "all replicas shedding";
+                        retry_after_s = h;
+                      }))
+          | Down msg ->
+              logf t "shard %s down for key %s: %s" (shard_id t idx) key msg;
+              try_cands rest (Error msg))
+    in
+    try_cands (candidates t key) last
   and give_up last =
     match last with
     | Ok (Wire.Err _ as r) ->
         Mutex.protect t.m (fun () -> t.served_err <- t.served_err + 1);
-        Ok
-          {
-            reply = r;
-            shard = "";
-            failover = true;
-            hedged = !hedged;
-            attempts = !attempts;
-          }
+        Ok { reply = r; shard = ""; failover = true; attempts = !attempts }
     | Ok (Wire.Result _ as r) ->
         (* unreachable: successes return via [finish] *)
         finish primary r
@@ -393,15 +338,53 @@ let stats_json t =
   Mutex.protect t.m (fun () ->
       Json.Obj
         [
-          ("schema", Json.String "mmsynth-cluster-stats-v1");
+          ("schema", Json.String "mmsynth-cluster-stats-v2");
           ("n_shards", Json.Int (Array.length t.shards));
           ("replicas", Json.Int t.cfg.replicas);
           ("served_ok", Json.Int t.served_ok);
           ("served_err", Json.Int t.served_err);
           ("served_fail", Json.Int t.served_fail);
           ("failovers", Json.Int t.failovers);
-          ("hedges", Json.Int t.hedges);
-          ("hedge_wins", Json.Int t.hedge_wins);
           ("backoffs", Json.Int t.backoffs);
           ("shards", shards);
         ])
+
+(* ---- the router as a daemon ---------------------------------------- *)
+
+(* A routed answer carries who answered and whether the cluster had to
+   work for it. *)
+let attributed (o : outcome) = function
+  | Json.Obj fields ->
+      Json.Obj
+        (fields
+        @ [
+            ( "cluster",
+              Json.Obj
+                [
+                  ("shard", Json.String o.shard);
+                  ("failover", Json.Bool o.failover);
+                  ("attempts", Json.Int o.attempts);
+                ] );
+          ])
+  | j -> j
+
+let handlers t =
+  {
+    Server.synth =
+      (fun spec params ->
+        match synth ~params t spec with
+        | Ok ({ reply = Wire.Result j; _ } as o) -> Wire.Result (attributed o j)
+        | Ok { reply; _ } -> reply
+        | Error msg ->
+            Wire.Err
+              {
+                Wire.code = Wire.Unavailable;
+                msg = "cluster: " ^ msg;
+                retry_after_s = Some 0.25;
+              });
+    stats = (fun () -> stats_json t);
+    health =
+      (fun () ->
+        [ ("role", Json.String "router");
+          ("n_shards", Json.Int (Array.length t.shards)) ]);
+  }

@@ -1,6 +1,6 @@
 (** The cluster front door: route each request to the shard that owns its
     NPN class, fail over to replicas when that shard sheds, drains or
-    dies, and keep tail latency bounded with hedges and budgeted retries.
+    dies, and ride out load spikes with budgeted retries.
 
     {2 Request path}
 
@@ -16,21 +16,20 @@
     - A typed [overloaded] shed is {e backpressure, not death}: it never
       trips the breaker. The router tries the next replica, and when a
       whole round sheds, sleeps a jittered exponential backoff seeded by
-      the largest [retry_after_s] hint, then goes again — within
-      [retry_budget_s] seconds and [max_rounds] rounds total.
+      the largest [retry_after_s] hint ({!Mm_serve.Client.backoff}), then
+      goes again — within [retry_budget_s] seconds and four rounds total.
     - [bad_request], [deadline_exceeded] and [internal] are deterministic:
       the same request would fail on every replica, so they are returned
       to the caller immediately.
 
-    With [hedge_after_s] set, the very first attempt races a {e hedge}:
-    if the primary has not answered within the window, the same request
-    is fired at the next replica and the first reply wins (one hedge per
-    request, so the extra load is bounded at 2×).
+    Each shard is reached over one pipelined {!Mm_serve.Client.t},
+    dialled on first use (concurrent first requests share the dial) and
+    re-dialled once when a request finds it dead. A shard reply waits at
+    most 30 s.
 
     Every {!outcome} is tagged with the answering shard, whether failover
-    occurred (answered by a non-primary), whether the hedge fired, and
-    the attempt count — the storm bench and the cluster front-end surface
-    these.
+    occurred (answered by a non-primary), and the attempt count — the
+    storm bench and the router daemon ({!handlers}) surface these.
 
     A background prober pings every shard each [probe_interval_s],
     feeding the breakers so a quarantined shard is re-admitted (via
@@ -45,27 +44,19 @@ type shard_info = { id : string; addr : Client.addr }
 
 type config = {
   replicas : int;  (** distinct shards tried per round (≥ 1) *)
-  hedge_after_s : float option;  (** hedge window; [None] disables *)
   retry_budget_s : float;  (** total wall budget across rounds *)
-  max_rounds : int;  (** backoff rounds before giving up *)
   breaker : Breaker.config;
-  pool_size : int;  (** connections per shard ({!Client.Pool}) *)
-  reply_timeout_s : float;  (** per-reply wait on pooled connections *)
   probe_interval_s : float option;  (** health-probe period; [None] off *)
   seed : int;  (** jitter determinism *)
   log : (string -> unit) option;
 }
 
-(** Defaults: 2 replicas, no hedging, 2 s budget, 4 rounds, default
-    breaker, pool of 4, 30 s reply timeout, 0.5 s probes, seed 0. *)
+(** Defaults: 2 replicas, 2 s budget, default breaker, 0.5 s probes,
+    seed 0. *)
 val config :
   ?replicas:int ->
-  ?hedge_after_s:float ->
   ?retry_budget_s:float ->
-  ?max_rounds:int ->
   ?breaker:Breaker.config ->
-  ?pool_size:int ->
-  ?reply_timeout_s:float ->
   ?probe_interval_s:float option ->
   ?seed:int ->
   ?log:(string -> unit) ->
@@ -74,21 +65,18 @@ val config :
 
 type t
 
-(** [create cfg shards] — connection pools open lazily; the prober (if
+(** [create cfg shards] — shard connections open lazily; the prober (if
     enabled) starts immediately.
     @raise Invalid_argument on an empty shard list. *)
 val create : config -> shard_info list -> t
 
-val n_shards : t -> int
-
-(** Stop the prober and close every pool. *)
+(** Stop the prober and close every shard connection. *)
 val close : t -> unit
 
 type outcome = {
   reply : Wire.reply;
   shard : string;  (** answering shard id ([""] when no shard answered) *)
   failover : bool;  (** answered by a non-primary shard *)
-  hedged : bool;  (** the hedge fired (whether or not it won) *)
   attempts : int;
 }
 
@@ -106,5 +94,14 @@ val synth :
 val probe_once : t -> unit
 
 (** Router-level counters and per-shard breaker/traffic state
-    (schema ["mmsynth-cluster-stats-v1"]). *)
+    (schema ["mmsynth-cluster-stats-v2"]). *)
 val stats_json : t -> Json.t
+
+(** The router's verbs for {!Mm_serve.Server.start}/[run], which make it a
+    daemon speaking the single-daemon wire protocol: [synth] goes through
+    {!synth}, and a result gains a ["cluster"] object —
+    [{"shard", "failover", "attempts"}] — attributing the answer (no shard
+    answering at all is [unavailable]); [stats] is {!stats_json}; [health]
+    adds [role: "router"] and [n_shards]. A wire [shutdown] drains the
+    router only: the shards belong to their supervisor. *)
+val handlers : t -> Mm_serve.Server.handlers

@@ -1,4 +1,5 @@
 module Literal = Mm_boolfun.Literal
+module Json = Mm_report.Json
 
 let to_text c = Format.asprintf "%a" Circuit.pp c
 
@@ -51,41 +52,36 @@ let to_dot c =
   pr "}\n";
   Buffer.contents buf
 
-let json_source = function
+let json_source src =
+  let obj kind fields = Json.Obj (("kind", Json.String kind) :: fields) in
+  match src with
   | Circuit.From_literal l ->
-    Printf.sprintf "{\"kind\":\"literal\",\"name\":%S}" (Literal.to_string l)
-  | Circuit.From_leg l -> Printf.sprintf "{\"kind\":\"leg\",\"index\":%d}" l
-  | Circuit.From_vop (l, s) ->
-    Printf.sprintf "{\"kind\":\"vop\",\"leg\":%d,\"step\":%d}" l s
-  | Circuit.From_rop r -> Printf.sprintf "{\"kind\":\"rop\",\"index\":%d}" r
+    obj "literal" [ ("name", Json.String (Literal.to_string l)) ]
+  | Circuit.From_leg l -> obj "leg" [ ("index", Json.Int l) ]
+  | Circuit.From_vop (l, s) -> obj "vop" [ ("leg", Json.Int l); ("step", Json.Int s) ]
+  | Circuit.From_rop r -> obj "rop" [ ("index", Json.Int r) ]
 
-let to_json c =
-  let buf = Buffer.create 1024 in
-  let pr fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  pr "{\"arity\":%d,\"rop_kind\":%S,\"legs\":[" c.Circuit.arity
-    (Rop.to_string c.Circuit.rop_kind);
-  Array.iteri
-    (fun l ops ->
-      if l > 0 then pr ",";
-      pr "[";
-      Array.iteri
-        (fun s { Circuit.te; be } ->
-          if s > 0 then pr ",";
-          pr "{\"te\":%S,\"be\":%S}" (Literal.to_string te) (Literal.to_string be))
-        ops;
-      pr "]")
-    c.Circuit.legs;
-  pr "],\"rops\":[";
-  Array.iteri
-    (fun i { Circuit.in1; in2 } ->
-      if i > 0 then pr ",";
-      pr "{\"in1\":%s,\"in2\":%s}" (json_source in1) (json_source in2))
-    c.Circuit.rops;
-  pr "],\"outputs\":[";
-  Array.iteri
-    (fun o src ->
-      if o > 0 then pr ",";
-      pr "%s" (json_source src))
-    c.Circuit.outputs;
-  pr "]}";
-  Buffer.contents buf
+let json c =
+  let list f a = Json.List (Array.to_list (Array.map f a)) in
+  Json.Obj
+    [
+      ("arity", Json.Int c.Circuit.arity);
+      ("rop_kind", Json.String (Rop.to_string c.Circuit.rop_kind));
+      ( "legs",
+        list
+          (list (fun { Circuit.te; be } ->
+               Json.Obj
+                 [
+                   ("te", Json.String (Literal.to_string te));
+                   ("be", Json.String (Literal.to_string be));
+                 ]))
+          c.Circuit.legs );
+      ( "rops",
+        list
+          (fun { Circuit.in1; in2 } ->
+            Json.Obj [ ("in1", json_source in1); ("in2", json_source in2) ])
+          c.Circuit.rops );
+      ("outputs", list json_source c.Circuit.outputs);
+    ]
+
+let to_json c = Json.to_string (json c)

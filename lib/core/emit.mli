@@ -9,4 +9,7 @@ val to_dot : Circuit.t -> string
 
 (** JSON object with arity, legs (TE/BE literal names), R-ops and outputs —
     stable enough to diff in tests and consume from scripts. *)
+val json : Circuit.t -> Mm_report.Json.t
+
+(** {!json}, printed compactly. *)
 val to_json : Circuit.t -> string

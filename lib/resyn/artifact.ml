@@ -6,10 +6,7 @@ module Tt = Mm_boolfun.Truth_table
 module Spec = Mm_boolfun.Spec
 module Json = Mm_report.Json
 
-let circuit_to_json (c : Circuit.t) : Json.t =
-  match Json.of_string (Emit.to_json c) with
-  | Ok j -> j
-  | Error msg -> failwith ("Artifact.circuit_to_json: " ^ msg)
+let circuit_to_json = Emit.json
 
 let ( let* ) r f = Result.bind r f
 

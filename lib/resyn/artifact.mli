@@ -1,7 +1,7 @@
 (** Round-trip between circuits/specs and the [map --json] artifact.
 
     [mmsynth map --json] embeds the stitched circuit IR ([circuit_ir], the
-    {!Mm_core.Emit.to_json} shape) and the specification's truth tables
+    {!Mm_core.Emit.json} shape) and the specification's truth tables
     ([spec_tables]) in its artifact so a later [mmsynth resyn] invocation
     can re-optimize the committed implementation without re-running the
     mapper. This module is the parsing side (plus the small helpers the CLI
@@ -14,7 +14,7 @@ module Circuit = Mm_core.Circuit
 module Spec = Mm_boolfun.Spec
 module Json = Mm_report.Json
 
-(** The {!Mm_core.Emit.to_json} object, as a parsed JSON value. *)
+(** The circuit as {!Mm_core.Emit.json} builds it. *)
 val circuit_to_json : Circuit.t -> Json.t
 
 (** Inverse of {!circuit_to_json} (accepts the [circuit_ir] field of a map

@@ -232,11 +232,16 @@ type retry = { budget_s : float; max_tries : int; seed : int }
 let retry ?(budget_s = 2.0) ?(max_tries = 8) ?(seed = 0) () =
   { budget_s = Float.max 0. budget_s; max_tries = max 1 max_tries; seed }
 
-(* Retry [overloaded] refusals: back off by the server's [retry_after_s]
-   hint (default 50 ms) doubled per attempt, jittered in [0.5, 1.5), and
-   never past the remaining budget. Every other outcome — success, other
-   errors, transport failure — returns immediately: only the typed
-   "try again later" is worth trying again. *)
+(* The pause before retry [attempt] (0-based): the server's [retry_after_s]
+   hint (50 ms when absent) doubled per attempt, jittered in [0.5, 1.5),
+   and never past the remaining budget. *)
+let backoff rng ~hint ~attempt ~remaining =
+  let hint = match hint with Some s when s > 0. -> s | _ -> 0.05 in
+  Float.min remaining (hint *. (2. ** float_of_int attempt) *. (0.5 +. Rng.float rng))
+
+(* Retry [overloaded] refusals after {!backoff}. Every other outcome —
+   success, other errors, transport failure — returns immediately: only
+   the typed "try again later" is worth trying again. *)
 let with_retry retry f =
   let t0 = Unix.gettimeofday () in
   let rng = Rng.create (retry.seed lxor 0x52455452) in
@@ -244,17 +249,10 @@ let with_retry retry f =
     let r = f () in
     match r with
     | Ok (Wire.Err { Wire.code = Wire.Overloaded; retry_after_s; _ }) ->
-      let elapsed = Unix.gettimeofday () -. t0 in
-      let remaining = retry.budget_s -. elapsed in
+      let remaining = retry.budget_s -. (Unix.gettimeofday () -. t0) in
       if attempt + 1 >= retry.max_tries || remaining <= 0. then r
       else begin
-        let hint =
-          match retry_after_s with Some s when s > 0. -> s | _ -> 0.05
-        in
-        let backoff =
-          hint *. (2. ** float_of_int attempt) *. (0.5 +. Rng.float rng)
-        in
-        Thread.delay (Float.min backoff remaining);
+        Thread.delay (backoff rng ~hint:retry_after_s ~attempt ~remaining);
         go (attempt + 1)
       end
     | r -> r
@@ -274,161 +272,3 @@ let stats t = request t Wire.Stats
 let health t = request t Wire.Health
 let ping t = request t Wire.Ping
 let shutdown t = request t Wire.Shutdown
-
-(* ---- connection pool --------------------------------------------------- *)
-
-module Pool = struct
-  let conn_request = request
-
-  type entry = Free | Connecting | Live of t * int ref  (* conn, in-flight *)
-
-  type p = {
-    addr : addr;
-    read_timeout : float;
-    pm : Mutex.t;
-    pcv : Condition.t;
-    slots : entry array;
-    mutable closed : bool;
-  }
-
-  let create ?(size = 4) ?(read_timeout = 60.) addr =
-    {
-      addr;
-      read_timeout;
-      pm = Mutex.create ();
-      pcv = Condition.create ();
-      slots = Array.make (max 1 size) Free;
-      closed = false;
-    }
-
-  let size p = Array.length p.slots
-
-  (* Pick the live connection with the fewest requests in flight; claim a
-     [Free] slot (connecting outside the lock) when every live one is
-     busier than a fresh connection would be, or none exists. Dead
-     connections are evicted on sight. *)
-  let acquire p =
-    let to_close = ref [] in
-    let choice =
-      Mutex.protect p.pm (fun () ->
-          if p.closed then `Closed
-          else begin
-            Array.iteri
-              (fun i e ->
-                match e with
-                | Live (c, _) when not (alive c) ->
-                  to_close := c :: !to_close;
-                  p.slots.(i) <- Free
-                | _ -> ())
-              p.slots;
-            let best = ref None in
-            Array.iteri
-              (fun i e ->
-                match e with
-                | Live (_, n) -> (
-                  match !best with
-                  | Some (_, m) when m <= !n -> ()
-                  | _ -> best := Some (i, !n))
-                | Free | Connecting -> ())
-              p.slots;
-            let free = Array.to_list p.slots |> List.exists (( = ) Free) in
-            match !best with
-            | Some (i, n) when n = 0 || not free ->
-              (match p.slots.(i) with
-               | Live (c, cnt) ->
-                 incr cnt;
-                 `Use (i, c)
-               | _ -> assert false)
-            | _ ->
-              if free then begin
-                let rec first i =
-                  if i >= Array.length p.slots then None
-                  else if p.slots.(i) = Free then Some i
-                  else first (i + 1)
-                in
-                match first 0 with
-                | Some i ->
-                  p.slots.(i) <- Connecting;
-                  `Connect i
-                | None -> `Wait
-              end
-              else `Wait
-          end)
-    in
-    List.iter close !to_close;
-    match choice with
-    | `Closed -> Error "pool closed"
-    | `Use (i, c) -> Ok (i, c)
-    | `Connect i -> (
-      match connect ~read_timeout:p.read_timeout p.addr with
-      | Ok c ->
-        Mutex.protect p.pm (fun () ->
-            if p.closed then p.slots.(i) <- Free
-            else p.slots.(i) <- Live (c, ref 1);
-            Condition.broadcast p.pcv);
-        if Mutex.protect p.pm (fun () -> p.closed) then begin
-          close c;
-          Error "pool closed"
-        end
-        else Ok (i, c)
-      | Error msg ->
-        Mutex.protect p.pm (fun () ->
-            p.slots.(i) <- Free;
-            Condition.broadcast p.pcv);
-        Error msg)
-    | `Wait ->
-      (* every slot is mid-connect: wait for one to settle, then retry *)
-      Mutex.protect p.pm (fun () ->
-          if not p.closed && Array.for_all (( <> ) Free) p.slots then
-            Condition.wait p.pcv p.pm);
-      Error "pool busy"
-
-  let release p i c ~broken =
-    let stale = ref None in
-    Mutex.protect p.pm (fun () ->
-        match p.slots.(i) with
-        | Live (c', cnt) when c' == c ->
-          decr cnt;
-          if broken then begin
-            stale := Some c';
-            p.slots.(i) <- Free
-          end;
-          Condition.broadcast p.pcv
-        | _ -> ());
-    Option.iter close !stale
-
-  let rec request ?retry:r ?(attempts = 2) p req =
-    match acquire p with
-    | Error "pool busy" when attempts > 0 ->
-      request ?retry:r ~attempts:(attempts - 1) p req
-    | Error msg -> Error msg
-    | Ok (i, c) -> (
-      let res = conn_request ?retry:r c req in
-      (match res with
-       | Error _ -> release p i c ~broken:true
-       | Ok _ -> release p i c ~broken:false);
-      match res with
-      | Error _ when attempts > 0 && not (alive c) ->
-        (* the connection died under us (daemon restarted, idle reset):
-           one transparent re-dial on a fresh connection *)
-        request ?retry:r ~attempts:(attempts - 1) p req
-      | res -> res)
-
-  let synth ?timeout ?deadline ?fallback ?retry p spec =
-    request ?retry p
-      (Wire.Synth { spec; params = { Wire.timeout; deadline; fallback } })
-
-  let close p =
-    let conns =
-      Mutex.protect p.pm (fun () ->
-          p.closed <- true;
-          let cs =
-            Array.to_list p.slots
-            |> List.filter_map (function Live (c, _) -> Some c | _ -> None)
-          in
-          Array.fill p.slots 0 (Array.length p.slots) Free;
-          Condition.broadcast p.pcv;
-          cs)
-    in
-    List.iter close conns
-end

@@ -8,10 +8,6 @@
     All failures are returned, never raised: transport problems
     ([Error msg]) are distinct from typed daemon refusals ([Ok (Err _)]).
 
-    {!Pool} multiplexes a bounded set of these pipelined connections to
-    one daemon, so a router (or any fan-out caller) gets high in-flight
-    concurrency without a connection per request.
-
     {!retry} turns [overloaded] sheds into jittered, budgeted backoff
     honoring the server's [retry_after_s] hint — the polite way to ride
     out a load spike instead of failing on the first shed. *)
@@ -43,12 +39,19 @@ val alive : t -> bool
 val wait_ready : ?timeout:float -> addr -> (t, string) result
 
 (** Backoff policy for {e shed} ([overloaded]) replies: up to [max_tries]
-    attempts within [budget_s] seconds total (defaults 8 and 2.0), sleeping
-    the server's [retry_after_s] hint (default 50 ms when absent) doubled
-    per attempt and jittered in [0.5, 1.5) — deterministic per [seed]. *)
+    attempts within [budget_s] seconds total (defaults 8 and 2.0),
+    sleeping {!backoff} between them — deterministic per [seed]. *)
 type retry
 
 val retry : ?budget_s:float -> ?max_tries:int -> ?seed:int -> unit -> retry
+
+(** [backoff rng ~hint ~attempt ~remaining]: the pause before retry
+    [attempt] (0-based) — [hint] (a shed's [retry_after_s], 50 ms when
+    absent or not positive) × 2{^attempt} × a jitter in [0.5, 1.5) drawn from [rng], capped
+    at [remaining] seconds. {!retry} and the cluster router's rounds both
+    wait this long. *)
+val backoff :
+  Mm_device.Rng.t -> hint:float option -> attempt:int -> remaining:float -> float
 
 (** Send, block for the id-matched reply. With [?retry], [overloaded]
     refusals are retried under the policy; every other outcome returns
@@ -70,32 +73,3 @@ val ping : t -> (Wire.reply, string) result
 
 (** Ask the daemon to drain. The [ok] reply arrives before the drain. *)
 val shutdown : t -> (Wire.reply, string) result
-
-(** A bounded pool of pipelined connections to one daemon.
-
-    Connections are opened lazily, reused by least-in-flight, evicted as
-    soon as they die, and transparently re-dialed once when a request
-    rides a connection that breaks under it. [size] (default 4) bounds
-    the file descriptors spent per shard, not the in-flight requests —
-    each pooled connection pipelines. *)
-module Pool : sig
-  type p
-
-  val create : ?size:int -> ?read_timeout:float -> addr -> p
-  val size : p -> int
-
-  val request :
-    ?retry:retry -> ?attempts:int -> p -> Wire.request ->
-    (Wire.reply, string) result
-
-  val synth :
-    ?timeout:float ->
-    ?deadline:float ->
-    ?fallback:string ->
-    ?retry:retry ->
-    p ->
-    Spec.t ->
-    (Wire.reply, string) result
-
-  val close : p -> unit
-end

@@ -37,6 +37,12 @@ let config ?tcp_port ?(engine = Engine.config ()) ?(max_pending = 64)
     shard_id;
   }
 
+type handlers = {
+  synth : Spec.t -> Wire.synth_params -> Wire.reply;
+  stats : unit -> Json.t;
+  health : unit -> (string * Json.t) list;
+}
+
 type job = {
   spec : Spec.t;
   params : Wire.synth_params;
@@ -46,14 +52,16 @@ type job = {
 
 type t = {
   cfg : config;
+  custom : handlers option;  (* [None]: the engine's queue and dispatcher *)
   stats : Stats.t;
   m : Mutex.t;
-  work : Condition.t;  (* queue became non-empty, or drain began *)
-  done_ : Condition.t;  (* a job got its reply, or the daemon stopped *)
+  work : Condition.t;  (* queue became non-empty, or the daemon stopped *)
+  done_ : Condition.t;  (* a job got its reply, a drain began, or stopped *)
   queue : job Queue.t;
   mutable draining : bool;
   mutable stopped : bool;
   mutable conns : int;
+  mutable inflight : int;  (* frames read and not yet answered *)
   mutable next_conn : int;
   mutable conn_threads : Thread.t list;
   (* self-pipes: written once, never drained, so every select sees them *)
@@ -74,19 +82,7 @@ let log t fmt =
 
 let draining t = Mutex.protect t.m (fun () -> t.draining)
 let stopped t = Mutex.protect t.m (fun () -> t.stopped)
-let active_conns t = Mutex.protect t.m (fun () -> t.conns)
 let shard_id t = Option.value t.cfg.shard_id ~default:t.cfg.socket_path
-
-let stats_json t =
-  let queue_depth, conns, draining =
-    Mutex.protect t.m (fun () -> (Queue.length t.queue, t.conns, t.draining))
-  in
-  Stats.snapshot t.stats ~shard:(shard_id t) ~queue_depth ~active_conns:conns
-    ~draining
-    ~cache_entries:
-      (Option.map
-         (fun c -> (Cache.counters c).Cache.entries)
-         t.cfg.engine.Engine.cache)
 
 let request_drain t =
   let fresh =
@@ -94,7 +90,7 @@ let request_drain t =
         if t.draining then false
         else begin
           t.draining <- true;
-          Condition.broadcast t.work;
+          Condition.broadcast t.done_;
           true
         end)
   in
@@ -118,12 +114,10 @@ let close_listeners t =
   if fds <> [] then
     try Sys.remove t.cfg.socket_path with Sys_error _ -> ()
 
-(* Abrupt death — the simulated shard crash. No drain: queued jobs are
-   abandoned (their waiters are answered [unavailable] so connection
-   threads can unwind), listeners close immediately, and every thread is
-   told to exit. Used by the fault plan's [Kill] action and by the storm
-   harness to kill a shard mid-run. *)
-let die t =
+(* Mark the daemon stopped and tell every thread: the dispatcher abandons
+   its queue, parked waiters unwind, readers stop reading. [true] for the
+   call that did it. *)
+let halt t =
   let fresh =
     Mutex.protect t.m (fun () ->
         if t.stopped then false
@@ -137,13 +131,23 @@ let die t =
         end)
   in
   if fresh then begin
-    log t "killed (abrupt, no drain)";
     ignore (Unix.write t.drain_w (Bytes.of_string "d") 0 1);
-    ignore (Unix.write t.close_w (Bytes.of_string "c") 0 1);
+    ignore (Unix.write t.close_w (Bytes.of_string "c") 0 1)
+  end;
+  fresh
+
+(* Abrupt death — the simulated shard crash. No drain: queued jobs are
+   abandoned (their waiters are answered [unavailable] so connection
+   threads can unwind), listeners close immediately, and every thread is
+   told to exit. Used by the fault plan's [Kill] action and by the storm
+   harness to kill a shard mid-run. *)
+let die t =
+  if halt t then begin
+    log t "killed (abrupt, no drain)";
     close_listeners t
   end
 
-(* ---- dispatcher ------------------------------------------------------ *)
+(* ---- the engine's verbs: admission queue and dispatcher ---------------- *)
 
 let verdict_of (r : Engine.job_result) =
   match (r.Engine.provenance, r.Engine.circuit, r.Engine.error) with
@@ -161,16 +165,6 @@ let verdict_of (r : Engine.job_result) =
     if timed_out then "timeout" else "unsat"
 
 let result_json ~(job : job) ~(r : Engine.job_result) ~queue_wait ~synth_s =
-  let circuit_json =
-    match r.Engine.circuit with
-    | None -> Json.Null
-    | Some c -> (
-      (* Emit produces a JSON string; parse it so the reply nests it as an
-         object instead of double-encoding *)
-      match Json.of_string (Mm_core.Emit.to_json c) with
-      | Ok j -> j
-      | Error _ -> Json.String (Mm_core.Emit.to_json c))
-  in
   let metrics =
     match r.Engine.circuit with
     | None -> []
@@ -199,7 +193,10 @@ let result_json ~(job : job) ~(r : Engine.job_result) ~queue_wait ~synth_s =
          match r.Engine.class_rep with
          | None -> Json.Null
          | Some rep -> Json.String (Printf.sprintf "%04x" (Tt.to_int rep)) );
-       ("circuit", circuit_json);
+       ( "circuit",
+         match r.Engine.circuit with
+         | None -> Json.Null
+         | Some c -> Mm_core.Emit.json c );
        ( "error",
          match r.Engine.error with
          | None -> Json.Null
@@ -316,19 +313,16 @@ let process_batch t jobs =
           group)
     groups
 
+(* Batches the queue until the daemon stops. A drain needs nothing from
+   here: the transport waits until every admitted request is answered. *)
 let dispatcher_loop t =
   let rec loop () =
     Mutex.lock t.m;
-    while Queue.is_empty t.queue && not t.draining && not t.stopped do
+    while Queue.is_empty t.queue && not t.stopped do
       Condition.wait t.work t.m
     done;
-    if t.stopped then begin
-      (* abrupt death: abandon queued work, wake every waiter *)
-      Queue.clear t.queue;
-      Condition.broadcast t.done_;
-      Mutex.unlock t.m
-    end
-    else if not (Queue.is_empty t.queue) then begin
+    if t.stopped then Mutex.unlock t.m
+    else begin
       let batch = ref [] in
       while (not (Queue.is_empty t.queue)) && List.length !batch < t.cfg.max_batch
       do
@@ -337,76 +331,28 @@ let dispatcher_loop t =
       let batch = List.rev !batch in
       Mutex.unlock t.m;
       process_batch t batch;
-      Mutex.lock t.m;
-      Condition.broadcast t.done_;
-      Mutex.unlock t.m;
+      Mutex.protect t.m (fun () -> Condition.broadcast t.done_);
       loop ()
-    end
-    else begin
-      (* draining and the queue is empty: every accepted job has its reply.
-         Give connected clients a grace window to collect replies and hang
-         up before the remaining connections are closed. *)
-      Mutex.unlock t.m;
-      let t0 = Unix.gettimeofday () in
-      while
-        Mutex.protect t.m (fun () -> t.conns) > 0
-        && Unix.gettimeofday () -. t0 < t.cfg.drain_grace
-      do
-        Thread.delay 0.02
-      done;
-      Mutex.protect t.m (fun () ->
-          t.stopped <- true;
-          Condition.broadcast t.done_);
-      ignore (Unix.write t.close_w (Bytes.of_string "c") 0 1);
-      Option.iter Cache.flush t.cfg.engine.Engine.cache;
-      log t "drained"
     end
   in
   loop ()
-
-(* ---- per-connection handling ---------------------------------------- *)
-
-let health_json t =
-  let queue_depth, draining =
-    Mutex.protect t.m (fun () -> (Queue.length t.queue, t.draining))
-  in
-  Json.Obj
-    [
-      ("status", Json.String (if draining then "draining" else "ok"));
-      ("shard", Json.String (shard_id t));
-      ("protocol_version", Json.Int Wire.protocol_version);
-      ("uptime_s", Json.Float (Stats.uptime_s t.stats));
-      ("queue_depth", Json.Int queue_depth);
-    ]
 
 (* Admission + synchronous wait for the dispatcher's reply. *)
 let submit_synth t spec params =
   let job =
     { spec; params; enqueued_at = Unix.gettimeofday (); reply = None }
   in
-  let admitted =
-    Mutex.protect t.m (fun () ->
-        if t.draining then
-          `Refused
-            { Wire.code = Wire.Unavailable; msg = "daemon is draining";
-              retry_after_s = None }
-        else if Queue.length t.queue >= t.cfg.max_pending then
-          `Refused
-            { Wire.code = Wire.Overloaded;
-              msg =
-                Printf.sprintf "pending queue full (%d jobs)"
-                  t.cfg.max_pending;
-              retry_after_s = Some 1.0 }
-        else begin
+  Mutex.protect t.m (fun () ->
+      if Queue.length t.queue >= t.cfg.max_pending then
+        Wire.Err
+          { Wire.code = Wire.Overloaded;
+            msg = Printf.sprintf "pending queue full (%d jobs)" t.cfg.max_pending;
+            retry_after_s = Some 1.0 }
+      else begin
+        if not t.stopped then begin
           Queue.push job t.queue;
-          Condition.signal t.work;
-          `Admitted
-        end)
-  in
-  match admitted with
-  | `Refused e -> Wire.Err e
-  | `Admitted ->
-    Mutex.protect t.m (fun () ->
+          Condition.signal t.work
+        end;
         while job.reply = None && not t.stopped do
           Condition.wait t.done_ t.m
         done;
@@ -415,71 +361,108 @@ let submit_synth t spec params =
         | None ->
           Wire.Err
             { Wire.code = Wire.Unavailable; msg = "daemon stopped";
-              retry_after_s = None })
+              retry_after_s = None }
+      end)
 
-(* Returns the response payload plus whether to drain after replying. *)
-let handle_payload t payload =
-  match Json.of_string payload with
-  | Error msg ->
-    ( Wire.error_json ~id:0
+let engine_stats t =
+  let queue_depth, conns, draining =
+    Mutex.protect t.m (fun () -> (Queue.length t.queue, t.conns, t.draining))
+  in
+  Stats.snapshot t.stats ~shard:(shard_id t) ~queue_depth ~active_conns:conns
+    ~draining
+    ~cache_entries:
+      (Option.map
+         (fun c -> (Cache.counters c).Cache.entries)
+         t.cfg.engine.Engine.cache)
+
+(* The verbs this daemon answers: the caller's, else the engine's. *)
+let handlers t =
+  match t.custom with
+  | Some h -> h
+  | None ->
+    {
+      synth = submit_synth t;
+      stats = (fun () -> engine_stats t);
+      health =
+        (fun () ->
+          [ ("queue_depth",
+             Json.Int (Mutex.protect t.m (fun () -> Queue.length t.queue))) ]);
+    }
+
+let stats_json t = (handlers t).stats ()
+
+(* ---- transport: frames in, replies out --------------------------------- *)
+
+(* The reply to one frame, plus its error code when it is an error. A
+   [shutdown] starts the drain before its reply is written: the frame is
+   still in flight, so the drain cannot close the connection under it. *)
+let answer t payload =
+  let decoded =
+    match Json.of_string payload with
+    | Error msg -> Error (0, msg)
+    | Ok j -> Wire.request_of_json j
+  in
+  match decoded with
+  | Error (id, msg) ->
+    ( Wire.error_json ~id
         { Wire.code = Wire.Bad_request; msg; retry_after_s = None },
-      Wire.Bad_request |> Option.some,
-      false )
-  | Ok j -> (
-    match Wire.request_of_json j with
-    | Error (id, msg) ->
-      ( Wire.error_json ~id
-          { Wire.code = Wire.Bad_request; msg; retry_after_s = None },
-        Some Wire.Bad_request,
-        false )
-    | Ok (id, req) -> (
-      let op =
-        match req with
-        | Wire.Synth _ -> "synth"
-        | Wire.Stats -> "stats"
-        | Wire.Health -> "health"
-        | Wire.Ping -> "ping"
-        | Wire.Shutdown -> "shutdown"
+      Some Wire.Bad_request )
+  | Ok (id, req) -> (
+    let h = handlers t in
+    let ok j = (Wire.ok_json ~id j, None) in
+    Stats.note_request t.stats
+      ~op:
+        (match req with
+         | Wire.Synth _ -> "synth"
+         | Wire.Stats -> "stats"
+         | Wire.Health -> "health"
+         | Wire.Ping -> "ping"
+         | Wire.Shutdown -> "shutdown");
+    match req with
+    | Wire.Ping -> ok (Json.Obj [ ("pong", Json.Bool true) ])
+    | Wire.Stats -> ok (h.stats ())
+    | Wire.Health ->
+      ok
+        (Json.Obj
+           ([ ("status", Json.String (if draining t then "draining" else "ok"));
+              ("shard", Json.String (shard_id t));
+              ("protocol_version", Json.Int Wire.protocol_version);
+              ("uptime_s", Json.Float (Stats.uptime_s t.stats)) ]
+           @ h.health ()))
+    | Wire.Shutdown ->
+      request_drain t;
+      ok (Json.Obj [ ("draining", Json.Bool true) ])
+    | Wire.Synth { spec; params } -> (
+      let reply =
+        if draining t then
+          Wire.Err
+            { Wire.code = Wire.Unavailable; msg = "daemon is draining";
+              retry_after_s = None }
+        else h.synth spec params
       in
-      Stats.note_request t.stats ~op;
-      match req with
-      | Wire.Ping ->
-        (Wire.ok_json ~id (Json.Obj [ ("pong", Json.Bool true) ]), None, false)
-      | Wire.Health -> (Wire.ok_json ~id (health_json t), None, false)
-      | Wire.Stats -> (Wire.ok_json ~id (stats_json t), None, false)
-      | Wire.Shutdown ->
-        ( Wire.ok_json ~id (Json.Obj [ ("draining", Json.Bool true) ]),
-          None,
-          true )
-      | Wire.Synth { spec; params } -> (
-        match submit_synth t spec params with
-        | Wire.Result r -> (Wire.ok_json ~id r, None, false)
-        | Wire.Err e -> (Wire.error_json ~id e, Some e.Wire.code, false))))
+      match reply with
+      | Wire.Result r -> ok r
+      | Wire.Err e -> (Wire.error_json ~id e, Some e.Wire.code)))
 
-(* One reader loop per connection; every frame is handed to its own
-   handler thread, which computes the reply and writes it under the
-   connection's write mutex. Replies are matched by frame id, not by
-   order, so a pipelined client can keep several requests in flight on one
-   connection and a [Fault.Delay] on one request never stalls the others —
-   the delay sleeps inside that request's handler, while the reader keeps
-   accepting frames and the dispatcher keeps batching unrelated jobs. The
-   reader waits for in-flight handlers before closing the fd (a write to a
-   closed-and-reused descriptor could hit an unrelated socket). *)
+(* One reader loop per connection; every frame is handled in its own
+   thread, which computes the reply and writes it under the connection's
+   write mutex. Replies are matched by frame id, not by order, so a
+   pipelined client can keep several requests in flight on one connection
+   and a [Fault.Delay] on one request never stalls the others — the delay
+   sleeps inside that request's handler, while the reader keeps accepting
+   frames. The reader waits for its in-flight handlers before closing the
+   fd (a write to a closed-and-reused descriptor could hit an unrelated
+   socket). *)
 let conn_loop t fd conn_id =
   let reqs = ref 0 in
   let wm = Mutex.create () in  (* one frame write at a time *)
   let im = Mutex.create () in
   let idle = Condition.create () in
   let inflight = ref 0 in
-  let handler_done () =
-    Mutex.protect im (fun () ->
-        decr inflight;
-        if !inflight = 0 then Condition.broadcast idle)
-  in
   let handle ~delay payload () =
     let t0 = Unix.gettimeofday () in
     (match delay with Some s -> Unix.sleepf s | None -> ());
-    let response, err, drain_after = handle_payload t payload in
+    let response, err = answer t payload in
     (match err with
      | None -> Stats.note_reply_ok t.stats
      | Some code -> Stats.note_reply_err t.stats code);
@@ -489,8 +472,11 @@ let conn_loop t fd conn_id =
            Wire.write_frame fd (Json.to_string response))
      with
      | Error _ -> Stats.note_conn_dropped t.stats
-     | Ok () -> if drain_after then request_drain t);
-    handler_done ()
+     | Ok () -> ());
+    Mutex.protect t.m (fun () -> t.inflight <- t.inflight - 1);
+    Mutex.protect im (fun () ->
+        decr inflight;
+        if !inflight = 0 then Condition.broadcast idle)
   in
   let rec loop () =
     match Unix.select [ fd; t.close_r ] [] [] (-1.0) with
@@ -522,6 +508,7 @@ let conn_loop t fd conn_id =
             let delay =
               match inj with Some (Fault.Delay s) -> Some s | _ -> None
             in
+            Mutex.protect t.m (fun () -> t.inflight <- t.inflight + 1);
             Mutex.protect im (fun () -> incr inflight);
             ignore (Thread.create (handle ~delay payload) ());
             loop ()))
@@ -605,7 +592,7 @@ let free_socket_path path =
   end
   else Ok ()
 
-let start cfg =
+let start ?handlers cfg =
   (* a dropped client must surface as EPIPE on write, not kill the daemon *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   match free_socket_path cfg.socket_path with
@@ -633,14 +620,12 @@ let start cfg =
              raise e);
           [ lfd; tfd ]
       in
-      (* warm the NPN tables so the first request pays nothing *)
-      ignore (Npn.canon (Tt.of_int 4 0x1ee1));
-      ignore (Npn.canon (Tt.of_int 3 0x96));
       let drain_r, drain_w = Unix.pipe () in
       let close_r, close_w = Unix.pipe () in
       let t =
         {
           cfg;
+          custom = handlers;
           stats = Stats.create ();
           m = Mutex.create ();
           work = Condition.create ();
@@ -649,6 +634,7 @@ let start cfg =
           draining = false;
           stopped = false;
           conns = 0;
+          inflight = 0;
           next_conn = 0;
           conn_threads = [];
           drain_r;
@@ -661,7 +647,12 @@ let start cfg =
           dispatcher = None;
         }
       in
-      t.dispatcher <- Some (Thread.create dispatcher_loop t);
+      if handlers = None then begin
+        (* warm the NPN tables so the first request pays nothing *)
+        ignore (Npn.canon (Tt.of_int 4 0x1ee1));
+        ignore (Npn.canon (Tt.of_int 3 0x96));
+        t.dispatcher <- Some (Thread.create dispatcher_loop t)
+      end;
       t.accept_threads <-
         List.map (fun lfd -> Thread.create (accept_loop t) lfd) listeners;
       log t "listening on %s%s" cfg.socket_path
@@ -674,11 +665,24 @@ let start cfg =
     | exception Unix.Unix_error (e, fn, arg) ->
       Error (Printf.sprintf "%s(%s): %s" fn arg (Unix.error_message e)))
 
+(* The drain: once it is requested, every frame already read is answered;
+   then connected clients get [drain_grace] seconds to hang up before the
+   rest are closed. [settle] polls, as nothing signals a count dropping. *)
 let wait t =
+  let settle cond = while Mutex.protect t.m cond do Thread.delay 0.02 done in
   Mutex.protect t.m (fun () ->
-      while not t.stopped do
+      while not t.draining do
         Condition.wait t.done_ t.m
       done);
+  settle (fun () -> t.inflight > 0 && not t.stopped);
+  let t0 = Unix.gettimeofday () in
+  settle (fun () ->
+      t.conns > 0 && (not t.stopped)
+      && Unix.gettimeofday () -. t0 < t.cfg.drain_grace);
+  if halt t then begin
+    Option.iter Cache.flush t.cfg.engine.Engine.cache;
+    log t "drained"
+  end;
   Option.iter Thread.join t.dispatcher;
   List.iter Thread.join t.accept_threads;
   let conn_threads = Mutex.protect t.m (fun () -> t.conn_threads) in
@@ -692,7 +696,7 @@ let stop t =
   request_drain t;
   wait t
 
-let run cfg =
+let run ?handlers cfg =
   let term = Atomic.make false in
   let install s =
     try Sys.set_signal s (Sys.Signal_handle (fun _ -> Atomic.set term true))
@@ -700,19 +704,13 @@ let run cfg =
   in
   install Sys.sigterm;
   install Sys.sigint;
-  match start cfg with
+  match start ?handlers cfg with
   | Error _ as e -> e
   | Ok t ->
-    (* poll: signal handlers only set a flag (async-signal-safe); this loop
-       turns the flag into a drain from a normal thread context *)
-    let rec poll () =
-      if stopped t then ()
-      else begin
-        if Atomic.get term && not (draining t) then request_drain t;
-        Thread.delay 0.1;
-        poll ()
-      end
-    in
-    poll ();
+    (* signal handlers only set a flag (async-signal-safe); this loop turns
+       the flag into a drain from a normal thread context *)
+    while not (draining t) do
+      if Atomic.get term then request_drain t else Thread.delay 0.1
+    done;
     wait t;
     Ok ()

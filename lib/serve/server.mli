@@ -10,17 +10,27 @@
 
     {2 Architecture}
 
+    The transport is shared by every daemon in this repository — the
+    engine daemon ([mmsynth serve]) and the cluster router
+    ([mmsynth cluster], whose verbs are [Mm_cluster.Router.handlers]):
+
     - One {e accept} thread per listener hands connections to per-connection
       {e reader} threads. Every frame a reader pulls off the wire is handed
       to its own handler thread, which computes the reply and writes it
       under the connection's write mutex — replies are matched by frame id,
-      not arrival order, so pipelined clients ({!Client.Pool}) keep several
-      requests in flight on one connection, and one slow (or
-      fault-delayed) request never stalls the others.
+      not arrival order, so a pipelined {!Client} keeps several requests in
+      flight on one connection, and one slow (or fault-delayed) request
+      never stalls the others.
+    - A frame that does not decode is answered [bad_request]; [ping] and
+      [shutdown] are answered by the transport, [synth], [stats] and
+      [health] by the daemon's {!handlers}.
+
+    The engine daemon's handlers are an admission queue and a dispatcher:
+
     - Synthesis requests pass {e admission control}: a bounded pending queue
       of at most [max_pending] jobs. A full queue sheds the request with a
       typed [overloaded] reply (plus [retry_after_s]) instead of queueing
-      without bound; a draining daemon refuses with [unavailable].
+      without bound.
     - A single {e dispatcher} thread drains the queue in micro-batches of up
       to [max_batch] jobs per {!Mm_engine.Engine.run} call, so concurrent
       requests share one Domain pool spin-up and NPN-deduplicate against
@@ -34,11 +44,12 @@
     {2 Drain semantics}
 
     [SIGTERM], [SIGINT] (via {!run}) or a [shutdown] request triggers a
-    {e graceful drain}: queued and in-flight jobs finish and their replies
-    are delivered; new synthesis requests are refused with [unavailable];
-    once the queue is empty, connected clients get [drain_grace] seconds to
-    disconnect before remaining connections are closed; the cache is
-    flushed and the socket file removed. A clean drain exits 0.
+    {e graceful drain}: every frame already read is answered (queued and
+    in-flight jobs finish and their replies are delivered); new synthesis
+    requests are refused with [unavailable]; then connected clients get
+    [drain_grace] seconds to disconnect before remaining connections are
+    closed; the cache is flushed and the socket file removed. A clean
+    drain exits 0.
 
     {2 Fault injection}
 
@@ -55,6 +66,7 @@
 module Engine = Mm_engine.Engine
 module Fault = Mm_engine.Fault
 module Json = Mm_report.Json
+module Spec = Mm_boolfun.Spec
 
 type config = {
   socket_path : string;
@@ -87,20 +99,32 @@ val config :
   unit ->
   config
 
+(** The verbs a daemon answers beyond [ping] and [shutdown]. Each runs in
+    the frame's handler thread and may block. [synth] is not called while
+    the daemon drains (the transport refuses with [unavailable]); [health]
+    returns fields added after the transport's [status], [shard],
+    [protocol_version] and [uptime_s]. *)
+type handlers = {
+  synth : Spec.t -> Wire.synth_params -> Wire.reply;
+  stats : unit -> Json.t;
+  health : unit -> (string * Json.t) list;
+}
+
 type t
 
 (** Make [path] free for a new Unix-socket listener: a stale socket file
     (no listener behind it) is removed; a live one (something accepts
-    connections) is an [Error], and the file is left in place. Shared by
-    every listener that binds a socket path ({!start} and the cluster
-    router). *)
+    connections) is an [Error], and the file is left in place. *)
 val free_socket_path : string -> (unit, string) result
 
-(** Bind, warm the NPN tables, spawn the accept/dispatcher threads.
+(** Bind and spawn the accept threads. Without [handlers] the daemon is
+    the engine daemon: it warms the NPN tables and starts the dispatcher.
+    With [handlers] those answer instead, and the config's engine fields
+    ([engine], [max_pending], [max_batch], [default_deadline]) are unused.
     [Error] when the socket path is already served by a live daemon or
     cannot be bound. A stale socket file (no listener behind it) is
     replaced. *)
-val start : config -> (t, string) result
+val start : ?handlers:handlers -> config -> (t, string) result
 
 (** Begin a graceful drain (idempotent, non-blocking). *)
 val request_drain : t -> unit
@@ -112,18 +136,12 @@ val request_drain : t -> unit
     {!wait} to join the (now exiting) threads. *)
 val die : t -> unit
 
-(** The daemon's reported identity: configured shard id, else socket
-    path. *)
-val shard_id : t -> string
-
 val draining : t -> bool
 val stopped : t -> bool
 
-(** Active client connections right now. *)
-val active_conns : t -> int
-
-(** Block until fully drained, then join every thread, flush the cache and
-    remove the socket file. *)
+(** Block until a drain is requested (or the daemon died), carry the drain
+    out, then join every thread, flush the cache and remove the socket
+    file. *)
 val wait : t -> unit
 
 (** {!request_drain} + {!wait}. *)
@@ -133,5 +151,6 @@ val stop : t -> unit
 val stats_json : t -> Json.t
 
 (** [start] + install SIGTERM/SIGINT→drain handlers + [wait]: the body of
-    [mmsynth serve]. Returns when the daemon has drained. *)
-val run : config -> (unit, string) result
+    [mmsynth serve] and [mmsynth cluster]. Returns when the daemon has
+    drained. *)
+val run : ?handlers:handlers -> config -> (unit, string) result

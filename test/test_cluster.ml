@@ -1,13 +1,13 @@
 (* The cluster layer: consistent-hash ring determinism and NPN-class
    folding, the circuit-breaker state machine on a fake clock, and a live
    router over real in-process shards — replica failover around an
-   abruptly killed shard, breaker quarantine and recovery, and the wire
-   front-end's cluster attribution. *)
+   abruptly killed shard, breaker quarantine and recovery, one shared
+   connection per shard, and the router served as a wire daemon by the
+   serve layer's daemon core, with its cluster attribution. *)
 
 module Ring = Mm_cluster.Ring
 module Breaker = Mm_cluster.Breaker
 module Router = Mm_cluster.Router
-module Frontend = Mm_cluster.Frontend
 module Server = Mm_serve.Server
 module Client = Mm_serve.Client
 module Wire = Mm_serve.Wire
@@ -193,7 +193,7 @@ let test_router_failover_on_kill () =
       Alcotest.(check bool) "some keys failed over" true (!failovers > 0);
       let stats = Router.stats_json router in
       Alcotest.(check (option string)) "stats schema"
-        (Some "mmsynth-cluster-stats-v1")
+        (Some "mmsynth-cluster-stats-v2")
         (Json.get Json.to_str "schema" stats);
       (match shard_field stats "shard-0" "failed" with
        | Some (Json.Int n) ->
@@ -244,7 +244,7 @@ let test_router_recovery () =
 let test_router_all_dead () =
   with_cluster ~n:2
     ~rcfg:(fun () ->
-      Router.config ~retry_budget_s:0.3 ~max_rounds:2 ~probe_interval_s:None ())
+      Router.config ~retry_budget_s:0.3 ~probe_interval_s:None ())
     (fun _socks servers router ->
       Array.iter (fun s -> Server.die s; Server.wait s) servers;
       match Router.request router ~key:"doom" Wire.Ping with
@@ -252,17 +252,73 @@ let test_router_all_dead () =
       | Ok o ->
         Alcotest.failf "answered by %s after total outage" o.Router.shard)
 
-(* ---- front-end ------------------------------------------------------- *)
+(* concurrent first requests race to dial a cold shard: they must share
+   one pipelined connection, not open one each. Each burst races a fresh
+   router's first dial. *)
+let test_router_one_connection () =
+  with_cluster ~n:1
+    ~rcfg:(fun () -> Router.config ~probe_interval_s:None ())
+    (fun socks servers _router ->
+      let bursts = 8 in
+      for b = 1 to bursts do
+        let router =
+          Router.create
+            (Router.config ~probe_interval_s:None ())
+            [ { Router.id = "shard-0"; addr = Client.Unix_sock socks.(0) } ]
+        in
+        Fun.protect ~finally:(fun () -> Router.close router) (fun () ->
+            let oks = Atomic.make 0 in
+            (* every thread waits at the gate, so all eight find the shard
+               cold *)
+            let gate = Mutex.create () and opened = Condition.create () in
+            let waiting = ref 0 in
+            let threads =
+              Array.init 8 (fun i ->
+                  Thread.create
+                    (fun () ->
+                      Mutex.protect gate (fun () ->
+                          incr waiting;
+                          Condition.broadcast opened;
+                          while !waiting < 8 do
+                            Condition.wait opened gate
+                          done);
+                      match
+                        Router.synth router
+                          (spec_of ~name:(Printf.sprintf "p%d" i) 2 (i * 3))
+                      with
+                      | Ok { Router.reply = Wire.Result _; _ } -> Atomic.incr oks
+                      | Ok { Router.reply = Wire.Err e; _ } ->
+                        Alcotest.failf "burst %d, synth %d refused: %s" b i
+                          e.Wire.msg
+                      | Error msg -> Alcotest.failf "burst %d, synth %d: %s" b i msg)
+                    ())
+            in
+            Array.iter Thread.join threads;
+            Alcotest.(check int) (Printf.sprintf "burst %d answered" b) 8
+              (Atomic.get oks))
+      done;
+      match Json.member "connections" (Server.stats_json servers.(0)) with
+      | Some conns ->
+        Alcotest.(check (option int)) "one accepted shard connection per router"
+          (Some bursts) (Json.get Json.to_int "accepted" conns)
+      | None -> Alcotest.fail "shard stats without connections")
+
+(* ---- the router as a daemon ------------------------------------------ *)
+
+(* The router served by the daemon core, as [mmsynth cluster] serves it. *)
+let start_router router sock =
+  Server.start ~handlers:(Router.handlers router)
+    (Server.config ~drain_grace:0.2 ~socket_path:sock ())
 
 let test_frontend () =
   with_cluster ~n:2
     ~rcfg:(fun () -> Router.config ~probe_interval_s:None ())
     (fun _socks _servers router ->
       let fsock = fresh_socket () in
-      match Frontend.start router ~socket_path:fsock with
-      | Error msg -> Alcotest.failf "frontend: %s" msg
+      match start_router router fsock with
+      | Error msg -> Alcotest.failf "router daemon: %s" msg
       | Ok fe ->
-        Fun.protect ~finally:(fun () -> Frontend.stop fe)
+        Fun.protect ~finally:(fun () -> Server.stop fe)
           (fun () ->
             let c =
               match Client.wait_ready (Client.Unix_sock fsock) with
@@ -285,7 +341,7 @@ let test_frontend () =
             (match Client.stats c with
              | Ok (Wire.Result r) ->
                Alcotest.(check (option string)) "cluster stats schema"
-                 (Some "mmsynth-cluster-stats-v1")
+                 (Some "mmsynth-cluster-stats-v2")
                  (Json.get Json.to_str "schema" r)
              | Ok (Wire.Err e) -> Alcotest.failf "stats: %s" e.Wire.msg
              | Error msg -> Alcotest.failf "stats: %s" msg);
@@ -301,7 +357,7 @@ let test_frontend () =
              | Error msg -> Alcotest.failf "shutdown: %s" msg);
             Client.close c;
             Alcotest.(check bool) "frontend draining after wire shutdown" true
-              (Frontend.draining fe)))
+              (Server.draining fe)))
 
 (* a second router must not take over a live listener's socket, while a
    stale socket file (nothing listening) is still replaced *)
@@ -315,9 +371,9 @@ let test_frontend_live_socket () =
       Unix.listen listener 4;
       let inode () = (Unix.stat fsock).Unix.st_ino in
       let before = inode () in
-      (match Frontend.start router ~socket_path:fsock with
+      (match start_router router fsock with
        | Ok fe ->
-         Frontend.stop fe;
+         Server.stop fe;
          Alcotest.fail "took over a live socket"
        | Error _ -> ());
       Alcotest.(check bool) "live socket file kept" true
@@ -332,11 +388,43 @@ let test_frontend_live_socket () =
       in
       reachable "live listener";
       Unix.close listener;
-      match Frontend.start router ~socket_path:fsock with
+      match start_router router fsock with
       | Error msg -> Alcotest.failf "stale socket not replaced: %s" msg
       | Ok fe ->
-        Fun.protect ~finally:(fun () -> Frontend.stop fe) (fun () ->
+        Fun.protect ~finally:(fun () -> Server.stop fe) (fun () ->
             reachable "router on the replaced socket"))
+
+(* stopping the router closes a connection that sends nothing more: the
+   client reads EOF instead of waiting on a socket nobody serves *)
+let test_router_stop_closes_idle () =
+  with_cluster ~n:1
+    ~rcfg:(fun () -> Router.config ~probe_interval_s:None ())
+    (fun _socks _servers router ->
+      let fsock = fresh_socket () in
+      match start_router router fsock with
+      | Error msg -> Alcotest.failf "router daemon: %s" msg
+      | Ok fe ->
+        let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+        Fun.protect ~finally:(fun () -> Unix.close fd) (fun () ->
+            Unix.connect fd (Unix.ADDR_UNIX fsock);
+            Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
+            (* one round trip, so the router has accepted the connection *)
+            (match
+               Result.bind
+                 (Wire.write_frame fd
+                    (Json.to_string (Wire.request_to_json ~id:1 Wire.Ping)))
+                 (fun () -> Wire.read_frame fd)
+             with
+             | Ok _ -> ()
+             | Error e -> Alcotest.failf "ping: %s" (Wire.pp_io_error e));
+            Server.stop fe;
+            match Unix.read fd (Bytes.create 16) 0 16 with
+            | 0 -> ()
+            | n -> Alcotest.failf "read %d bytes from a stopped router" n
+            | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+              Alcotest.fail "idle connection left open after stop"
+            | exception Unix.Unix_error (e, _, _) ->
+              Alcotest.failf "read: %s" (Unix.error_message e)))
 
 let () =
   Alcotest.run "cluster"
@@ -357,11 +445,15 @@ let () =
             test_router_recovery;
           Alcotest.test_case "total outage surfaces as error" `Quick
             test_router_all_dead;
+          Alcotest.test_case "concurrent requests share one shard connection"
+            `Quick test_router_one_connection;
         ] );
       ( "frontend",
         [
           Alcotest.test_case "wire front-end" `Quick test_frontend;
           Alcotest.test_case "live socket refused, stale replaced" `Quick
             test_frontend_live_socket;
+          Alcotest.test_case "stop closes idle router connections" `Quick
+            test_router_stop_closes_idle;
         ] );
     ]
