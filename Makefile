@@ -2,7 +2,8 @@
 # 3-input function space (256 functions, exercises NPN sharing, the
 # persistent cache and the domain pool end to end), plus a fault-injection
 # smoke: the batch must survive injected worker crashes and a corrupted
-# cache file (quarantining it) and still exit 0 via retries + fallbacks,
+# cache file (quarantining it and writing the salvaged entries back) and
+# still exit 0 via retries + fallbacks,
 # plus a serve smoke: daemon round trip over a Unix socket, SIGTERM drain,
 # clean exit and no leaked socket file, plus a ladder smoke: the incremental
 # assumption-ladder sweep and the monolithic fresh-solver oracle must agree
@@ -46,11 +47,18 @@ build:
 test: build
 	dune runtest
 
+# The warm run answers everything from the cache, so it must leave the
+# cache file itself (its inode) in place: a flush writes only what changed.
 smoke: build
 	dune exec bin/mmsynth.exe -- batch --sweep 3 --cache $(SMOKE_CACHE) \
 	  --timeout 30
+	@set -e; before=$$(stat -c %i $(SMOKE_CACHE)); \
 	dune exec bin/mmsynth.exe -- batch --sweep 3 --cache $(SMOKE_CACHE) \
-	  --timeout 30
+	  --timeout 30; \
+	after=$$(stat -c %i $(SMOKE_CACHE)); \
+	[ "$$before" = "$$after" ] || { \
+	  echo "smoke: the warm run rewrote its unchanged cache file"; \
+	  rm -f $(SMOKE_CACHE); exit 1; }
 	rm -f $(SMOKE_CACHE)
 
 smoke-fault: build
@@ -62,6 +70,7 @@ smoke-fault: build
 	  --timeout 10 --inject worker:0.3 --inject-seed 7 --retries 2 \
 	  --fallback baseline
 	test -f $(FAULT_CACHE).corrupt
+	test -f $(FAULT_CACHE)
 	rm -f $(FAULT_CACHE) $(FAULT_CACHE).corrupt
 
 # The daemon is started from the built binary directly (not via dune exec)

@@ -285,7 +285,8 @@ let steps_t =
 let final_taps_t =
   Arg.(value & flag & info [ "final-taps" ]
          ~doc:"Restrict R-op inputs to leg-final values (directly \
-               schedulable; the paper's formula allows intermediate taps).")
+               schedulable; the paper's formula allows intermediate taps), \
+               fallback circuits included.")
 
 let dot_t = Arg.(value & opt (some string) None & info [ "dot" ] ~docv:"FILE"
                    ~doc:"Write the circuit as Graphviz dot.")
@@ -596,8 +597,10 @@ let fallback_t =
            ~doc:"When an instance exhausts its budget or crashes past its \
                  retries, emit a verified non-optimal circuit instead of \
                  dropping the spec: $(b,baseline) (QMC->NOR network) or \
-                 $(b,heuristic) (Shannon decomposition); $(b,none) drops it \
-                 (the default of $(b,batch) and $(b,serve)). For \
+                 $(b,heuristic) (Shannon decomposition, or the baseline \
+                 when its circuit breaks $(b,--final-taps)); $(b,none) \
+                 drops it (the default of $(b,batch) and $(b,serve)). A \
+                 fallback always uses NOR R-ops. For \
                  $(b,client), the policy asked of the daemon for this \
                  request (default: the daemon's own).")
 
@@ -701,26 +704,20 @@ let batch_cmd =
               (if r.Engine.shared then "*" else "")
           | None -> "-"
         in
+        let last () =
+          match List.rev r.Engine.report.Synth.attempts with
+          | a :: _ -> Some a
+          | [] -> None
+        in
         let verdict, att =
-          match (r.Engine.provenance, r.Engine.circuit) with
-          | Engine.Exact, Some _ -> (
-            match r.Engine.report.Synth.best with
-            | Some (_, a) -> ("SAT", Some a)
-            | None -> ("SAT", None))
-          | Engine.From_atlas, Some _ -> ("SAT(atlas)", None)
-          | Engine.Via_baseline, Some _ -> ("fallback(b)", None)
-          | Engine.Via_heuristic, Some _ -> ("fallback(h)", None)
-          | _, None -> (
-            match
-              (r.Engine.error, List.rev r.Engine.report.Synth.attempts)
-            with
-            | Some _, _ -> ("error", None)
-            | None, last :: _ ->
-              ((match last.Synth.verdict with
-                | Synth.Timeout -> "timeout"
-                | _ -> "UNSAT"),
-               Some last)
-            | None, [] -> ("timeout", None))
+          match (Engine.outcome r, r.Engine.provenance) with
+          | Engine.Sat, Engine.From_atlas -> ("SAT(atlas)", None)
+          | Engine.Sat, _ -> ("SAT", Option.map snd r.Engine.report.Synth.best)
+          | Engine.Fallback, Engine.Via_baseline -> ("fallback(b)", None)
+          | Engine.Fallback, _ -> ("fallback(h)", None)
+          | Engine.Failed, _ -> ("error", None)
+          | Engine.Timeout, _ -> ("timeout", last ())
+          | Engine.Unsat, _ -> ("UNSAT", last ())
         in
         let cell f = match att with None -> "-" | Some a -> f a in
         Table.add_row t
@@ -791,22 +788,11 @@ let batch_cmd =
         (fun r -> Option.iter (Printf.printf "warning: %s\n") (fail_line r))
         results;
       (* answered: an exact circuit, proven UNSAT or a verified fallback *)
-      let unsat_proven r =
-        r.Engine.error = None
-        && r.Engine.report.Synth.attempts <> []
-        && not
-             (List.exists
-                (fun a -> a.Synth.verdict = Synth.Timeout)
-                r.Engine.report.Synth.attempts)
+      let with_outcome o =
+        List.filter (fun r -> Engine.outcome r = o) (Array.to_list results)
       in
-      let unanswered =
-        List.filter
-          (fun r -> r.Engine.circuit = None && not (unsat_proven r))
-          (Array.to_list results)
-      in
-      let hard, budget =
-        List.partition (fun r -> r.Engine.error <> None) unanswered
-      in
+      let hard = with_outcome Engine.Failed
+      and budget = with_outcome Engine.Timeout in
       if hard <> [] then begin
         Printf.printf "batch: %d hard failure(s) left unanswered\n"
           (List.length hard);

@@ -124,37 +124,152 @@ let empty_report =
   { Synth.best = None; attempts = []; rops_proven_minimal = false;
     steps_proven_minimal = false }
 
-(* What one solver job produced. [Starved] = the deadline manager refused
-   to grant a budget; the instance never reached the solver. *)
-type job_out =
-  | Solved of Synth.report
-  | Starved
+type outcome = Sat | Unsat | Timeout | Fallback | Failed
 
-let fallback_circuit (cfg : config) spec =
+let outcome r =
+  match (r.circuit, r.provenance) with
+  | Some _, (Exact | From_atlas) -> Sat
+  | Some _, (Via_baseline | Via_heuristic) -> Fallback
+  | None, _ when r.error <> None -> Failed
+  | None, _ ->
+    (* no attempts (starved, or an injected Unknown) or a timed-out attempt
+       means the budget ran out; otherwise every dimension was refuted *)
+    if
+      r.report.Synth.attempts = []
+      || List.exists
+           (fun a -> a.Synth.verdict = Synth.Timeout)
+           r.report.Synth.attempts
+    then Timeout
+    else Unsat
+
+(* ---- the resolver: function → verified circuit ------------------------ *)
+
+(* The atlas tier: the stored circuit of a canonical solve target whose
+   R-op count is proven minimal. The atlas stores class targets only, so a
+   plan that was not canonicalized is never looked up. *)
+let atlas_answer ~r_only (cfg : config) p =
+  match (cfg.cache, p.class_rep) with
+  | Some c, Some _ -> (
+    match
+      Cache.find_class c
+        { Cache.q_spec = p.target_spec;
+          q_mode = (if r_only then `R_only else `Mixed);
+          q_rop_kind = cfg.rop_kind; q_taps = cfg.taps;
+          q_max_rops = cfg.max_rops;
+          q_max_steps = (if r_only then None else cfg.max_steps) }
+    with
+    | Some a when a.Cache.a_rops_exact -> Some a
+    | Some _ | None -> None)
+  | _ -> None
+
+(* One minimization of a solve target under [budget], memoized through the
+   cache hooks; TIMEOUT entries record the budget they actually ran under. *)
+let minimize ~r_only (cfg : config) ~key ~budget target =
+  if Fault.forced_unknown cfg.fault ~stage:Fault.Solver ~key then empty_report
+  else
+    let lookup, store =
+      match cfg.cache with
+      | None -> (None, None)
+      | Some c ->
+        ( Some
+            (fun ecfg ->
+              Fault.guard cfg.fault ~stage:Fault.Cache_read ~key (fun () ->
+                  Cache.find c ~timeout:budget (Cache.key ecfg target))),
+          Some
+            (fun ecfg a -> Cache.add c ~timeout:budget (Cache.key ecfg target) a)
+        )
+    in
+    if r_only then
+      Synth.minimize_r_only ~timeout_per_call:budget ?max_rops:cfg.max_rops
+        ~rop_kind:cfg.rop_kind ~incremental:cfg.incremental ?lookup ?store
+        target
+    else
+      Synth.minimize ~timeout_per_call:budget ?max_rops:cfg.max_rops
+        ?max_steps:cfg.max_steps ~rop_kind:cfg.rop_kind ~taps:cfg.taps
+        ~incremental:cfg.incremental ?lookup ?store target
+
+(* The fallback rule: a stand-in must realize the spec, keep the requested
+   taps (no legs at all in R-only mode) and use the requested R-op kind.
+   Both generators emit NOR circuits; the heuristic falls through to the
+   baseline when its circuit breaks the rule. *)
+let fallback ?(r_only = false) (cfg : config) spec =
+  let fits c =
+    (if r_only then Circuit.n_legs c = 0
+     else cfg.taps = Mm_core.Encode.Any_vop || Circuit.final_taps_only c)
+    && Circuit.realizes c spec = Ok ()
+  in
+  let verified provenance make =
+    match make () with
+    | c when fits c -> Some (c, provenance)
+    | _ -> None
+    | exception _ -> None
+  in
+  let baseline () = verified Via_baseline (fun () -> Baseline.nor_network spec) in
   match cfg.fallback with
   | No_fallback -> None
-  | Use_baseline -> (
-    match Baseline.nor_network spec with
-    | c when Circuit.realizes c spec = Ok () -> Some (c, Via_baseline)
-    | _ -> None
-    | exception _ -> None)
+  | _ when cfg.rop_kind <> Mm_core.Rop.Nor -> None
+  | Use_baseline -> baseline ()
+  | Use_heuristic when r_only -> baseline ()
   | Use_heuristic -> (
     match
-      Heuristic.synthesize
-        ~timeout_per_block:(Float.min 5. cfg.timeout_per_call) spec
+      verified Via_heuristic (fun () ->
+          fst
+            (Heuristic.synthesize
+               ~timeout_per_block:(Float.min 5. cfg.timeout_per_call) spec))
     with
-    | c, _ when Circuit.realizes c spec = Ok () -> Some (c, Via_heuristic)
-    | _ -> None
-    | exception _ -> None)
+    | Some _ as h -> h
+    | None -> baseline ())
 
-(* Per-spec outcome before graceful degradation is applied. *)
-type resolution =
-  | R_circuit of Circuit.t * Synth.report
-  | R_atlas of Circuit.t * Cache.class_answer
-  | R_unsat of Synth.report
-  | R_timeout of Synth.report
-  | R_crashed of Pool.error * Synth.report
-  | R_verify_failed of int * Synth.report
+(* What a class job produced; every member of the class is settled from it. *)
+type answer =
+  | Hit of Cache.class_answer  (* the atlas tier *)
+  | Solved of Synth.report
+  | Starved  (* the deadline refused a budget: the solver never ran *)
+  | Raised of Pool.error  (* crashed through every retry *)
+
+(* Pull a class answer back to one member, re-verify it on all rows, and
+   give a member left without an answer the fallback. *)
+let settle ?(r_only = false) (cfg : config) ~key ~shared p spec answer =
+  let r =
+    { spec; class_rep = p.class_rep; shared; report = empty_report;
+      circuit = None; provenance = Exact; optimal = false; error = None }
+  in
+  let pulled r provenance ~optimal c =
+    match
+      Fault.guard cfg.fault ~stage:Fault.Verify ~key (fun () ->
+          let c_f = Npn.apply_circuit (Npn.inverse p.t_in) c in
+          Result.map (fun () -> c_f) (Circuit.realizes c_f spec))
+    with
+    | Ok c_f -> { r with circuit = Some c_f; provenance; optimal }
+    | Error row -> { r with error = Some (Verify_failed { row }) }
+    | exception Fault.Injected exn ->
+      { r with error = Some (Crashed { exn; backtrace = "" }) }
+  in
+  let r =
+    match answer with
+    | Hit a ->
+      pulled r From_atlas
+        ~optimal:(a.Cache.a_rops_exact && a.Cache.a_steps_exact)
+        a.Cache.a_circuit
+    | Solved ({ Synth.best = Some (c, _); _ } as report) ->
+      pulled { r with report } Exact
+        ~optimal:
+          (report.Synth.rops_proven_minimal
+          && report.Synth.steps_proven_minimal)
+        c
+    | Solved report -> { r with report }
+    | Starved -> r
+    | Raised e ->
+      { r with
+        error = Some (Crashed { exn = e.Pool.exn; backtrace = e.Pool.backtrace })
+      }
+  in
+  match outcome r with
+  | Timeout | Failed -> (
+    match fallback ~r_only cfg spec with
+    | Some (c, provenance) -> { r with circuit = Some c; provenance }
+    | None -> r)
+  | Sat | Unsat | Fallback -> r
 
 let run (cfg : config) specs =
   let t0 = Unix.gettimeofday () in
@@ -177,42 +292,26 @@ let run (cfg : config) specs =
     plans;
   let owners = Array.of_list (List.rev !owners) in
   let n_jobs = Array.length owners in
-  (* atlas tier: a whole job answered here never claims a deadline slice,
-     never reaches the pool and never touches the solver — its members are
-     resolved from the stored class circuit alone *)
-  let atlas_answers : Cache.class_answer option array = Array.make n_jobs None in
-  (match cfg.cache with
-   | Some c when Cache.has_atlas c ->
-     Array.iteri
-       (fun j owner ->
-         let target = plans.(owner).target_spec in
-         if Spec.output_count target = 1 then
-           match
-             Cache.find_class c
-               { Cache.q_spec = target; q_mode = `Mixed;
-                 q_rop_kind = cfg.rop_kind; q_taps = cfg.taps;
-                 q_max_rops = cfg.max_rops; q_max_steps = cfg.max_steps }
-           with
-           | Some a when a.Cache.a_rops_exact -> atlas_answers.(j) <- Some a
-           | Some _ | None -> ())
-       owners
-   | Some _ | None -> ());
+  (* atlas tier: a job answered here never claims a deadline slice, never
+     reaches the pool and never touches the solver *)
+  let answers =
+    Array.map
+      (fun owner ->
+        Option.map (fun a -> Hit a) (atlas_answer ~r_only:false cfg plans.(owner)))
+      owners
+  in
   let unanswered =
-    List.filter
-      (fun j -> atlas_answers.(j) = None)
-      (List.init n_jobs Fun.id)
+    List.filter (fun j -> Option.is_none answers.(j)) (List.init n_jobs Fun.id)
   in
   let mgr =
     Deadline.create ?wall:cfg.deadline ~pending:(List.length unanswered)
       ~default_per_call:cfg.timeout_per_call ()
   in
   (* One thunk per (job, attempt). The budget is claimed at job start so
-     late starters inherit whatever the deadline still allows; the cache is
-     probed/updated with that same budget, so TIMEOUT entries record the
-     budget they actually ran under. A crashed job never reaches
-     [Deadline.finish] and therefore stays pending across its retries. *)
+     late starters inherit whatever the deadline still allows. A crashed
+     job never reaches [Deadline.finish] and therefore stays pending across
+     its retries. *)
   let make_job attempt j =
-    let target = plans.(owners.(j)).target_spec in
     let key = Printf.sprintf "job%d/try%d" j attempt in
     fun () ->
       Fault.guard cfg.fault ~stage:Fault.Worker ~key (fun () ->
@@ -222,29 +321,8 @@ let run (cfg : config) specs =
             Starved
           | Some budget ->
             let report =
-              if Fault.forced_unknown cfg.fault ~stage:Fault.Solver ~key then
-                empty_report
-              else begin
-                let lookup, store =
-                  match cfg.cache with
-                  | None -> (None, None)
-                  | Some c ->
-                    ( Some
-                        (fun ecfg ->
-                          Fault.guard cfg.fault ~stage:Fault.Cache_read ~key
-                            (fun () ->
-                              Cache.find c ~timeout:budget
-                                (Cache.key ecfg target))),
-                      Some
-                        (fun ecfg a ->
-                          Cache.add c ~timeout:budget (Cache.key ecfg target) a)
-                    )
-                in
-                Synth.minimize ~timeout_per_call:budget ?max_rops:cfg.max_rops
-                  ?max_steps:cfg.max_steps ~rop_kind:cfg.rop_kind
-                  ~taps:cfg.taps ~incremental:cfg.incremental ?lookup ?store
-                  target
-              end
+              minimize ~r_only:false cfg ~key ~budget
+                plans.(owners.(j)).target_spec
             in
             Deadline.finish mgr;
             Solved report)
@@ -253,9 +331,6 @@ let run (cfg : config) specs =
      crashed, after a bounded exponential backoff, until the retry budget
      or the global deadline is exhausted. Timeouts and UNSATs are
      deterministic answers and are never retried. *)
-  let outcomes : (job_out, Pool.error) result option array =
-    Array.make n_jobs None
-  in
   let retries_used = ref 0 in
   let pending = ref unanswered in
   let attempt = ref 0 in
@@ -268,16 +343,16 @@ let run (cfg : config) specs =
              (cfg.retry_backoff_s *. (2. ** float_of_int (!attempt - 1))))
     end;
     let idxs = Array.of_list !pending in
-    let jobs = Array.map (make_job !attempt) idxs in
-    let outs = Pool.run ~domains:cfg.domains jobs in
+    let outs = Pool.run ~domains:cfg.domains (Array.map (make_job !attempt) idxs) in
     pending := [];
     Array.iteri
       (fun k o ->
         let j = idxs.(k) in
-        outcomes.(j) <- Some o;
         match o with
-        | Ok _ -> ()
-        | Error _ -> if !attempt < cfg.retries then pending := j :: !pending)
+        | Ok a -> answers.(j) <- Some a
+        | Error e ->
+          answers.(j) <- Some (Raised e);
+          if !attempt < cfg.retries then pending := j :: !pending)
       outs;
     pending := List.rev !pending;
     incr attempt
@@ -285,124 +360,45 @@ let run (cfg : config) specs =
   (match cfg.cache with
    | Some c ->
      Cache.flush c;
-     (* injected cache corruption: damage the flushed file so the next run
-        must salvage + quarantine it *)
-     (match cfg.fault with
-      | Some f when Fault.decide f ~stage:Fault.Cache_write ~key:"flush" <> None
-        ->
-        Option.iter (fun p -> Fault.corrupt_file p) (Cache.path c)
+     (* injected cache corruption: damage the file so the next run must
+        salvage + quarantine it *)
+     (match (cfg.fault, Cache.path c) with
+      | Some f, Some p
+        when Fault.decide f ~stage:Fault.Cache_write ~key:"flush" <> None
+             && Sys.file_exists p ->
+        Fault.corrupt_file p
       | _ -> ())
    | None -> ());
-  let resolve i =
-    let p = plans.(i) in
-    let spec = specs.(i) in
-    match atlas_answers.(job_of.(i)) with
-    | Some a -> (
-      (* pull the class circuit back to this member and re-verify on all
-         rows, exactly as for a solver-produced circuit *)
-      let c_f = Npn.apply_circuit (Npn.inverse p.t_in) a.Cache.a_circuit in
-      match Circuit.realizes c_f spec with
-      | Ok () -> R_atlas (c_f, a)
-      | Error row -> R_verify_failed (row, empty_report))
-    | None ->
-    match outcomes.(job_of.(i)) with
-    | None -> R_crashed ({ Pool.exn = "job never ran (engine bug)"; backtrace = "" }, empty_report)
-    | Some (Error e) -> R_crashed (e, empty_report)
-    | Some (Ok Starved) -> R_timeout empty_report
-    | Some (Ok (Solved report)) -> (
-      match report.Synth.best with
-      | None ->
-        (* no attempts (injected Unknown) or a timed-out attempt means
-           the budget ran out; otherwise every dimension was refuted *)
-        if
-          report.Synth.attempts = []
-          || List.exists
-               (fun a -> a.Synth.verdict = Synth.Timeout)
-               report.Synth.attempts
-        then R_timeout report
-        else R_unsat report
-      | Some (c, _) -> (
-        (* the job solved [apply t_in f]; pull the circuit back to f *)
-        match
-          Fault.guard cfg.fault ~stage:Fault.Verify
-            ~key:(Printf.sprintf "spec%d" i)
-            (fun () ->
-              let c_f = Npn.apply_circuit (Npn.inverse p.t_in) c in
-              match Circuit.realizes c_f spec with
-              | Ok () -> Ok c_f
-              | Error row -> Error row)
-        with
-        | Ok c_f -> R_circuit (c_f, report)
-        | Error row -> R_verify_failed (row, report)
-        | exception Fault.Injected msg ->
-          R_crashed ({ Pool.exn = msg; backtrace = "" }, report)))
-  in
-  let fallbacks = ref 0 in
   let results =
     Array.mapi
       (fun i p ->
-        let spec = specs.(i) in
-        let base ~report ~error =
-          (* graceful degradation: the spec leaves the batch with *some*
-             verified circuit, explicitly tagged non-optimal *)
-          match fallback_circuit cfg spec with
-          | Some (c, prov) ->
-            incr fallbacks;
-            { spec; class_rep = p.class_rep; shared = owners.(job_of.(i)) <> i;
-              report; circuit = Some c; provenance = prov; optimal = false;
-              error }
-          | None ->
-            { spec; class_rep = p.class_rep; shared = owners.(job_of.(i)) <> i;
-              report; circuit = None; provenance = Exact; optimal = false;
-              error }
-        in
-        match resolve i with
-        | R_atlas (c, a) ->
-          { spec; class_rep = p.class_rep; shared = owners.(job_of.(i)) <> i;
-            report = empty_report; circuit = Some c; provenance = From_atlas;
-            optimal = a.Cache.a_rops_exact && a.Cache.a_steps_exact;
-            error = None }
-        | R_circuit (c, report) ->
-          { spec; class_rep = p.class_rep; shared = owners.(job_of.(i)) <> i;
-            report; circuit = Some c; provenance = Exact;
-            optimal =
-              report.Synth.rops_proven_minimal
-              && report.Synth.steps_proven_minimal;
-            error = None }
-        | R_unsat report ->
-          { spec; class_rep = p.class_rep; shared = owners.(job_of.(i)) <> i;
-            report; circuit = None; provenance = Exact; optimal = false;
-            error = None }
-        | R_timeout report -> base ~report ~error:None
-        | R_crashed (e, report) ->
-          base ~report
-            ~error:(Some (Crashed { exn = e.Pool.exn; backtrace = e.Pool.backtrace }))
-        | R_verify_failed (row, report) ->
-          base ~report ~error:(Some (Verify_failed { row })))
+        let j = job_of.(i) in
+        settle cfg ~key:(Printf.sprintf "spec%d" i) ~shared:(owners.(j) <> i) p
+          specs.(i)
+          (match answers.(j) with
+           | Some a -> a
+           | None ->
+             Raised { Pool.exn = "job never ran (engine bug)"; backtrace = "" }))
       plans
   in
   let wall_s = Unix.gettimeofday () -. t0 in
   let sat = ref 0 and atlas = ref 0 and unsat = ref 0 and timeout = ref 0 in
+  let fallbacks = ref 0 in
   Array.iter
     (fun r ->
-      match (r.circuit, r.provenance) with
-      | Some _, Exact -> incr sat
-      | Some _, From_atlas -> incr atlas
-      | Some _, (Via_baseline | Via_heuristic) -> incr timeout
-      | None, _ ->
-        if r.error = None && r.report.Synth.attempts <> []
-           && not
-                (List.exists
-                   (fun a -> a.Synth.verdict = Synth.Timeout)
-                   r.report.Synth.attempts)
-        then incr unsat
-        else incr timeout)
+      match outcome r with
+      | Sat -> incr (if r.provenance = From_atlas then atlas else sat)
+      | Unsat -> incr unsat
+      | Fallback ->
+        incr fallbacks;
+        incr timeout
+      | Timeout | Failed -> incr timeout)
     results;
   let solver_calls, propagations, restarts, peak_learnts =
     Array.fold_left
-      (fun acc o ->
-        match o with
-        | Some (Ok (Solved r)) ->
+      (fun acc a ->
+        match a with
+        | Some (Solved r) ->
           List.fold_left
             (fun (calls, props, rst, peak) a ->
               let st = a.Synth.solver_stats in
@@ -411,8 +407,8 @@ let run (cfg : config) specs =
                 rst + st.Mm_sat.Solver.restarts,
                 max peak st.Mm_sat.Solver.peak_learnts ))
             acc r.Synth.attempts
-        | Some _ | None -> acc)
-      (0, 0, 0, 0) outcomes
+        | Some (Hit _ | Starved | Raised _) | None -> acc)
+      (0, 0, 0, 0) answers
   in
   let summary =
     {
@@ -448,74 +444,27 @@ type probe = {
   probe_optimal : bool;
 }
 
+(* A probe is a run of one spec without the pool, the deadline or retries;
+   its fault keys are the ones that spec would have in [run]. *)
 let probe_class ?(r_only = false) (cfg : config) spec =
   let p = plan_of cfg spec in
-  let target = p.target_spec in
-  let atlas_probe () =
-    match cfg.cache with
-    | Some c when Cache.has_atlas c && Spec.output_count target = 1 -> (
-      match
-        Cache.find_class c
-          { Cache.q_spec = target;
-            q_mode = (if r_only then `R_only else `Mixed);
-            q_rop_kind = cfg.rop_kind; q_taps = cfg.taps;
-            q_max_rops = cfg.max_rops;
-            q_max_steps = (if r_only then None else cfg.max_steps) }
-      with
-      | Some a when a.Cache.a_rops_exact -> (
-        let c_f = Npn.apply_circuit (Npn.inverse p.t_in) a.Cache.a_circuit in
-        match Circuit.realizes c_f spec with
-        | Ok () ->
-          Some
-            { probe_class_rep = p.class_rep;
-              probe_circuit = c_f;
-              probe_report = empty_report;
-              probe_exact = true;
-              probe_optimal = a.Cache.a_rops_exact && a.Cache.a_steps_exact }
-        | Error _ -> None)
-      | Some _ | None -> None)
-    | Some _ | None -> None
+  let answer =
+    match atlas_answer ~r_only cfg p with
+    | Some a -> Hit a
+    | None ->
+      Solved
+        (minimize ~r_only cfg ~key:"job0/try0" ~budget:cfg.timeout_per_call
+           p.target_spec)
   in
-  match atlas_probe () with
-  | Some _ as hit -> hit
-  | None ->
-  let lookup, store =
-    match cfg.cache with
-    | None -> (None, None)
-    | Some c ->
-      ( Some
-          (fun ecfg ->
-            Cache.find c ~timeout:cfg.timeout_per_call (Cache.key ecfg target)),
-        Some
-          (fun ecfg a ->
-            Cache.add c ~timeout:cfg.timeout_per_call (Cache.key ecfg target) a)
-      )
-  in
-  let report =
-    if r_only then
-      Synth.minimize_r_only ~timeout_per_call:cfg.timeout_per_call
-        ?max_rops:cfg.max_rops ~rop_kind:cfg.rop_kind
-        ~incremental:cfg.incremental ?lookup ?store target
-    else
-      Synth.minimize ~timeout_per_call:cfg.timeout_per_call
-        ?max_rops:cfg.max_rops ?max_steps:cfg.max_steps ~rop_kind:cfg.rop_kind
-        ~taps:cfg.taps ~incremental:cfg.incremental ?lookup ?store target
-  in
-  match report.Synth.best with
-  | None -> None
-  | Some (c, _) -> (
-    let c_f = Npn.apply_circuit (Npn.inverse p.t_in) c in
-    match Circuit.realizes c_f spec with
-    | Ok () ->
-      Some
-        { probe_class_rep = p.class_rep;
-          probe_circuit = c_f;
-          probe_report = report;
-          probe_exact = true;
-          probe_optimal =
-            report.Synth.rops_proven_minimal
-            && report.Synth.steps_proven_minimal }
-    | Error _ -> None)
+  let r = settle ~r_only cfg ~key:"spec0" ~shared:false p spec answer in
+  Option.map
+    (fun c ->
+      { probe_class_rep = r.class_rep;
+        probe_circuit = c;
+        probe_report = r.report;
+        probe_exact = outcome r = Sat;
+        probe_optimal = r.optimal })
+    r.circuit
 
 let empty_summary =
   { functions = 0; classes = 0; sat = 0; atlas = 0; unsat = 0; timeout = 0;

@@ -1,20 +1,31 @@
-(** Batch synthesis driver: canonicalize → cache probe → schedule misses on
-    the domain pool → decanonicalize → verify → persist.
+(** Batch synthesis driver: canonicalize → atlas tier → cache-hooked
+    minimization on the domain pool → pull back → verify → persist.
 
-    [run] minimizes every spec of a batch through the paper's outer loop
-    ({!Mm_core.Synth.minimize}), but solves each NPN class only once:
-    single-output specs with n ≤ 4 are canonicalized by {!Npn}, specs in the
-    same class (up to input permutation/negation and output polarity) share
-    one solver job, and each solver call inside a job is additionally
-    memoized through an optional persistent {!Cache}. Class solutions are
-    mapped back to concrete circuits with {!Npn.apply_circuit} and
-    re-verified against the original specification on all rows before being
-    reported.
+    {2 The resolver}
 
-    Output polarity note: the solve target of a class is the canonical
-    representative with the member's output polarity applied (a circuit
-    cannot be output-negated structurally), so a class contributes at most
-    two solver jobs — one per polarity present in the batch.
+    Every caller that turns a function into a verified circuit — {!run}
+    (batch and serve), {!probe_class} (the mapper's block library and the
+    atlas builder) — goes through one path:
+    + the NPN plan: a single-output spec with n ≤ 4 is canonicalized by
+      {!Npn} to its solve target (the class representative in the spec's
+      output polarity) and the input transform that reaches it;
+    + the atlas tier: an exact class circuit for the target, looked up by
+      key in the cache's attached atlas (zero solver calls; a plan that was
+      not canonicalized skips it, as the atlas stores class targets only);
+    + otherwise one cache-hooked {!Mm_core.Synth.minimize} (or
+      [minimize_r_only]) of the target;
+    + the class circuit is pulled back through the inverse input transform
+      and re-verified against the original spec on all rows — the only
+      place a circuit is pulled back;
+    + a spec still without a circuit (budget gone, crash, failed
+      verification) gets the one verified {!fallback}.
+    {!outcome} is the only derivation of a result's verdict.
+
+    [run] solves each NPN class only once: specs in the same class (up to
+    input permutation/negation and output polarity) share one solver job.
+    The solve target carries the member's output polarity (a circuit cannot
+    be output-negated structurally), so a class contributes at most two
+    solver jobs — one per polarity present in the batch.
 
     {2 Failure model}
 
@@ -26,12 +37,9 @@
     + a crashed job (exception on a worker domain) is retried up to
       [retries] times with bounded exponential backoff — timeouts and
       UNSATs are deterministic answers and are never retried;
-    + a spec that still has no circuit (budget exhausted, crash survived
-      all retries, or failed re-verification) degrades to a verified
-      heuristic circuit when [fallback] allows: the QMC→NOR
-      {!Mm_core.Baseline} network or the Shannon-decomposition
-      {!Mm_core.Heuristic} flow, re-verified on all truth-table rows and
-      tagged with a non-[Exact] {!provenance} ([optimal = false]).
+    + a spec that still has no circuit degrades to a verified non-optimal
+      circuit when [fallback] allows (see {!fallback} for the rule), tagged
+      with a non-[Exact] {!provenance} ([optimal = false]).
     A {!Fault} plan can inject crashes, delays, solver unknowns and cache
     corruption at every stage of this ladder so tests can prove the
     recovery behaviour deterministically. *)
@@ -44,7 +52,9 @@ module Synth = Mm_core.Synth
 type degrade =
   | No_fallback  (** report it unanswered (the pre-robustness behaviour) *)
   | Use_baseline  (** emit the QMC→NOR {!Mm_core.Baseline} network *)
-  | Use_heuristic  (** emit the {!Mm_core.Heuristic} Shannon-flow circuit *)
+  | Use_heuristic
+      (** emit the {!Mm_core.Heuristic} Shannon-flow circuit, or the
+          baseline when that circuit breaks the {!fallback} rule *)
 
 type config = {
   rop_kind : Mm_core.Rop.kind;
@@ -110,7 +120,8 @@ type job_result = {
           it was obtained *)
   provenance : provenance;
   optimal : bool;
-      (** [Exact] circuit with both minimality proofs completed in budget *)
+      (** an exact circuit (solver or atlas) with both minimality proofs
+          completed in budget *)
   error : fail option;
       (** the failure that occurred, kept for diagnosis even when a
           fallback circuit rescued the spec *)
@@ -140,35 +151,58 @@ type summary = {
 
 (** Results are in input order; the cache (when present) has its counters
     reset at entry, is shared by all workers, and is flushed before
-    returning. *)
+    returning (a no-op when no entry was added). One call applies one
+    fallback, per-call timeout and deadline to every spec, so a caller
+    mixing requests with different budgets (the serve daemon) makes one
+    call per distinct budget. *)
 val run : config -> Spec.t array -> job_result array * summary
+
+(** A result's verdict, derived here only: [Sat] an exact circuit (solver
+    or atlas), [Fallback] a verified stand-in, [Failed] no circuit after a
+    crash or a failed verification, [Timeout] no circuit because the budget
+    ran out (no attempt at all, or one timed out), [Unsat] every dimension
+    within the search caps refuted. The summary counts, the daemon's
+    [verdict] and [mmsynth batch]'s table and exit status all read it. *)
+type outcome = Sat | Unsat | Timeout | Fallback | Failed
+
+val outcome : job_result -> outcome
+
+(** [fallback ?r_only cfg spec] is the one verified stand-in circuit under
+    [cfg.fallback]. The rule: the circuit realizes [spec] on all rows, keeps
+    the requested taps ({!Mm_core.Circuit.final_taps_only} under
+    [Final_only]; no legs at all when [r_only]) and uses [cfg.rop_kind]
+    R-ops. Both generators emit NOR circuits, so any other R-op kind gets
+    [None]. [Use_heuristic] falls through to the baseline when the
+    heuristic circuit breaks the rule (and in R-only mode, where its legs
+    always would). *)
+val fallback :
+  ?r_only:bool -> config -> Spec.t -> (Mm_core.Circuit.t * provenance) option
 
 (** {2 Library probe}
 
-    The mapping layer ({!Mm_map}) treats the engine as a cost oracle: one
-    cut function at a time, in-process, no pool/deadline/fault machinery —
-    just canonicalize → cache hooks → {!Mm_core.Synth.minimize} →
-    decanonicalize → verify. *)
+    The mapping layer ({!Mm_map}) and the atlas builder use the resolver one
+    function at a time, in-process, with no pool, deadline or retries. *)
 
 type probe = {
   probe_class_rep : Tt.t option;  (** NPN representative, when canonicalized *)
   probe_circuit : Mm_core.Circuit.t;  (** verified against the probed spec *)
   probe_report : Synth.report;  (** attempts in canonical space *)
-  probe_exact : bool;  (** from the SAT pipeline, never a fallback *)
+  probe_exact : bool;
+      (** from the solver or the atlas; [false] for a {!fallback} circuit,
+          which only a [cfg.fallback] other than [No_fallback] yields *)
   probe_optimal : bool;  (** both minimality proofs completed in budget *)
 }
 
-(** [probe_class cfg spec] synthesizes one (single-output, arity ≤ 4) spec
-    through the canonicalize/cache/minimize path of {!run}, synchronously on
-    the calling domain. The cache's atlas tier is probed first (in the
-    requested mode): an exact atlas record answers with zero solver calls
-    and an empty [probe_report]. [cfg.cache]'s [?lookup]/[?store] hooks are wired
-    exactly as in batch jobs (TIMEOUT entries recorded under
-    [cfg.timeout_per_call], so stale-budget reuse rules apply). [~r_only]
-    selects {!Mm_core.Synth.minimize_r_only} — 0-leg circuits whose inputs
-    are plain literals, the form the stitcher can re-source onto
-    intermediate signals. [None] when the budget expires with no circuit or
-    the decanonicalized circuit fails row verification. *)
+(** [probe_class cfg spec] resolves one spec synchronously on the calling
+    domain, through the same path as {!run}: the atlas tier first (in the
+    requested mode; a hit answers with zero solver calls and an empty
+    [probe_report]), else one minimization under [cfg.timeout_per_call]
+    with [cfg.cache]'s hooks (TIMEOUT entries recorded under that budget,
+    so stale-budget reuse rules apply), then pull-back, verification and
+    the {!fallback}. [~r_only] selects {!Mm_core.Synth.minimize_r_only} —
+    0-leg circuits whose inputs are plain literals, the form the stitcher
+    can re-source onto intermediate signals. [None] when no verified
+    circuit results. *)
 val probe_class : ?r_only:bool -> config -> Spec.t -> probe option
 
 (** The all-zero summary — identity of {!add_summary}. *)

@@ -145,6 +145,33 @@ let test_corrupt_file () =
   Sys.remove path;
   Sys.remove q
 
+(* a flush writes only when the overlay changed: a flush with nothing
+   added leaves the file itself (its inode) in place, a flush after an add
+   replaces it through the temp-file rename *)
+let test_flush_only_when_changed () =
+  let path = tmp_path () in
+  let inode () = (Unix.stat path).Unix.st_ino in
+  let c = Cache.create ~path () in
+  Cache.add c ~timeout:30. "a" unsat_attempt;
+  Cache.flush c;
+  let written = inode () in
+  (* hold the written file open so a rewrite cannot reuse its inode *)
+  let held = Unix.openfile path [ Unix.O_RDONLY ] 0 in
+  let c2 = Cache.create ~path () in
+  Alcotest.(check bool) "reloaded" true (Cache.load_result c2 = Cache.Loaded 1);
+  ignore (Cache.find c2 ~timeout:30. "a");
+  Cache.flush c2;
+  Cache.flush c;
+  Alcotest.(check int) "unchanged overlay, file left alone" written (inode ());
+  Cache.add c2 ~timeout:30. "b" unsat_attempt;
+  Cache.flush c2;
+  Alcotest.(check bool) "a flush after add replaces the file" true
+    (inode () <> written);
+  Alcotest.(check bool) "with both entries" true
+    (Cache.load_result (Cache.create ~path ()) = Cache.Loaded 2);
+  Unix.close held;
+  Sys.remove path
+
 (* a flush torn mid-write (here: the file cut mid-record) must salvage the
    valid prefix, quarantine the damaged file, and never raise *)
 let test_truncated_file () =
@@ -286,6 +313,8 @@ let () =
           Alcotest.test_case "v5/v6 files quarantined" `Quick
             test_older_layouts_quarantined;
           Alcotest.test_case "corrupt file invalidates" `Quick test_corrupt_file;
+          Alcotest.test_case "flush only when changed" `Quick
+            test_flush_only_when_changed;
           Alcotest.test_case "truncated file salvages prefix" `Quick
             test_truncated_file;
           Alcotest.test_case "flipped payload bytes dropped" `Quick

@@ -1,6 +1,8 @@
 module Engine = Mm_engine.Engine
+module Atlas = Mm_atlas.Atlas
 module Cache = Mm_engine.Cache
 module Npn = Mm_engine.Npn
+module Fault = Mm_engine.Fault
 module Synth = Mm_core.Synth
 module C = Mm_core.Circuit
 module Spec = Mm_boolfun.Spec
@@ -169,6 +171,61 @@ let test_probe_r_only () =
     Alcotest.(check bool) "verifies" true
       (C.realizes p.Engine.probe_circuit spec = Ok ())
 
+(* The batch driver and the library probe are one resolver: on every
+   3-input function they give the same (N_R, N_VS) and optimality flag.
+   With the shipped atlas attached both answer everything from it, with no
+   solver attempt; with the solver forced to give up, both hand out the
+   same baseline fallback. *)
+let test_run_and_probe_agree () =
+  let specs = Engine.all_functions ~arity:3 in
+  let atlas =
+    match Atlas.load "../examples/atlas-tier1.mmatlas" with
+    | Ok a -> a
+    | Error e -> Alcotest.failf "atlas: %a" Atlas.pp_error e
+  in
+  let dims c = (C.n_rops c, C.steps_per_leg c) in
+  let agree ~with_atlas ?fault ?fallback () =
+    let cache () =
+      let c = Cache.create () in
+      if with_atlas then Atlas.attach atlas c;
+      c
+    in
+    let config cache = Engine.config ~domains:1 ~cache ?fault ?fallback () in
+    let results, _ = Engine.run (config (cache ())) specs in
+    let probe_cache = cache () in
+    Array.iteri
+      (fun i r ->
+        let name = Spec.name specs.(i) in
+        match (r.Engine.circuit, Engine.probe_class (config probe_cache) specs.(i)) with
+        | Some c, Some p ->
+          Alcotest.(check (pair int int)) (name ^ " (N_R, N_VS)") (dims c)
+            (dims p.Engine.probe_circuit);
+          Alcotest.(check bool) (name ^ " optimal") r.Engine.optimal
+            p.Engine.probe_optimal;
+          Alcotest.(check bool) (name ^ " exact")
+            (match r.Engine.provenance with
+             | Engine.Exact | Engine.From_atlas -> true
+             | Engine.Via_baseline | Engine.Via_heuristic -> false)
+            p.Engine.probe_exact;
+          if with_atlas then begin
+            Alcotest.(check bool) (name ^ " run from the atlas") true
+              (r.Engine.provenance = Engine.From_atlas
+              && r.Engine.report.Synth.attempts = []);
+            Alcotest.(check bool) (name ^ " probe from the atlas") true
+              (p.Engine.probe_exact && p.Engine.probe_report.Synth.attempts = [])
+          end
+        | _ -> Alcotest.failf "%s: a path gave no circuit" name)
+      results;
+    if with_atlas then
+      Alcotest.(check int) "every probe an atlas hit" 256
+        (Cache.counters probe_cache).Cache.atlas_hits
+  in
+  agree ~with_atlas:false ();
+  agree ~with_atlas:true ();
+  agree ~with_atlas:false ~fallback:Engine.Use_baseline
+    ~fault:(Fault.create ~seed:1 [ Fault.rule Fault.Solver 1.0 Fault.Unknown_result ])
+    ()
+
 (* The shared stats schema: v5 keeps the solver counters, restarts
    included, and carries exactly these fields, so the clause-sharing
    counter of v4 is gone. *)
@@ -206,5 +263,7 @@ let () =
           Alcotest.test_case "stale TIMEOUT record" `Quick
             test_probe_stale_timeout;
           Alcotest.test_case "r_only" `Quick test_probe_r_only;
+          Alcotest.test_case "run and probe agree" `Quick
+            test_run_and_probe_agree;
         ] );
     ]

@@ -267,6 +267,44 @@ let test_no_fallback_leaves_unanswered () =
       Alcotest.(check bool) "unanswered" true (r.Engine.circuit = None))
     results
 
+(* The fallback rule: a stand-in keeps the requested taps and R-op kind.
+   These four 4-input functions get heuristic circuits that tap legs
+   mid-way, which a Final_only batch must not hand out; both generators
+   emit NOR circuits, which a Nimp batch must not hand out. *)
+let test_fallback_rule () =
+  let spec v =
+    Spec.make ~name:(Printf.sprintf "%04x" v) [| Mm_boolfun.Truth_table.of_int 4 v |]
+  in
+  let specs = Array.map spec [| 0x6996; 0x16ad; 0x6ac0; 0x3cc3 |] in
+  let starved ?rop_kind fallback =
+    Engine.config ?rop_kind ~taps:Mm_core.Encode.Final_only
+      ~timeout_per_call:0.5 ~domains:1 ~deadline:1e-6 ~retries:0 ~fallback ()
+  in
+  let results, summary = Engine.run (starved Engine.Use_heuristic) specs in
+  Alcotest.(check int) "every spec rescued" 4 summary.Engine.fallbacks;
+  Array.iter
+    (fun r ->
+      check_circuit r;
+      match r.Engine.circuit with
+      | Some c ->
+        Alcotest.(check bool)
+          (Spec.name r.Engine.spec ^ " keeps final taps")
+          true (C.final_taps_only c)
+      | None -> ())
+    results;
+  List.iter
+    (fun fallback ->
+      let results, summary =
+        Engine.run (starved ~rop_kind:Mm_core.Rop.Nimp fallback) specs
+      in
+      Alcotest.(check int) "no NOR stand-in for a Nimp batch" 0
+        summary.Engine.fallbacks;
+      Array.iter
+        (fun r ->
+          Alcotest.(check bool) "unanswered" true (r.Engine.circuit = None))
+        results)
+    [ Engine.Use_baseline; Engine.Use_heuristic ]
+
 let () =
   Alcotest.run "fault"
     [
@@ -296,5 +334,7 @@ let () =
             test_deadline_starvation_degrades;
           Alcotest.test_case "no-fallback starvation stays honest" `Quick
             test_no_fallback_leaves_unanswered;
+          Alcotest.test_case "fallback keeps taps and R-op kind" `Slow
+            test_fallback_rule;
         ] );
     ]
