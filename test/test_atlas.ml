@@ -315,6 +315,76 @@ let test_caps_respected () =
   Alcotest.(check bool) "engine proved capped UNSAT" true
     (results.(0).Engine.circuit = None && results.(0).Engine.error = None)
 
+(* a record whose circuit does not realize its target is a miss, never a
+   hit that fails verification: here every record holds the circuit of
+   another target of its mode and arity, and the solver answers every
+   function exactly, on the batch path and the probe path alike *)
+let test_foreign_record_is_a_miss () =
+  let src, _ = Lazy.force built in
+  let records = ref [] in
+  (match
+     Mm_engine.Record_file.read ~magic:Atlas.magic
+       ~version:Atlas.format_version src
+       (fun (kr : string * Atlas.record) -> records := kr :: !records)
+   with
+   | Mm_engine.Record_file.Read { dropped = 0; torn = false; _ } -> ()
+   | _ -> Alcotest.fail "built atlas unreadable");
+  let tampered =
+    List.concat_map
+      (fun kind ->
+        let same =
+          List.filter
+            (fun (_, (r : Atlas.record)) -> (r.mode, r.arity) = kind)
+            (List.sort compare !records)
+        in
+        match same with
+        | [] -> []
+        | (_, first) :: _ ->
+          (* each record takes the next one's circuit, the last the first's *)
+          List.mapi
+            (fun i (k, (r : Atlas.record)) ->
+              let donor =
+                match List.nth_opt same (i + 1) with
+                | Some (_, d) -> d
+                | None -> first
+              in
+              (k, { r with circuit = donor.circuit }))
+            same)
+      (List.sort_uniq compare
+         (List.map (fun (_, (r : Atlas.record)) -> (r.mode, r.arity)) !records))
+  in
+  let path = tmp_path () in
+  Mm_engine.Record_file.write ~magic:Atlas.magic ~version:Atlas.format_version
+    path (fun emit -> List.iter emit tampered);
+  let atlas =
+    match Atlas.load path with
+    | Ok t -> t
+    | Error e -> Alcotest.failf "load failed: %a" Atlas.pp_error e
+  in
+  let cache = Cache.create () in
+  Atlas.attach atlas cache;
+  let results, summary = run_sweep ~cache () in
+  Alcotest.(check int) "no atlas answer" 0 summary.Engine.atlas;
+  Alcotest.(check int) "solver answers all" 16 summary.Engine.sat;
+  Array.iter
+    (fun r ->
+      Alcotest.(check bool) "exact, no error" true
+        (r.Engine.provenance = Engine.Exact && r.Engine.error = None))
+    results;
+  let probe_cache = Cache.create () in
+  Atlas.attach atlas probe_cache;
+  let xor2 = Spec.make ~name:"xor2" [| Tt.of_int 2 0b0110 |] in
+  (match
+     Engine.probe_class
+       (Engine.config ~timeout_per_call:30. ~domains:1 ~cache:probe_cache ())
+       xor2
+   with
+   | Some p -> Alcotest.(check bool) "probe exact" true p.Engine.probe_exact
+   | None -> Alcotest.fail "probe gave no circuit");
+  Alcotest.(check int) "no atlas hit counted" 0
+    (Cache.counters probe_cache).Cache.atlas_hits;
+  Sys.remove path
+
 let () =
   Alcotest.run "atlas"
     [
@@ -350,5 +420,7 @@ let () =
           Alcotest.test_case "damaged atlas degrades to overlay-only" `Slow
             test_damaged_atlas_degrades;
           Alcotest.test_case "search caps respected" `Slow test_caps_respected;
+          Alcotest.test_case "foreign record is a miss" `Quick
+            test_foreign_record_is_a_miss;
         ] );
     ]
