@@ -15,7 +15,8 @@
 # simulator validation is part of the command's own exit status), plus an
 # atlas smoke: build a tiny exact NPN atlas, deep-verify it, and prove the
 # zero-SAT serve path (a covered sweep and a daemon request answered
-# entirely from the atlas — no solver calls, no fallbacks), plus a cluster
+# entirely from the atlas — no solver calls, no fallbacks — on the
+# connection's reader, as the daemon's stats show), plus a cluster
 # smoke: two supervised shards behind the failover router, one SIGKILLed
 # mid-stream and restarted, with every single client request still
 # answered through replica failover.
@@ -299,6 +300,12 @@ smoke-atlas: build
 	[ -S $(ATLAS_SOCK) ] || { echo "daemon never bound $(ATLAS_SOCK)"; kill $$pid 2>/dev/null; exit 1; }; \
 	$(MMSYNTH) client --socket $(ATLAS_SOCK) -e "x1 ^ x2" | grep -q '"provenance": "atlas"' \
 	  || { echo "smoke-atlas: request not atlas-served"; kill $$pid 2>/dev/null; exit 1; }; \
+	stats=$$($(MMSYNTH) client --socket $(ATLAS_SOCK) --stats) \
+	  || { echo "smoke-atlas: client --stats failed"; kill $$pid 2>/dev/null; exit 1; }; \
+	echo "$$stats" | grep -q '"inline": 1,' \
+	  || { echo "smoke-atlas: request not answered inline"; kill $$pid 2>/dev/null; exit 1; }; \
+	echo "$$stats" | grep -q '"atlas": 1,' \
+	  || { echo "smoke-atlas: request not counted as an atlas answer"; kill $$pid 2>/dev/null; exit 1; }; \
 	kill -TERM $$pid; \
 	wait $$pid || { echo "daemon exited non-zero after SIGTERM"; exit 1; }; \
 	size=$$(wc -c < $(ATLAS_FILE)); \
@@ -319,7 +326,7 @@ smoke-atlas: build
 	    || { echo "smoke-atlas: damaged $$f served without warning"; exit 1; }; \
 	done; \
 	rm -f $(ATLAS_FILE) $(ATLAS_FILE).cut $(ATLAS_FILE).flip; \
-	echo "smoke-atlas: OK (verified atlas, zero-SAT sweep, atlas-served daemon request, damaged copies refused)"
+	echo "smoke-atlas: OK (verified atlas, zero-SAT sweep, atlas-served daemon request answered inline, damaged copies refused)"
 
 # Two supervised shards behind the router; one is SIGKILLed mid-stream
 # (and restarted with backoff) while a steady request stream runs against

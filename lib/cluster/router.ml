@@ -370,7 +370,9 @@ let attributed (o : outcome) = function
 
 let handlers t =
   {
-    Server.synth =
+    (* every request is a shard round trip: none is answered at once *)
+    Server.lookup = (fun _ _ -> None);
+    synth =
       (fun spec params ->
         match synth ~params t spec with
         | Ok ({ reply = Wire.Result j; _ } as o) -> Wire.Result (attributed o j)

@@ -270,21 +270,35 @@ let test_no_fallback_leaves_unanswered () =
 (* The fallback rule: a stand-in keeps the requested taps and R-op kind.
    These four 4-input functions get heuristic circuits that tap legs
    mid-way, which a Final_only batch must not hand out; both generators
-   emit NOR circuits, which a Nimp batch must not hand out. *)
+   emit NOR circuits, which a Nimp batch must not hand out. A batch whose
+   deadline is gone gets the baseline at once: no heuristic block runs
+   past the deadline. *)
 let test_fallback_rule () =
   let spec v =
     Spec.make ~name:(Printf.sprintf "%04x" v) [| Mm_boolfun.Truth_table.of_int 4 v |]
   in
   let specs = Array.map spec [| 0x6996; 0x16ad; 0x6ac0; 0x3cc3 |] in
-  let starved ?rop_kind fallback =
+  let final_only ?rop_kind ?deadline fallback =
     Engine.config ?rop_kind ~taps:Mm_core.Encode.Final_only
-      ~timeout_per_call:0.5 ~domains:1 ~deadline:1e-6 ~retries:0 ~fallback ()
+      ~timeout_per_call:0.5 ~domains:1 ?deadline ~retries:0 ~fallback ()
   in
+  let starved ?rop_kind fallback =
+    final_only ?rop_kind ~deadline:1e-6 fallback
+  in
+  let t0 = Unix.gettimeofday () in
   let results, summary = Engine.run (starved Engine.Use_heuristic) specs in
+  let wall = Unix.gettimeofday () -. t0 in
   Alcotest.(check int) "every spec rescued" 4 summary.Engine.fallbacks;
+  Alcotest.(check bool)
+    (Printf.sprintf "the starved batch ends within its second (%.2fs)" wall)
+    true (wall < 1.0);
   Array.iter
     (fun r ->
       check_circuit r;
+      Alcotest.(check bool)
+        (Spec.name r.Engine.spec ^ ": the baseline stands in past the deadline")
+        true
+        (r.Engine.provenance = Engine.Via_baseline);
       match r.Engine.circuit with
       | Some c ->
         Alcotest.(check bool)
@@ -292,6 +306,16 @@ let test_fallback_rule () =
           true (C.final_taps_only c)
       | None -> ())
     results;
+  (* without a deadline the heuristic runs, and its circuit for 0x3cc3,
+     which taps a leg mid-way, gives way to the baseline *)
+  (match Engine.fallback (final_only Engine.Use_heuristic) specs.(3) with
+   | Some (c, provenance) ->
+     Alcotest.(check bool) "3cc3 verifies" true
+       (C.realizes c specs.(3) = Ok ());
+     Alcotest.(check bool) "3cc3 keeps final taps" true (C.final_taps_only c);
+     Alcotest.(check bool) "3cc3: the heuristic gives way to the baseline" true
+       (provenance = Engine.Via_baseline)
+   | None -> Alcotest.fail "3cc3: no fallback circuit");
   List.iter
     (fun fallback ->
       let results, summary =
