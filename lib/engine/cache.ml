@@ -51,16 +51,23 @@ type class_answer = {
   a_effort : int;
 }
 
+(* Probe counts. Every count is made under the cache's mutex. *)
+type tally = {
+  mutable t_hits : int;
+  mutable t_misses : int;
+  mutable t_stale : int;
+  mutable t_atlas_hits : int;
+}
+
+let tally () = { t_hits = 0; t_misses = 0; t_stale = 0; t_atlas_hits = 0 }
+
 type t = {
   table : (string, entry) Hashtbl.t;
   mutex : Mutex.t;
   path : string option;
   load_result : load;
   mutable dirty : bool;  (* an entry was added since the file was written *)
-  mutable hits : int;
-  mutable misses : int;
-  mutable stale : int;
-  mutable atlas_hits : int;
+  shared : tally;  (* every probe since the last [reset_counters] *)
   mutable atlas : (class_query -> class_answer option) option;
   mutable atlas_name : string option;
 }
@@ -122,10 +129,7 @@ let create ?path () =
       (match load_result with
        | Invalid_version _ | Corrupt _ | Salvaged _ -> true
        | Fresh | Loaded _ | Unreadable _ -> false);
-    hits = 0;
-    misses = 0;
-    stale = 0;
-    atlas_hits = 0;
+    shared = tally ();
     atlas = None;
     atlas_name = None;
   }
@@ -176,25 +180,32 @@ let key (cfg : Encode.config) spec =
     (Spec.outputs spec);
   Buffer.contents b
 
-let find t ~timeout k =
+(* Count one probe in the shared counters and in the caller's [tally];
+   the caller holds the mutex. *)
+let count t tally bump =
+  bump t.shared;
+  Option.iter bump tally
+
+let find ?tally t ~timeout k =
+  let count = count t tally in
   Mutex.protect t.mutex (fun () ->
       match Hashtbl.find_opt t.table k with
       | None ->
-        t.misses <- t.misses + 1;
+        count (fun c -> c.t_misses <- c.t_misses + 1);
         None
       | Some e -> (
         match e.attempt.Synth.verdict with
         | Synth.Sat _ | Synth.Unsat ->
-          t.hits <- t.hits + 1;
+          count (fun c -> c.t_hits <- c.t_hits + 1);
           Some e.attempt
         | Synth.Timeout ->
           if e.budget >= timeout then begin
-            t.hits <- t.hits + 1;
+            count (fun c -> c.t_hits <- c.t_hits + 1);
             Some e.attempt
           end
           else begin
             (* known only up to a smaller budget: must re-solve *)
-            t.stale <- t.stale + 1;
+            count (fun c -> c.t_stale <- c.t_stale + 1);
             None
           end))
 
@@ -212,7 +223,7 @@ let set_atlas t ~name f =
 
 let atlas_name t = Mutex.protect t.mutex (fun () -> t.atlas_name)
 
-let find_class t q =
+let find_class ?tally t q =
   match Mutex.protect t.mutex (fun () -> t.atlas) with
   | None -> None
   | Some f -> (
@@ -221,7 +232,8 @@ let find_class t q =
     match f q with
     | None -> None
     | Some _ as a ->
-      Mutex.protect t.mutex (fun () -> t.atlas_hits <- t.atlas_hits + 1);
+      Mutex.protect t.mutex (fun () ->
+          count t tally (fun c -> c.t_atlas_hits <- c.t_atlas_hits + 1));
       a)
 
 (* ---- persistence ----------------------------------------------------- *)
@@ -242,22 +254,21 @@ let flush t =
 
 let save_with_version t v = Mutex.protect t.mutex (fun () -> save_locked t v)
 
-let counters t =
-  Mutex.protect t.mutex (fun () ->
-      {
-        hits = t.hits;
-        misses = t.misses;
-        stale = t.stale;
-        atlas_hits = t.atlas_hits;
-        entries = Hashtbl.length t.table;
-      })
+let counters_of t c =
+  { hits = c.t_hits; misses = c.t_misses; stale = c.t_stale;
+    atlas_hits = c.t_atlas_hits; entries = Hashtbl.length t.table }
+
+let counters t = Mutex.protect t.mutex (fun () -> counters_of t t.shared)
+
+let tally_counters t tally =
+  Mutex.protect t.mutex (fun () -> counters_of t tally)
 
 let reset_counters t =
   Mutex.protect t.mutex (fun () ->
-      t.hits <- 0;
-      t.misses <- 0;
-      t.stale <- 0;
-      t.atlas_hits <- 0)
+      t.shared.t_hits <- 0;
+      t.shared.t_misses <- 0;
+      t.shared.t_stale <- 0;
+      t.shared.t_atlas_hits <- 0)
 
 (* ---- offline inspection (never moves or modifies files) -------------- *)
 

@@ -89,9 +89,18 @@ val pp_load : Format.formatter -> load -> unit
     arity and output tables matter. *)
 val key : Mm_core.Encode.config -> Mm_boolfun.Spec.t -> string
 
-(** [find t ~timeout key] probes the overlay, updating hit/miss/stale
-    counters. *)
-val find : t -> timeout:float -> string -> Mm_core.Synth.attempt option
+(** A caller's own probe counts, kept apart from the cache's shared
+    counters: {!find} and {!find_class} count a probe in both. A batch run
+    and a daemon's lookup that overlap on one cache each read their own
+    probes from their tally, which no other caller resets. *)
+type tally
+
+val tally : unit -> tally
+
+(** [find ?tally t ~timeout key] probes the overlay, counting a hit, miss
+    or stale probe in the shared counters and in [tally]. *)
+val find :
+  ?tally:tally -> t -> timeout:float -> string -> Mm_core.Synth.attempt option
 
 (** [add t ~timeout key attempt] records in the overlay (replacing any
     previous entry). *)
@@ -103,8 +112,15 @@ val add : t -> timeout:float -> string -> Mm_core.Synth.attempt -> unit
     memory-only. Raises [Sys_error] when [path] cannot be written. *)
 val flush : t -> unit
 
+(** The shared counters: every probe since the last {!reset_counters}, by
+    whichever caller made it. *)
 val counters : t -> counters
+
 val reset_counters : t -> unit
+
+(** A tally's counts, with the cache's current [entries]. *)
+val tally_counters : t -> tally -> counters
+
 val format_version : int
 
 (** {2 The atlas tier}
@@ -145,8 +161,9 @@ val set_atlas : t -> name:string -> (class_query -> class_answer option) -> unit
 val atlas_name : t -> string option
 
 (** Probe the atlas tier; [None] without an attached atlas (no counter
-    moves) or on an atlas miss. A hit bumps [atlas_hits]. *)
-val find_class : t -> class_query -> class_answer option
+    moves) or on an atlas miss. A hit bumps [atlas_hits], in the shared
+    counters and in [tally]. *)
+val find_class : ?tally:tally -> t -> class_query -> class_answer option
 
 (** {2 Offline inspection ([mmsynth cache info]/[cache gc])}
 
