@@ -1375,8 +1375,7 @@ let map_cmd =
         ("steps", Json.Int p.Stitch.steps);
         ("rops", Json.Int p.Stitch.rops) ]
   in
-  let xbar_report ~stats ~json ~rows ~ports spec (r : Stitch.result)
-      (xr : Xstitch.result) =
+  let xbar_report ~stats ~json ~rows ~ports spec (xr : Xstitch.result) =
     let xst = xr.Xstitch.stitch in
     let sc = xr.Xstitch.sched in
     let p = sc.Xsched.place in
@@ -1401,8 +1400,9 @@ let map_cmd =
     Printf.printf "simulator validation: %d/%d rows correct\n"
       (n_rows_spec - List.length failures)
       n_rows_spec;
-    (* and cross-check the two backends row by row *)
-    let plan = Schedule.plan r.Stitch.stitched.Stitch.circuit in
+    (* and cross-check it row by row against the 1D lowering of the same
+       cover *)
+    let plan = Schedule.plan xst.Stitch.stitched.Stitch.circuit in
     let disagree = ref [] in
     for input = n_rows_spec - 1 downto 0 do
       let line = Schedule.execute plan ~input () in
@@ -1558,14 +1558,13 @@ let map_cmd =
           ~taps:E.Final_only ?cache ()
       in
       let compile () =
-        let r = Stitch.compile ~k ~cut_limit ~passes cfg spec in
         match target with
         | `Xbar ->
           `Xbar
-            ( r,
-              Xstitch.compile ~k ~cut_limit ~passes ~rows ~ports
-                ~polish:(not no_polish) cfg spec )
+            (Xstitch.compile ~k ~cut_limit ~passes ~rows ~ports
+               ~polish:(not no_polish) cfg spec)
         | `Line ->
+          let r = Stitch.compile ~k ~cut_limit ~passes cfg spec in
           `Line
             ( r,
               if resyn then
@@ -1580,9 +1579,9 @@ let map_cmd =
       match compile () with
       | exception (Invalid_argument msg | Failure msg) ->
         fail exit_check_failed "%s" msg
-      | `Xbar (r, xr) ->
+      | `Xbar xr ->
         Option.iter Cache.flush cache;
-        xbar_report ~stats ~json ~rows ~ports spec r xr
+        xbar_report ~stats ~json ~rows ~ports spec xr
       | `Line (r, resyn_t) ->
         Option.iter Cache.flush cache;
         line_target ~stats ~dot ~json spec r resyn_t

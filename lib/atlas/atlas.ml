@@ -158,7 +158,7 @@ let find t ~mode ~rop_kind ~taps f =
    is one table lookup plus a check that the stored circuit realizes the
    target, so a stale or foreign record is a miss the solver answers. *)
 let attach t cache =
-  Cache.set_atlas cache ~name:t.path (fun q ->
+  Cache.set_atlas cache (fun q ->
       if Spec.output_count q.Cache.q_spec <> 1 then None
       else
         let f = Spec.output q.Cache.q_spec 0 in

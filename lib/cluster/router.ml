@@ -368,22 +368,34 @@ let attributed (o : outcome) = function
           ])
   | j -> j
 
+(* A routed request's reply: the shard's, attributed; [unavailable] when no
+   shard answered. *)
+let routed t spec params =
+  match synth ~params t spec with
+  | Ok ({ reply = Wire.Result j; _ } as o) -> Wire.Result (attributed o j)
+  | Ok { reply; _ } -> reply
+  | Error msg ->
+      Wire.Err
+        {
+          Wire.code = Wire.Unavailable;
+          msg = "cluster: " ^ msg;
+          retry_after_s = Some 0.25;
+        }
+  | exception e ->
+      Wire.Err
+        {
+          Wire.code = Wire.Internal;
+          msg = Printexc.to_string e;
+          retry_after_s = None;
+        }
+
 let handlers t =
   {
-    (* every request is a shard round trip: none is answered at once *)
-    Server.lookup = (fun _ _ -> None);
-    synth =
-      (fun spec params ->
-        match synth ~params t spec with
-        | Ok ({ reply = Wire.Result j; _ } as o) -> Wire.Result (attributed o j)
-        | Ok { reply; _ } -> reply
-        | Error msg ->
-            Wire.Err
-              {
-                Wire.code = Wire.Unavailable;
-                msg = "cluster: " ^ msg;
-                retry_after_s = Some 0.25;
-              });
+    (* a shard round trip blocks, so each request runs in a thread of its
+       own, which answers *)
+    Server.synth =
+      (fun spec params answer ->
+        ignore (Thread.create (fun () -> answer (routed t spec params)) ()));
     stats = (fun () -> stats_json t);
     health =
       (fun () ->

@@ -98,9 +98,9 @@ val probe_once : t -> unit
 val stats_json : t -> Json.t
 
 (** The router's verbs for {!Mm_serve.Server.start}/[run], which make it a
-    daemon speaking the single-daemon wire protocol: [lookup] answers
-    nothing at once (every request is a shard round trip), [synth] goes
-    through {!synth}, and a result gains a ["cluster"] object —
+    daemon speaking the single-daemon wire protocol: [synth] goes through
+    {!synth} in a thread it starts for the request (a shard round trip
+    blocks), and a result gains a ["cluster"] object —
     [{"shard", "failover", "attempts"}] — attributing the answer (no shard
     answering at all is [unavailable]); [stats] is {!stats_json}; [health]
     adds [role: "router"] and [n_shards]. A wire [shutdown] drains the

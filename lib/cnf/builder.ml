@@ -86,9 +86,6 @@ let define_andn t lits =
     add t (z :: List.map Lit.negate lits);
     z
 
-let define_orn t lits =
-  Lit.negate (define_andn t (List.map Lit.negate lits))
-
 let implies_clause t antecedent cs =
   add t (List.map Lit.negate antecedent @ cs)
 

@@ -46,8 +46,6 @@ val define_xor : t -> Lit.t -> Lit.t -> Lit.t
 (** [define_andn t lits] is the n-ary conjunction. *)
 val define_andn : t -> Lit.t list -> Lit.t
 
-val define_orn : t -> Lit.t list -> Lit.t
-
 (** {2 Constraint helpers} *)
 
 (** [implies_clause t antecedent cs]: [a1 ∧ ... ∧ ak → (c1 ∨ ... ∨ cm)]. *)

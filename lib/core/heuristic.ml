@@ -25,7 +25,7 @@ let pick_split_var tt =
     List.fold_left (fun best v -> if score v < score best then v else best) first rest
 
 (* synthesize one leaf block exactly on its projected support *)
-let leaf_circuit ~timeout_per_block ~counters tt =
+let leaf_circuit ~taps ~timeout_per_block ~counters tt =
   let n = Tt.arity tt in
   let vars = Tt.support tt in
   match vars with
@@ -51,7 +51,7 @@ let leaf_circuit ~timeout_per_block ~counters tt =
     let max_rops = Baseline.nor_count spec in
     let try_dims ~n_rops ~steps =
       let cfg =
-        Encode.config ~taps:Encode.Any_vop
+        Encode.config ~taps
           ~n_legs:(max 1 (n_rops + 1))
           ~steps_per_leg:steps ~n_rops ()
       in
@@ -87,8 +87,8 @@ let leaf_circuit ~timeout_per_block ~counters tt =
     Compose.rename_vars sub ~arity:n ~mapping:(Array.of_list vars)
 
 (* a node is a circuit over the full arity with exactly one output *)
-let rec node ~block_arity ~timeout_per_block ~cache ~counters ~cache_hits
-    ~mux_count tt =
+let rec node ~taps ~block_arity ~timeout_per_block ~cache ~counters
+    ~cache_hits ~mux_count tt =
   let key = Tt.to_string tt in
   match Hashtbl.find_opt cache key with
   | Some c ->
@@ -97,18 +97,18 @@ let rec node ~block_arity ~timeout_per_block ~cache ~counters ~cache_hits
   | None ->
     let circuit =
       if List.length (Tt.support tt) <= block_arity then
-        leaf_circuit ~timeout_per_block ~counters tt
+        leaf_circuit ~taps ~timeout_per_block ~counters tt
       else begin
         let v = pick_split_var tt in
         let f0 = Tt.cofactor tt v false in
         let f1 = Tt.cofactor tt v true in
         let c0 =
-          node ~block_arity ~timeout_per_block ~cache ~counters ~cache_hits
-            ~mux_count f0
+          node ~taps ~block_arity ~timeout_per_block ~cache ~counters
+            ~cache_hits ~mux_count f0
         in
         let c1 =
-          node ~block_arity ~timeout_per_block ~cache ~counters ~cache_hits
-            ~mux_count f1
+          node ~taps ~block_arity ~timeout_per_block ~cache ~counters
+            ~cache_hits ~mux_count f1
         in
         let shell, remaps = Compose.merge_parallel [ c0; c1 ] in
         let r0, r1 =
@@ -130,14 +130,15 @@ let rec node ~block_arity ~timeout_per_block ~cache ~counters ~cache_hits
     Hashtbl.replace cache key circuit;
     circuit
 
-let synthesize ?(block_arity = 4) ?(timeout_per_block = 20.) spec =
+let synthesize ?(taps = Encode.Any_vop) ?(block_arity = 4)
+    ?(timeout_per_block = 20.) spec =
   if block_arity < 1 then invalid_arg "Heuristic.synthesize: block_arity < 1";
   let cache = Hashtbl.create 64 in
   let exact_counter = ref 0 and fallback_counter = ref 0 in
   let mux_count = ref 0 in
   let cache_hits = ref 0 in
   let node_cached tt =
-    node ~block_arity ~timeout_per_block ~cache
+    node ~taps ~block_arity ~timeout_per_block ~cache
       ~counters:(exact_counter, fallback_counter)
       ~cache_hits ~mux_count tt
   in

@@ -21,7 +21,14 @@ type stats = {
 }
 
 (** [synthesize spec] returns a verified circuit and flow statistics.
+    @param taps where the leaf blocks may tap their legs (default
+      [Any_vop]); merging keeps a block's final taps final, so under
+      [Final_only] the whole circuit taps final steps only
     @param block_arity maximum support of a leaf block (default 4)
     @param timeout_per_block SAT budget per distinct leaf (default 20 s) *)
 val synthesize :
-  ?block_arity:int -> ?timeout_per_block:float -> Spec.t -> Circuit.t * stats
+  ?taps:Encode.taps ->
+  ?block_arity:int ->
+  ?timeout_per_block:float ->
+  Spec.t ->
+  Circuit.t * stats

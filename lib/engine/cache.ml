@@ -69,7 +69,6 @@ type t = {
   mutable dirty : bool;  (* an entry was added since the file was written *)
   shared : tally;  (* every probe since the last [reset_counters] *)
   mutable atlas : (class_query -> class_answer option) option;
-  mutable atlas_name : string option;
 }
 
 (* Records are [Record_file] frames whose payload is (key, entry). *)
@@ -131,7 +130,6 @@ let create ?path () =
        | Fresh | Loaded _ | Unreadable _ -> false);
     shared = tally ();
     atlas = None;
-    atlas_name = None;
   }
 
 let load_result t = t.load_result
@@ -216,12 +214,7 @@ let add t ~timeout k attempt =
 
 (* ---- the atlas hook -------------------------------------------------- *)
 
-let set_atlas t ~name f =
-  Mutex.protect t.mutex (fun () ->
-      t.atlas <- Some f;
-      t.atlas_name <- Some name)
-
-let atlas_name t = Mutex.protect t.mutex (fun () -> t.atlas_name)
+let set_atlas t f = Mutex.protect t.mutex (fun () -> t.atlas <- Some f)
 
 let find_class ?tally t q =
   match Mutex.protect t.mutex (fun () -> t.atlas) with

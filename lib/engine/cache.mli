@@ -154,11 +154,8 @@ type class_answer = {
   a_effort : int;
 }
 
-(** Attach an atlas lookup (replacing any previous one). [name] is
-    reported by {!atlas_name} for stats/logs. *)
-val set_atlas : t -> name:string -> (class_query -> class_answer option) -> unit
-
-val atlas_name : t -> string option
+(** Attach an atlas lookup (replacing any previous one). *)
+val set_atlas : t -> (class_query -> class_answer option) -> unit
 
 (** Probe the atlas tier; [None] without an attached atlas (no counter
     moves) or on an atlas miss. A hit bumps [atlas_hits], in the shared

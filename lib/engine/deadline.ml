@@ -32,5 +32,3 @@ let claim t =
         else Some (Float.min t.default_per_call share))
 
 let finish t = Mutex.protect t.mutex (fun () -> t.pending <- max 0 (t.pending - 1))
-
-let restore t n = Mutex.protect t.mutex (fun () -> t.pending <- t.pending + max 0 n)

@@ -30,9 +30,6 @@ val claim : t -> float option
     remaining time among one fewer instance. *)
 val finish : t -> unit
 
-(** Re-register [n] instances (retry rounds put crashed jobs back). *)
-val restore : t -> int -> unit
-
 (** Seconds until the deadline ([None] = unbounded). May be negative. *)
 val remaining : t -> float option
 

@@ -232,7 +232,9 @@ let fallback ?(r_only = false) ?deadline (cfg : config) spec =
       in
       match
         verified Via_heuristic (fun () ->
-            fst (Heuristic.synthesize ~timeout_per_block:per_block spec))
+            fst
+              (Heuristic.synthesize ~taps:cfg.taps ~timeout_per_block:per_block
+                 spec))
       with
       | Some _ as h -> h
       | None -> baseline ()))

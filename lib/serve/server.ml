@@ -37,8 +37,7 @@ let config ?tcp_port ?(engine = Engine.config ()) ?(max_pending = 64)
   }
 
 type handlers = {
-  lookup : Spec.t -> Wire.synth_params -> Wire.reply option;
-  synth : Spec.t -> Wire.synth_params -> Wire.reply;
+  synth : Spec.t -> Wire.synth_params -> (Wire.reply -> unit) -> unit;
   stats : unit -> Json.t;
   health : unit -> (string * Json.t) list;
 }
@@ -47,7 +46,7 @@ type job = {
   spec : Spec.t;
   params : Wire.synth_params;
   enqueued_at : float;
-  mutable reply : Wire.reply option;
+  answer : Wire.reply -> unit;
 }
 
 type t = {
@@ -56,12 +55,13 @@ type t = {
   stats : Stats.t;
   m : Mutex.t;
   work : Condition.t;  (* queue became non-empty, or the daemon stopped *)
-  done_ : Condition.t;  (* a job got its reply, a drain began, or stopped *)
+  drain : Condition.t;  (* a drain began, or the daemon stopped *)
   queue : job Queue.t;
+  mutable running : job list;  (* the dispatcher's micro-batch *)
   mutable draining : bool;
   mutable stopped : bool;
   mutable conns : int;
-  mutable inflight : int;  (* frames read and not yet answered *)
+  inflight : int Atomic.t;  (* frames read and not yet answered *)
   mutable next_conn : int;
   mutable conn_threads : Thread.t list;
   (* self-pipes: written once, never drained, so every select sees them *)
@@ -90,7 +90,7 @@ let request_drain t =
         if t.draining then false
         else begin
           t.draining <- true;
-          Condition.broadcast t.done_;
+          Condition.broadcast t.drain;
           true
         end)
   in
@@ -114,33 +114,39 @@ let close_listeners t =
   if fds <> [] then
     try Sys.remove t.cfg.socket_path with Sys_error _ -> ()
 
-(* Mark the daemon stopped and tell every thread: the dispatcher abandons
-   its queue, parked waiters unwind, readers stop reading. [true] for the
-   call that did it. *)
+let unavailable msg =
+  Wire.Err { Wire.code = Wire.Unavailable; msg; retry_after_s = None }
+
+(* Mark the daemon stopped and tell every thread: the dispatcher stops,
+   readers stop reading, and the queued jobs and the running micro-batch
+   are answered [unavailable] (a job the batch answers later keeps that
+   first answer). [true] for the call that did it. *)
 let halt t =
-  let fresh =
+  let abandoned =
     Mutex.protect t.m (fun () ->
-        if t.stopped then false
+        if t.stopped then None
         else begin
           t.draining <- true;
           t.stopped <- true;
+          let jobs = List.of_seq (Queue.to_seq t.queue) @ t.running in
           Queue.clear t.queue;
           Condition.broadcast t.work;
-          Condition.broadcast t.done_;
-          true
+          Condition.broadcast t.drain;
+          Some jobs
         end)
   in
-  if fresh then begin
+  match abandoned with
+  | None -> false
+  | Some jobs ->
     ignore (Unix.write t.drain_w (Bytes.of_string "d") 0 1);
-    ignore (Unix.write t.close_w (Bytes.of_string "c") 0 1)
-  end;
-  fresh
+    ignore (Unix.write t.close_w (Bytes.of_string "c") 0 1);
+    List.iter (fun (j : job) -> j.answer (unavailable "daemon stopped")) jobs;
+    true
 
-(* Abrupt death — the simulated shard crash. No drain: queued jobs are
-   abandoned (their waiters are answered [unavailable] so connection
-   threads can unwind), listeners close immediately, and every thread is
-   told to exit. Used by the fault plan's [Kill] action and by the storm
-   harness to kill a shard mid-run. *)
+(* Abrupt death — the simulated shard crash. No drain: queued and running
+   jobs are answered [unavailable], listeners close immediately, and every
+   thread is told to exit. Used by the fault plan's [Kill] action and by
+   the storm harness to kill a shard mid-run. *)
 let die t =
   if halt t then begin
     log t "killed (abrupt, no drain)";
@@ -231,10 +237,9 @@ let deadline_exceeded ~waited =
    at the daemon's) and requested deadline — so no request runs under a
    neighbour's smaller timeout or shorter deadline. Requests with default
    parameters form one group. A group's deadline runs to the soonest expiry
-   among its members, and its replies are delivered as soon as it ends. *)
+   among its members, and its jobs are answered as soon as it ends. *)
 let process_batch t jobs =
   let now = Unix.gettimeofday () in
-  let deliver () = Mutex.protect t.m (fun () -> Condition.broadcast t.done_) in
   let expired, runnable =
     List.partition
       (fun (j : job) ->
@@ -246,9 +251,8 @@ let process_batch t jobs =
   List.iter
     (fun (j : job) ->
       Stats.observe_queue_wait t.stats (now -. j.enqueued_at);
-      j.reply <- Some (deadline_exceeded ~waited:(now -. j.enqueued_at)))
+      j.answer (deadline_exceeded ~waited:(now -. j.enqueued_at)))
     expired;
-  if expired <> [] then deliver ();
   let groups = Hashtbl.create 4 in
   List.iter
     (fun (j : job) ->
@@ -278,24 +282,21 @@ let process_batch t jobs =
            (fun i (j : job) ->
              Stats.observe_queue_wait t.stats (start -. j.enqueued_at);
              Stats.observe_synth t.stats summary.Engine.wall_s;
-             j.reply <-
-               Some
-                 (Wire.Result
-                    (result_json ~r:results.(i)
-                       ~queue_wait:(start -. j.enqueued_at)
-                       ~synth_s:summary.Engine.wall_s)))
+             j.answer
+               (Wire.Result
+                  (result_json ~r:results.(i)
+                     ~queue_wait:(start -. j.enqueued_at)
+                     ~synth_s:summary.Engine.wall_s)))
            group
        | exception e ->
          let msg = Printexc.to_string e in
          log t "engine batch failed: %s" msg;
          Array.iter
            (fun (j : job) ->
-             j.reply <-
-               Some
-                 (Wire.Err
-                    { Wire.code = Wire.Internal; msg; retry_after_s = None }))
-           group);
-      deliver ())
+             j.answer
+               (Wire.Err
+                  { Wire.code = Wire.Internal; msg; retry_after_s = None }))
+           group))
     groups
 
 (* Batches the queue until the daemon stops. A drain needs nothing from
@@ -314,58 +315,58 @@ let dispatcher_loop t =
         batch := Queue.pop t.queue :: !batch
       done;
       let batch = List.rev !batch in
+      t.running <- batch;
       Mutex.unlock t.m;
       process_batch t batch;
+      Mutex.protect t.m (fun () -> t.running <- []);
       loop ()
     end
   in
   loop ()
 
-(* The engine's answer at once, on the connection's reader: a request
-   whose deadline is already gone is refused as the dispatcher would refuse
-   it, and one that [Engine.lookup] resolves without a solver (an atlas or
-   overlay hit under the request's effective parameters) is answered with
-   no queue wait. Anything else is [None]: the admission queue's. *)
-let lookup_synth t spec params =
+(* Admission: a full queue sheds the job [overloaded], a stopped daemon
+   refuses it; otherwise the dispatcher answers it. *)
+let admit t (job : job) =
+  let refusal =
+    Mutex.protect t.m (fun () ->
+        if Queue.length t.queue >= t.cfg.max_pending then
+          Some
+            (Wire.Err
+               { Wire.code = Wire.Overloaded;
+                 msg = Printf.sprintf "pending queue full (%d jobs)" t.cfg.max_pending;
+                 retry_after_s = Some 1.0 })
+        else if t.stopped then Some (unavailable "daemon stopped")
+        else begin
+          Queue.push job t.queue;
+          Condition.signal t.work;
+          None
+        end)
+  in
+  Option.iter job.answer refusal
+
+(* The engine's [synth], on the connection's reader: a request whose
+   deadline is already gone is refused as the dispatcher would refuse it,
+   and one that [Engine.lookup] resolves without a solver (an atlas or
+   overlay hit under the request's effective parameters) is answered at
+   once, with no queue wait. Anything else is admitted to the queue. *)
+let engine_synth t spec params answer =
   match effective t params with
   | _, _, Some d when d <= 0. ->
     Stats.observe_queue_wait t.stats 0.;
-    Some (deadline_exceeded ~waited:0.)
-  | fallback, timeout_per_call, deadline ->
-    Engine.lookup
-      { t.cfg.engine with Engine.timeout_per_call; fallback; deadline }
-      spec
-    |> Option.map (fun (r, summary) ->
-           Stats.note_inline t.stats summary;
-           Wire.Result
-             (result_json ~r ~queue_wait:0. ~synth_s:summary.Engine.wall_s))
-
-(* Admission + synchronous wait for the dispatcher's reply. *)
-let submit_synth t spec params =
-  let job =
-    { spec; params; enqueued_at = Unix.gettimeofday (); reply = None }
-  in
-  Mutex.protect t.m (fun () ->
-      if Queue.length t.queue >= t.cfg.max_pending then
-        Wire.Err
-          { Wire.code = Wire.Overloaded;
-            msg = Printf.sprintf "pending queue full (%d jobs)" t.cfg.max_pending;
-            retry_after_s = Some 1.0 }
-      else begin
-        if not t.stopped then begin
-          Queue.push job t.queue;
-          Condition.signal t.work
-        end;
-        while job.reply = None && not t.stopped do
-          Condition.wait t.done_ t.m
-        done;
-        match job.reply with
-        | Some r -> r
-        | None ->
-          Wire.Err
-            { Wire.code = Wire.Unavailable; msg = "daemon stopped";
-              retry_after_s = None }
-      end)
+    answer (deadline_exceeded ~waited:0.)
+  | fallback, timeout_per_call, deadline -> (
+    match
+      Engine.lookup
+        { t.cfg.engine with Engine.timeout_per_call; fallback; deadline }
+        spec
+    with
+    | Some (r, summary) ->
+      Stats.note_inline t.stats summary;
+      answer
+        (Wire.Result
+           (result_json ~r ~queue_wait:0. ~synth_s:summary.Engine.wall_s))
+    | None ->
+      admit t { spec; params; enqueued_at = Unix.gettimeofday (); answer })
 
 let engine_stats t =
   let queue_depth, conns, draining =
@@ -384,8 +385,7 @@ let handlers t =
   | Some h -> h
   | None ->
     {
-      lookup = lookup_synth t;
-      synth = submit_synth t;
+      synth = engine_synth t;
       stats = (fun () -> engine_stats t);
       health =
         (fun () ->
@@ -407,17 +407,13 @@ let op_tag = function
 (* A reply frame, plus its error code when it is an error. *)
 type reply = Json.t * Wire.error_code option
 
-(* Where one frame is answered: [Now] on the connection's reader, or
-   [Later] in a handler thread of its own, where the call may block. *)
-type route = Now of reply | Later of (unit -> reply)
-
-(* Decode one frame and route it. [ping], [health], [shutdown], a frame
-   that does not decode and every [synth] the handlers' [lookup] answers
-   are [Now]; [stats] and the other [synth]s are [Later]. An exception
-   answers its frame [internal] and leaves the connection open. A
-   [shutdown] starts the drain before its reply is written: the frame is
-   still in flight, so the drain cannot close the connection under it. *)
-let route t payload =
+(* Decode one frame and answer it through [answer]: [ping], [health],
+   [stats], [shutdown] and a frame that does not decode at once, a [synth]
+   through the handlers' [synth], at once or later. An exception answers
+   the frame [internal] and leaves the connection open. A [shutdown] starts
+   the drain before its reply is written: the frame is still in flight, so
+   the drain cannot close the connection under it. *)
+let serve_frame t payload (answer : reply -> unit) =
   let decoded =
     match Json.of_string payload with
     | Error msg -> Error (0, msg)
@@ -425,53 +421,41 @@ let route t payload =
   in
   match decoded with
   | Error (id, msg) ->
-    Now
+    answer
       ( Wire.error_json ~id
           { Wire.code = Wire.Bad_request; msg; retry_after_s = None },
         Some Wire.Bad_request )
   | Ok (id, req) -> (
     let h = handlers t in
-    let ok j = (Wire.ok_json ~id j, None) in
-    let of_reply = function
-      | Wire.Result r -> ok r
-      | Wire.Err e -> (Wire.error_json ~id e, Some e.Wire.code)
+    let reply = function
+      | Wire.Result r -> answer (Wire.ok_json ~id r, None)
+      | Wire.Err e -> answer (Wire.error_json ~id e, Some e.Wire.code)
     in
-    let internal e =
-      of_reply
-        (Wire.Err
-           { Wire.code = Wire.Internal; msg = Printexc.to_string e;
-             retry_after_s = None })
-    in
-    let later f = Later (fun () -> try f () with e -> internal e) in
+    let ok j = reply (Wire.Result j) in
     Stats.note_request t.stats ~op:(op_tag req);
     try
       match req with
-      | Wire.Ping -> Now (ok (Json.Obj [ ("pong", Json.Bool true) ]))
-      | Wire.Stats -> later (fun () -> ok (h.stats ()))
+      | Wire.Ping -> ok (Json.Obj [ ("pong", Json.Bool true) ])
+      | Wire.Stats -> ok (h.stats ())
       | Wire.Health ->
-        Now
-          (ok
-             (Json.Obj
-                ([ ( "status",
-                     Json.String (if draining t then "draining" else "ok") );
-                   ("shard", Json.String (shard_id t));
-                   ("protocol_version", Json.Int Wire.protocol_version);
-                   ("uptime_s", Json.Float (Stats.uptime_s t.stats)) ]
-                @ h.health ())))
+        ok
+          (Json.Obj
+             ([ ( "status",
+                  Json.String (if draining t then "draining" else "ok") );
+                ("shard", Json.String (shard_id t));
+                ("protocol_version", Json.Int Wire.protocol_version);
+                ("uptime_s", Json.Float (Stats.uptime_s t.stats)) ]
+             @ h.health ()))
       | Wire.Shutdown ->
         request_drain t;
-        Now (ok (Json.Obj [ ("draining", Json.Bool true) ]))
-      | Wire.Synth _ when draining t ->
-        Now
-          (of_reply
-             (Wire.Err
-                { Wire.code = Wire.Unavailable; msg = "daemon is draining";
-                  retry_after_s = None }))
-      | Wire.Synth { spec; params } -> (
-        match h.lookup spec params with
-        | Some r -> Now (of_reply r)
-        | None -> later (fun () -> of_reply (h.synth spec params)))
-    with e -> Now (internal e))
+        ok (Json.Obj [ ("draining", Json.Bool true) ])
+      | Wire.Synth _ when draining t -> reply (unavailable "daemon is draining")
+      | Wire.Synth { spec; params } -> h.synth spec params reply
+    with e ->
+      reply
+        (Wire.Err
+           { Wire.code = Wire.Internal; msg = Printexc.to_string e;
+             retry_after_s = None }))
 
 (* Whether a write to [fd] would find room at once. A reply frame is a few
    KiB; a socket polls writable only with far more free than that. *)
@@ -481,91 +465,87 @@ let writable fd =
   | _ -> true
   | exception Unix.Unix_error _ -> false
 
-(* One reader loop per connection. The reader answers every frame it can
-   at once itself; the rest (see [route]) and every frame with an injected
-   [Fault.Delay] get a handler thread of their own, which writes its reply
-   under the connection's write mutex. Replies are matched by frame id, not
-   by order, so a pipelined client can keep several requests in flight on
-   one connection, and neither a queued synthesis nor a delay stalls the
-   frames behind it. The reader itself never blocks in a write: it writes
-   a reply only while the socket has room and no earlier reply waits;
-   otherwise the reply joins the connection's backlog, which one writer
-   thread drains. So a client that writes many frames before it reads any
-   reply is still read, as it would be with a handler thread per frame. A
-   failed write drops the connection: a frame cut short leaves the stream
-   without a boundary to resume from. Each frame counts as in flight, for
-   the drain, from the moment it is read until its reply is written. The
-   reader waits for its handler and writer threads before closing the fd
-   (a write to a closed-and-reused descriptor could hit an unrelated
+(* [f] for its first call only. *)
+let once f =
+  let called = Atomic.make false in
+  fun x -> if Atomic.compare_and_set called false true then f x
+
+(* One reader thread per connection. It reads each frame and serves it with
+   the frame's answer, a continuation that any thread may call, at once or
+   later; only its first call is written. Replies are matched by frame id,
+   not by order, so a pipelined client keeps several requests in flight on
+   one connection, and neither a queued synthesis nor an injected
+   [Fault.Delay] (served in a thread of its own after its sleep) stalls the
+   frames behind it. Every answer takes one path: it is written at once
+   while the socket has room and no earlier reply waits; otherwise it joins
+   the connection's backlog, which one writer thread drains. So no thread
+   that answers blocks in a write, and a client that writes many frames
+   before it reads any reply is still read. A failed write drops the
+   connection: a frame cut short leaves the stream without a boundary to
+   resume from. Each frame counts as in flight, for the drain, from the
+   moment it is read until its reply is written. The reader closes the fd
+   only once every frame it read is answered and its reply written (a
+   write to a closed-and-reused descriptor could hit an unrelated
    socket). *)
 let conn_loop t fd conn_id =
   let reqs = ref 0 in
-  let wm = Mutex.create () in  (* one frame write at a time *)
-  let broken = ref false in  (* a write failed; under [wm] *)
-  let im = Mutex.create () in
-  let idle = Condition.create () in
-  let threads = ref 0 in  (* handler and writer threads still running *)
-  let backlog = Queue.create () in  (* replies the reader left; under [im] *)
+  let m = Mutex.create () in  (* guards [pending], [backlog] and [writing] *)
+  let pending = ref 0 in  (* frames read whose reply is not yet written *)
+  let settled = Condition.create () in  (* [pending] dropped to 0 *)
+  let backlog = Queue.create () in  (* replies waiting for the writer *)
   let writing = ref false in  (* a writer thread drains [backlog] *)
-  let send t0 ((response, err) : reply) =
+  let broken = ref false in  (* a write failed; read by the writing thread *)
+  (* One thread writes at a time: one that holds [m] while no writer runs,
+     else the writer. *)
+  let put payload =
+    if not !broken then
+      match Wire.write_frame fd payload with
+      | Ok () -> ()
+      | Error _ ->
+        broken := true;
+        Stats.note_conn_dropped t.stats;
+        (try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
+  in
+  let written () =
+    Atomic.decr t.inflight;
+    decr pending;
+    if !pending = 0 then Condition.broadcast settled
+  in
+  let rec drain () =
+    let next =
+      Mutex.protect m (fun () ->
+          let next = Queue.take_opt backlog in
+          if next = None then writing := false;
+          next)
+    in
+    match next with
+    | Some payload ->
+      put payload;
+      Mutex.protect m written;
+      drain ()
+    | None -> ()
+  in
+  let answer t0 ((response, err) : reply) =
     (match err with
      | None -> Stats.note_reply_ok t.stats
      | Some code -> Stats.note_reply_err t.stats code);
     Stats.observe_total t.stats (Unix.gettimeofday () -. t0);
     let payload = Json.to_string response in
-    let failed =
-      Mutex.protect wm (fun () ->
-          (not !broken)
-          &&
-          match Wire.write_frame fd payload with
-          | Ok () -> false
-          | Error _ ->
-            broken := true;
-            true)
+    let start_writer =
+      Mutex.protect m (fun () ->
+          if (not !writing) && writable fd then begin
+            put payload;
+            written ();
+            false
+          end
+          else begin
+            Queue.push payload backlog;
+            let idle = not !writing in
+            writing := true;
+            idle
+          end)
     in
-    if failed then begin
-      Stats.note_conn_dropped t.stats;
-      try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ()
-    end;
-    Mutex.protect t.m (fun () -> t.inflight <- t.inflight - 1)
-  in
-  let spawn f =
-    Mutex.protect im (fun () -> incr threads);
-    ignore
-      (Thread.create
-         (fun () ->
-           f ();
-           Mutex.protect im (fun () ->
-               decr threads;
-               if !threads = 0 then Condition.broadcast idle))
-         ())
-  in
-  let rec drain () =
-    match
-      Mutex.protect im (fun () ->
-          match Queue.take_opt backlog with
-          | None ->
-            writing := false;
-            None
-          | some -> some)
-    with
-    | Some (t0, r) ->
-      send t0 r;
-      drain ()
-    | None -> ()
-  in
-  (* The reader's own replies. Only the reader fills the backlog, and a
-     non-empty backlog always has its writer. *)
-  let answer t0 r =
-    if (not (Mutex.protect im (fun () -> !writing))) && writable fd then
-      send t0 r
-    else if
-      Mutex.protect im (fun () ->
-          Queue.push (t0, r) backlog;
-          let start = not !writing in
-          writing := true;
-          start)
-    then spawn drain
+    if start_writer then ignore (Thread.create drain ())
   in
   let rec loop () =
     match Unix.select [ fd; t.close_r ] [] [] (-1.0) with
@@ -594,25 +574,24 @@ let conn_loop t fd conn_id =
             log t "conn%d: injected shard kill at %s" conn_id (key ());
             die t
           | (Some (Fault.Delay _ | Fault.Unknown_result) | None) as inj ->
-            let t0 = Unix.gettimeofday () in
-            Mutex.protect t.m (fun () -> t.inflight <- t.inflight + 1);
+            let reply = once (answer (Unix.gettimeofday ())) in
+            Atomic.incr t.inflight;
+            Mutex.protect m (fun () -> incr pending);
             (match inj with
              | Some (Fault.Delay s) ->
-               spawn (fun () ->
-                   Unix.sleepf s;
-                   send t0
-                     (match route t payload with Now r -> r | Later f -> f ()))
-             | _ -> (
-               match route t payload with
-               | Now r -> answer t0 r
-               | Later f -> spawn (fun () -> send t0 (f ()))));
+               ignore
+                 (Thread.create
+                    (fun () ->
+                      Unix.sleepf s;
+                      serve_frame t payload reply)
+                    ())
+             | _ -> serve_frame t payload reply);
             loop ()))
   in
   (try loop () with _ -> ());
-  (* let the handler and writer threads deliver (or fail) their replies *)
-  Mutex.protect im (fun () ->
-      while !threads > 0 do
-        Condition.wait idle im
+  Mutex.protect m (fun () ->
+      while !pending > 0 do
+        Condition.wait settled m
       done);
   (try Unix.close fd with Unix.Unix_error _ -> ());
   Mutex.protect t.m (fun () -> t.conns <- t.conns - 1)
@@ -724,12 +703,13 @@ let start ?handlers cfg =
           stats = Stats.create ();
           m = Mutex.create ();
           work = Condition.create ();
-          done_ = Condition.create ();
+          drain = Condition.create ();
           queue = Queue.create ();
+          running = [];
           draining = false;
           stopped = false;
           conns = 0;
-          inflight = 0;
+          inflight = Atomic.make 0;
           next_conn = 0;
           conn_threads = [];
           drain_r;
@@ -767,9 +747,9 @@ let wait t =
   let settle cond = while Mutex.protect t.m cond do Thread.delay 0.02 done in
   Mutex.protect t.m (fun () ->
       while not t.draining do
-        Condition.wait t.done_ t.m
+        Condition.wait t.drain t.m
       done);
-  settle (fun () -> t.inflight > 0 && not t.stopped);
+  settle (fun () -> Atomic.get t.inflight > 0 && not t.stopped);
   let t0 = Unix.gettimeofday () in
   settle (fun () ->
       t.conns > 0 && (not t.stopped)

@@ -15,52 +15,54 @@
     ([mmsynth cluster], whose verbs are [Mm_cluster.Router.handlers]):
 
     - One {e accept} thread per listener hands connections to per-connection
-      {e reader} threads. A reader decodes each frame once and answers
-      every frame it can at once itself: a frame that does not decode
-      ([bad_request]), [ping], [health], [shutdown], and every [synth] the
-      daemon's {!handlers} answer through [lookup]. Every other frame —
-      [stats], a [synth] that [lookup] passes on, and any frame with an
-      injected [Fault.Delay] — gets a handler thread of its own, which
-      computes the reply and writes it under the connection's write
-      mutex. Replies are matched by frame id, not arrival order, so a
-      pipelined {!Client} keeps several requests in flight on one
-      connection, and one slow (or fault-delayed) request never stalls the
-      others.
-    - The reader never blocks in a write: it writes its own reply, under
-      the same mutex, only while the socket polls writable and no earlier
-      reply of its waits; otherwise the reply joins the connection's
-      backlog, which one writer thread drains. So a client may write any
-      number of frames before it reads a reply. A failed write drops the
-      connection, as a frame cut short leaves no boundary to resume from.
+      {e reader} threads. A reader decodes each frame once and serves it
+      with the frame's {e answer}, a continuation any thread may call, at
+      once or later. It answers [ping], [health], [stats], [shutdown] and a
+      frame that does not decode ([bad_request]) in place, and hands every
+      [synth] to the daemon's {!handlers}. Replies are matched by frame id,
+      not arrival order, so a pipelined {!Client} keeps several requests in
+      flight on one connection, and one slow request never stalls the
+      others. A frame with an injected [Fault.Delay] is served in a thread
+      of its own after its sleep.
+    - Every reply takes one path: it is written at once while the socket
+      polls writable and no earlier reply waits; otherwise it joins the
+      connection's backlog, which one writer thread drains. So no thread
+      that answers — the reader, the dispatcher, a router thread — blocks
+      in a write, and a client may write any number of frames before it
+      reads a reply. Only a frame's first answer is written. A failed write
+      drops the connection, as a frame cut short leaves no boundary to
+      resume from.
     - Each frame counts as in flight, for the drain, from the moment it is
-      read until its reply is written. An exception while answering a
+      read until its reply is written; a reader closes its connection only
+      once every frame it read is answered. An exception while serving a
       frame answers it [internal]; the connection stays open.
 
-    The engine daemon's handlers answer at once what needs no solver, and
-    queue the rest for a dispatcher:
+    The engine daemon's [synth] takes three steps on the reader, and a
+    dispatcher answers what it queues:
 
-    - [lookup] is {!Mm_engine.Engine.lookup} under the request's effective
-      parameters (below): an atlas hit, or a minimization of at most 4
-      inputs whose every ladder point the warm cache's overlay already
-      holds, is answered on
-      the reader with no queue wait, the same reply the dispatcher would
-      give (counted [inline] in [stats]). A request whose deadline is
-      already ≤ 0 is refused [deadline_exceeded] there too. Under an
-      engine fault plan [Engine.lookup] answers nothing, so every
-      synthesis runs on the dispatcher, through every fault stage.
-    - Every other synthesis request passes {e admission control}: a bounded
-      pending queue of at most [max_pending] jobs (an inline answer never
-      counts against it). A full queue sheds the request with a typed
-      [overloaded] reply (plus [retry_after_s]) instead of queueing without
-      bound.
+    - A request whose deadline is already ≤ 0 is refused
+      [deadline_exceeded].
+    - {!Mm_engine.Engine.lookup} under the request's effective parameters
+      (below): an atlas hit, or a minimization of at most 4 inputs whose
+      every ladder point the warm cache's overlay already holds, is
+      answered at once with no queue wait, the same reply the dispatcher
+      would give (counted [inline] in [stats]). Under an engine fault plan
+      [Engine.lookup] answers nothing, so every synthesis runs on the
+      dispatcher, through every fault stage.
+    - Every other request passes {e admission control}: a bounded pending
+      queue of at most [max_pending] jobs. A full queue sheds the request
+      with a typed [overloaded] reply (plus [retry_after_s]) instead of
+      queueing without bound. A queued job holds no thread, only its
+      answer.
     - A single {e dispatcher} thread drains the queue in micro-batches of up
-      to [max_batch] jobs. Each request keeps its own budget: the jobs of a
-      micro-batch that share their effective fallback, per-call timeout
-      (the request's, capped at [engine]'s) and requested deadline (the
-      request's, else [default_deadline]) go to one
-      {!Mm_engine.Engine.run} call, so they share one Domain pool spin-up
-      and NPN-deduplicate against each other through the shared warm cache;
-      default-parameter requests all share one call.
+      to [max_batch] jobs and answers each job when its group ends. Each
+      request keeps its own budget: the jobs of a micro-batch that share
+      their effective fallback, per-call timeout (the request's, capped at
+      [engine]'s) and requested deadline (the request's, else
+      [default_deadline]) go to one {!Mm_engine.Engine.run} call, so they
+      share one Domain pool spin-up and NPN-deduplicate against each other
+      through the shared warm cache; default-parameter requests all share
+      one call.
     - Each job's {e deadline} (request [params.deadline], else
       [default_deadline]) covers queue wait plus synthesis: a job whose
       deadline passed while queued is answered [deadline_exceeded] without
@@ -126,18 +128,18 @@ val config :
   unit ->
   config
 
-(** The verbs a daemon answers beyond [ping] and [shutdown]. [lookup] and
-    [health] run on the connection's reader and must not block: [lookup]
-    answers a [synth] at once ([Some]) or passes it on ([None]) to
-    [synth]; while it runs, that connection's next frame is not read.
-    [synth] and [stats] run in a handler thread of their own and may
-    block. Neither synthesis verb is called while the daemon drains
-    (the transport refuses with [unavailable]); [health] returns fields
-    added after the transport's [status], [shard], [protocol_version] and
-    [uptime_s]. *)
+(** The verbs a daemon answers beyond [ping] and [shutdown]. All three run
+    on the connection's reader and must not block: while one runs, that
+    connection's next frame is not read. [synth spec params answer]
+    answers through [answer], at once or later and from any thread; a
+    verb that has to wait starts a thread of its own. Only the first
+    answer is written; one that never comes leaves the frame in flight,
+    holding up the drain and the connection's close. [synth] is not
+    called while the daemon drains (the transport refuses with
+    [unavailable]). [health] returns fields added after the transport's
+    [status], [shard], [protocol_version] and [uptime_s]. *)
 type handlers = {
-  lookup : Spec.t -> Wire.synth_params -> Wire.reply option;
-  synth : Spec.t -> Wire.synth_params -> Wire.reply;
+  synth : Spec.t -> Wire.synth_params -> (Wire.reply -> unit) -> unit;
   stats : unit -> Json.t;
   health : unit -> (string * Json.t) list;
 }
@@ -161,8 +163,8 @@ val start : ?handlers:handlers -> config -> (t, string) result
 (** Begin a graceful drain (idempotent, non-blocking). *)
 val request_drain : t -> unit
 
-(** Abrupt death, no drain: queued jobs are abandoned (their connection
-    threads unwind with [unavailable]), listeners close immediately.
+(** Abrupt death, no drain: queued and running jobs are answered
+    [unavailable], listeners close immediately.
     Deterministic stand-in for [kill -9] in tests and the storm bench;
     also triggered by an injected [Fault.Kill]. Idempotent. Follow with
     {!wait} to join the (now exiting) threads. *)

@@ -330,6 +330,25 @@ let test_stats_schema () =
       "props_per_s"; "cache" ]
     (match j with Json.Obj kvs -> List.map fst kvs | _ -> [])
 
+(* The heuristic fallback honours final taps: it solves its blocks under
+   them, so every 3-input function gets a heuristic circuit that taps no
+   leg mid-way, never one thrown away for the baseline. *)
+let test_heuristic_fallback_final_taps () =
+  let cfg =
+    Engine.config ~taps:Mm_core.Encode.Final_only ~timeout_per_call:1.0
+      ~fallback:Engine.Use_heuristic ()
+  in
+  for v = 0 to 255 do
+    let spec = Spec.make ~name:(Printf.sprintf "%02x" v) [| Tt.of_int 3 v |] in
+    match Engine.fallback cfg spec with
+    | Some (c, Engine.Via_heuristic)
+      when C.final_taps_only c && C.realizes c spec = Ok () -> ()
+    | Some (_, Engine.Via_heuristic) ->
+      Alcotest.failf "%02x: a heuristic circuit that breaks the rule" v
+    | Some _ -> Alcotest.failf "%02x: the heuristic gave way" v
+    | None -> Alcotest.failf "%02x: no fallback circuit" v
+  done
+
 let () =
   Alcotest.run "engine"
     [
@@ -343,6 +362,8 @@ let () =
           Alcotest.test_case "multi-output passthrough" `Quick
             test_multi_output_passthrough;
           Alcotest.test_case "stats schema v5" `Quick test_stats_schema;
+          Alcotest.test_case "heuristic fallback keeps final taps" `Quick
+            test_heuristic_fallback_final_taps;
         ] );
       ( "probe",
         [
