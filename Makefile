@@ -19,7 +19,10 @@
 # connection's reader, as the daemon's stats show), plus a cluster
 # smoke: two supervised shards behind the failover router, one SIGKILLed
 # mid-stream and restarted, with every single client request still
-# answered through replica failover.
+# answered through replica failover, plus a bench smoke: bench/main.exe
+# refuses an unknown experiment or flag before it runs anything,
+# reaches ladder-probe with an all-digit table id, and `bench compare`
+# passes a BENCH file against itself and names the path of a changed count.
 
 SMOKE_CACHE := $(shell mktemp -u /tmp/mmsynth_smoke_XXXXXX.cache)
 MAP_CACHE   := $(shell mktemp -u /tmp/mmsynth_map_XXXXXX.cache)
@@ -37,8 +40,8 @@ MMSYNTH     := _build/default/bin/mmsynth.exe
 
 .PHONY: all build test smoke smoke-fault smoke-serve smoke-ladder \
   smoke-cli smoke-map smoke-xbar smoke-resyn smoke-atlas smoke-cluster \
-  check bench bench-ladder bench-map bench-xbar bench-resyn \
-  bench-robustness bench-serve bench-storm bench-atlas perf-ab clean
+  smoke-bench check bench bench-ladder bench-map bench-robustness \
+  bench-serve bench-storm bench-atlas perf-ab clean
 
 all: build
 
@@ -356,8 +359,39 @@ smoke-cluster: build
 	rm -rf $(CLUSTER_DIR) $(CLUSTER_SOCK); \
 	echo "smoke-cluster: OK (40/40 answered across a mid-stream shard kill, no leaked socket)"
 
+# bench/main.exe's command line and `compare`. A refused command line
+# exits 2 before any `===` section starts (so before any BENCH file is
+# written; the cases run in a scratch directory all the same), an all-digit
+# table id reaches ladder-probe's two paths, and compare is clean on a file
+# against itself but exits 1 naming the path of one changed count.
+smoke-bench: build
+	@set -e; \
+	bench=$(CURDIR)/_build/default/bench/main.exe; \
+	tmp=$$(mktemp -d /tmp/mmsynth_bench_XXXXXX); \
+	cd $$tmp; \
+	for args in 'nonsense' '--limt 5' '--budget' 'table1 extra' 'compare only-one'; do \
+	  rc=0; out=$$($$bench $$args 2>&1) || rc=$$?; \
+	  [ $$rc -eq 2 ] || { echo "smoke-bench: '$$args' exited $$rc, expected 2"; exit 1; }; \
+	  if printf '%s\n' "$$out" | grep -q '^==='; then \
+	    echo "smoke-bench: '$$args' started an experiment"; exit 1; fi; \
+	done; \
+	[ -z "$$(ls -A)" ] || { echo "smoke-bench: a refused command line left files"; exit 1; }; \
+	out=$$($$bench ladder-probe 0001 --budget 5); \
+	echo "$$out" | grep -q '^mono: ' && echo "$$out" | grep -q '^inc: ' \
+	  || { echo "smoke-bench: ladder-probe 0001 did not run both paths"; exit 1; }; \
+	f=$(CURDIR)/BENCH_robustness.json; \
+	$$bench compare $$f $$f > /dev/null \
+	  || { echo "smoke-bench: compare of a file with itself failed"; exit 1; }; \
+	sed '0,/"exact": [0-9]*/s//"exact": -1/' $$f > changed.json; \
+	rc=0; out=$$($$bench compare $$f changed.json) || rc=$$?; \
+	[ $$rc -eq 1 ] || { echo "smoke-bench: compare of a changed count exited $$rc"; exit 1; }; \
+	echo "$$out" | grep -q '^points\[0\]\.exact: ' \
+	  || { echo "smoke-bench: compare did not name points[0].exact: $$out"; exit 1; }; \
+	cd /; rm -rf $$tmp; \
+	echo "smoke-bench: OK (refused command lines exit 2 before any experiment; ladder-probe takes an all-digit id; compare names a changed count)"
+
 check: test smoke smoke-fault smoke-serve smoke-ladder smoke-cli smoke-map \
-  smoke-xbar smoke-resyn smoke-atlas smoke-cluster
+  smoke-xbar smoke-resyn smoke-atlas smoke-cluster smoke-bench
 
 bench:
 	dune exec bench/main.exe -- engine
@@ -365,14 +399,9 @@ bench:
 bench-ladder:
 	dune exec bench/main.exe -- ladder
 
+# writes BENCH_map.json, BENCH_xbar.json and BENCH_resyn.json
 bench-map:
 	dune exec bench/main.exe -- map
-
-bench-xbar:
-	dune exec bench/main.exe -- xbar
-
-bench-resyn:
-	dune exec bench/main.exe -- resyn
 
 bench-robustness:
 	dune exec bench/main.exe -- robustness

@@ -28,11 +28,53 @@ let json_s ?(digits = 4) x =
   let scale = 10. ** float_of_int digits in
   Json.Float (Float.round (x *. scale) /. scale)
 
-(* Every BENCH file is written here, as pretty-printed JSON. *)
-let write_bench file json =
+(* The short revision of the work tree the bench runs in, or "none". *)
+let git_rev () =
+  let ic = Unix.open_process_in "git rev-parse --short HEAD 2>/dev/null" in
+  let rev = String.trim (In_channel.input_all ic) in
+  match Unix.close_process_in ic with
+  | Unix.WEXITED 0 when rev <> "" -> rev
+  | _ -> "none"
+
+(* Every BENCH file is written here, as pretty-printed JSON under one
+   header: the file's schema, the revision and core count of the run, the
+   per-call solver budget, and the state of the caches the measurements
+   start from ("none", "cold", "warm" or "cold+warm"). *)
+let write_bench ?(version = 1) name ~budget ~cache fields =
+  let file = Printf.sprintf "BENCH_%s.json" name in
+  let header =
+    [ ("schema", Json.String (Printf.sprintf "mmsynth-bench-%s-v%d" name version));
+      ("git_rev", Json.String (git_rev ()));
+      ("host_cores", Json.Int (Domain.recommended_domain_count ()));
+      ("budget_per_call_s", Json.Float budget);
+      ("cache", Json.String cache) ]
+  in
   Out_channel.with_open_text file (fun oc ->
-      output_string oc (Json.to_string_pretty json);
-      output_char oc '\n')
+      output_string oc (Json.to_string_pretty (Json.Obj (header @ fields)));
+      output_char oc '\n');
+  Printf.printf "written to %s\n%!" file
+
+(* A path in the temp directory that no other process uses. *)
+let tmp_path name =
+  Filename.concat (Filename.get_temp_dir_name ())
+    (Printf.sprintf "mm_bench_%d_%s" (Unix.getpid ()) name)
+
+(* The [p]-quantile of an ascending array (0 when it is empty). *)
+let percentile sorted p =
+  let n = Array.length sorted in
+  if n = 0 then 0.
+  else sorted.(max 0 (min (n - 1) (int_of_float (ceil (p *. float_of_int n)) - 1)))
+
+(* [f ()] and its wall time in seconds *)
+let timed f =
+  let t0 = Unix.gettimeofday () in
+  let r = f () in
+  (r, Unix.gettimeofday () -. t0)
+
+let start_daemon cfg =
+  match Mm_serve.Server.start cfg with
+  | Ok t -> t
+  | Error msg -> failwith ("bench daemon: " ^ msg)
 
 let section title = Printf.printf "\n=== %s ===\n\n%!" title
 
@@ -567,9 +609,9 @@ let heuristic_bench () =
         "exact"; "cache hits"; "time [s]"; "verified" ]
   in
   let case spec =
-    let t0 = Unix.gettimeofday () in
-    let c, stats = Heuristic.synthesize ~timeout_per_block:10. spec in
-    let dt = Unix.gettimeofday () -. t0 in
+    let (c, stats), dt =
+      timed (fun () -> Heuristic.synthesize ~timeout_per_block:10. spec)
+    in
     let plan = Schedule.plan c in
     let failures = Schedule.verify plan spec in
     Table.add_row t
@@ -596,315 +638,217 @@ let heuristic_bench () =
      margin while scaling past the reach of monolithic optimal SAT calls.\n"
 
 (* ------------------------------------------------------------------ *)
-(* Map: cut-based technology mapping onto SAT-optimal block libraries  *)
+(* Map: technology mapping, the crossbar backend and resynthesis       *)
 (* ------------------------------------------------------------------ *)
 
-let map_bench ?(budget = 0.5) () =
-  let module Engine = Mm_engine.Engine in
-  let module Cache = Mm_engine.Cache in
-  let module Stitch = Mm_map.Stitch in
-  section "Map: AIG cuts + SAT-optimal block library vs heuristic vs baseline";
-  Printf.printf
-    "The mapper covers an AND-inverter graph with width-<=4 cuts, prices\n\
-     each cut by probing an NPN-canonicalized library of SAT-minimized\n\
-     blocks, and stitches the chosen cover onto one verified line-array\n\
-     schedule. Cost = V-steps + R-ops of the whole schedule; Shannon\n\
-     heuristic and QMC->NOR baseline are the comparison points.\n\n%!";
-  let t =
-    Table.create
-      [ "function"; "n"; "map V+R"; "heur V+R"; "base V+R"; "blocks";
-        "optimal"; "exact"; "time [s]"; "verified" ]
-  in
-  (* one in-memory library cache shared by all specs: recurring cut classes
-     (majority-of-3, carry chains, xor trees) are probed once *)
-  let cache = Cache.create () in
-  let cfg =
-    Engine.config ~timeout_per_call:budget ~max_rops:8 ~domains:1
-      ~taps:E.Final_only ~cache ()
-  in
-  let rows = ref [] in
-  let case spec =
-    let t0 = Unix.gettimeofday () in
-    let r = Stitch.compile cfg spec in
-    let dt = Unix.gettimeofday () -. t0 in
-    let st = r.Stitch.stitched in
-    let c = st.Stitch.circuit in
-    let plan = Schedule.plan c in
-    let failures = Schedule.verify plan spec in
-    let hc, _ = Heuristic.synthesize ~timeout_per_block:budget spec in
-    let bc = Baseline.nor_network spec in
-    let blocks = List.length st.Stitch.placed in
-    let optimal =
-      List.length (List.filter (fun p -> p.Stitch.optimal) st.Stitch.placed)
-    in
-    let exact =
-      List.length (List.filter (fun p -> p.Stitch.exact) st.Stitch.placed)
-    in
-    Table.add_row t
-      [
-        Spec.name spec;
-        string_of_int (Spec.arity spec);
-        Printf.sprintf "%d+%d=%d" (C.steps_per_leg c) (C.n_rops c) (C.n_steps c);
-        string_of_int (C.n_steps hc);
-        string_of_int (C.n_steps bc);
-        string_of_int blocks;
-        string_of_int optimal;
-        string_of_int exact;
-        Printf.sprintf "%.1f" dt;
-        (if failures = [] then "yes" else "NO");
-      ];
-    rows :=
-      Json.Obj
-        [ ("function", Json.String (Spec.name spec));
-          ("n", Json.Int (Spec.arity spec));
-          ("mapped_v_steps", Json.Int (C.steps_per_leg c));
-          ("mapped_rops", Json.Int (C.n_rops c));
-          ("mapped_total", Json.Int (C.n_steps c));
-          ("blocks", Json.Int blocks);
-          ("optimal_blocks", Json.Int optimal);
-          ("exact_blocks", Json.Int exact);
-          ("heuristic_total", Json.Int (C.n_steps hc));
-          ("baseline_total", Json.Int (C.n_steps bc));
-          ("time_s", json_s ~digits:2 dt);
-          ("verified", Json.Bool (failures = [])) ]
-      :: !rows
-  in
-  case (Arith.adder_bits 2);
-  case (Arith.adder_bits 3);
-  case (Arith.adder_bits 4);
-  case (Arith.majority 5);
-  case (Arith.majority 6);
-  case (Arith.majority 7);
-  case (Arith.parity 5);
-  case (Arith.parity 6);
-  case (Arith.parity 7);
-  case (Arith.parity 8);
-  Table.print t;
-  write_bench "BENCH_map.json"
-    (Json.Obj
-       [ ( "workload",
-           Json.String "technology mapping vs heuristic vs QMC->NOR baseline" );
-         ("host_cores", Json.Int (Domain.recommended_domain_count ()));
-         ("probe_budget_s", json_s ~digits:2 budget);
-         ("resyn_passes", Json.Int 0);
-         ( "cost_metric",
-           Json.String "V-steps per leg + R-ops (total schedule steps)" );
-         ("results", Json.List (List.rev !rows)) ]);
-  Printf.printf
-    "\nShape: wide xor-heavy functions (parity) gain most — V-op blocks\n\
-     absorb whole sub-trees the two-level baseline pays per-minterm for;\n\
-     written to BENCH_map.json\n"
-
-(* ------------------------------------------------------------------ *)
-(* Xbar: row-parallel crossbar backend vs the serial 1D schedule       *)
-(* ------------------------------------------------------------------ *)
-
-let xbar_bench ?(budget = 0.5) ?(rows = 16) ?(ports = 4) () =
+let map_bench ~budget () =
   let module Engine = Mm_engine.Engine in
   let module Cache = Mm_engine.Cache in
   let module Stitch = Mm_map.Stitch in
   let module Mapper = Mm_map.Mapper in
   let module Xsched = Mm_map.Xsched in
   let module Xstitch = Mm_map.Xstitch in
-  section "Xbar: row-parallel placement + cycle-minimizing scheduling";
+  let module Resyn = Mm_resyn.Resyn in
+  let rows = 16 and ports = 4 and passes = 4 in
+  section "Map: cut-based mapping, crossbar backend and resynthesis";
   Printf.printf
-    "Each workload is compiled for both backends: the 1D line array\n\
-     (steps = V-steps + R-ops, depth-insensitive) and a %d-row crossbar\n\
-     where independent MAGIC NORs share a cycle, identical TE patterns\n\
-     share a broadcast V-cycle, and cross-row operands pay explicit\n\
-     peripheral transfer cycles (%d ports). The crossbar pipeline maps\n\
-     from a depth-balanced AIG (linear subfunctions become XOR trees)\n\
-     because cycles track the critical path. Every schedule is executed\n\
-     on the crossbar simulator for all input rows.\n\n%!"
+    "The mapper covers an AND-inverter graph with width-<=4 cuts, prices\n\
+     each cut by probing an NPN-canonicalized library of SAT-minimized\n\
+     blocks, and stitches the chosen cover onto one verified line-array\n\
+     schedule (cost = V-steps + R-ops). The crossbar backend maps a\n\
+     depth-balanced AIG onto a %d-row crossbar with %d transfer ports, where\n\
+     independent MAGIC NORs share a cycle and identical TE patterns share a\n\
+     broadcast V-cycle; every schedule runs on the crossbar simulator for\n\
+     all input rows. Resynthesis then re-optimizes the line-array schedule:\n\
+     semantic sweeping, dead R-op removal and shared-BE rail compaction.\n\
+     The Shannon heuristic and the QMC->NOR baseline are the comparison\n\
+     points. Each compile starts on a fresh in-memory block cache, and\n\
+     each time covers its own stage.\n\n%!"
     rows ports;
-  let t =
+  let map_t =
+    Table.create
+      [ "function"; "n"; "map V+R"; "heur V+R"; "base V+R"; "blocks";
+        "optimal"; "exact"; "time [s]"; "verified" ]
+  in
+  let xbar_t =
     Table.create
       [ "function"; "n"; "1D steps"; "xbar cycles"; "V/R/T"; "xfers";
         "depth"; "rows"; "polish"; "time [s]"; "verified" ]
   in
-  let cache = Cache.create () in
-  let cfg =
-    Engine.config ~timeout_per_call:budget ~max_rops:8 ~domains:1
-      ~taps:E.Final_only ~cache ()
-  in
-  let results = ref [] and wins = ref 0 and total = ref 0 in
-  let case spec =
-    let t0 = Unix.gettimeofday () in
-    let st_1d = Stitch.compile cfg spec in
-    let r = Xstitch.compile ~rows ~ports cfg spec in
-    let dt = Unix.gettimeofday () -. t0 in
-    let st = r.Xstitch.stitch in
-    let steps_1d = C.n_steps st_1d.Stitch.stitched.Stitch.circuit in
-    let sc = r.Xstitch.sched in
-    incr total;
-    if r.Xstitch.cycles < steps_1d then incr wins;
-    Table.add_row t
-      [
-        Spec.name spec;
-        string_of_int (Spec.arity spec);
-        string_of_int steps_1d;
-        string_of_int r.Xstitch.cycles;
-        Printf.sprintf "%d/%d/%d" sc.Xsched.v_cycles sc.Xsched.r_cycles
-          sc.Xsched.t_cycles;
-        string_of_int r.Xstitch.transfers;
-        string_of_int st.Stitch.dag.Mapper.depth;
-        string_of_int r.Xstitch.rows_used;
-        Printf.sprintf "-%d" sc.Xsched.polish_gain;
-        Printf.sprintf "%.1f" dt;
-        (if r.Xstitch.verified then "yes" else "NO");
-      ];
-    results :=
-      Json.Obj
-        [ ("function", Json.String (Spec.name spec));
-          ("n", Json.Int (Spec.arity spec));
-          ("steps_1d", Json.Int steps_1d);
-          ("cycles", Json.Int r.Xstitch.cycles);
-          ("v_cycles", Json.Int sc.Xsched.v_cycles);
-          ("r_cycles", Json.Int sc.Xsched.r_cycles);
-          ("t_cycles", Json.Int sc.Xsched.t_cycles);
-          ("transfers", Json.Int r.Xstitch.transfers);
-          ("readout", Json.Int r.Xstitch.readout);
-          ("blocks", Json.Int (Array.length st.Stitch.dag.Mapper.blocks));
-          ("block_depth", Json.Int st.Stitch.dag.Mapper.depth);
-          ("rows_used", Json.Int r.Xstitch.rows_used);
-          ("cols_used", Json.Int r.Xstitch.cols_used);
-          ("polish_gain", Json.Int sc.Xsched.polish_gain);
-          ("time_s", json_s ~digits:2 dt);
-          ("faster_than_1d", Json.Bool (r.Xstitch.cycles < steps_1d));
-          ("verified", Json.Bool r.Xstitch.verified) ]
-      :: !results
-  in
-  case (Arith.adder_bits 2);
-  case (Arith.adder_bits 3);
-  case (Arith.adder_bits 4);
-  case (Arith.majority 5);
-  case (Arith.majority 6);
-  case (Arith.majority 7);
-  case (Arith.parity 5);
-  case (Arith.parity 6);
-  case (Arith.parity 7);
-  case (Arith.parity 8);
-  Table.print t;
-  write_bench "BENCH_xbar.json"
-    (Json.Obj
-       [ ( "workload",
-           Json.String
-             "crossbar row-parallel scheduling (balanced-AIG cover) vs serial \
-              1D schedule" );
-         ("host_cores", Json.Int (Domain.recommended_domain_count ()));
-         ("probe_budget_s", json_s ~digits:2 budget);
-         ("resyn_passes", Json.Int 0);
-         ("rows", Json.Int rows);
-         ("ports", Json.Int ports);
-         ( "cycle_metric",
-           Json.String
-             "V broadcast cycles + parallel NOR cycles + transfer cycles \
-              (readout reported separately, matching the 1D step metric)" );
-         ("faster_than_1d", Json.Int !wins);
-         ("workloads", Json.Int !total);
-         ("results", Json.List (List.rev !results)) ]);
-  Printf.printf
-    "\nShape: %d/%d workloads need fewer crossbar cycles than 1D steps —\n\
-     the R-op phase parallelizes across rows while placement affinity\n\
-     keeps transfer cycles low; written to BENCH_xbar.json\n"
-    !wins !total
-
-(* ------------------------------------------------------------------ *)
-(* Resyn: post-mapping resynthesis of stitched schedules               *)
-(* ------------------------------------------------------------------ *)
-
-let resyn_bench ?(budget = 0.5) ?(passes = 4) () =
-  let module Engine = Mm_engine.Engine in
-  let module Cache = Mm_engine.Cache in
-  let module Stitch = Mm_map.Stitch in
-  let module Resyn = Mm_resyn.Resyn in
-  section "Resyn: post-mapping resynthesis of stitched schedules";
-  Printf.printf
-    "Each workload is mapped and stitched, then re-optimized after the cut\n\
-     boundaries are gone: semantic sweeping redirects R-ops that duplicate\n\
-     an earlier signal, dead R-ops are dropped, and the shared-BE-rail\n\
-     schedule is compacted to the shortest common supersequence of the\n\
-     legs' real-op rails. The gate: mapped+resyn must never exceed the\n\
-     Shannon heuristic.\n\n%!";
-  let t =
+  let resyn_t =
     Table.create
       [ "function"; "n"; "map"; "resyn"; "heur"; "merged"; "dead"; "V saved";
         "time [s]"; "verified" ]
   in
-  let cache = Cache.create () in
-  let cfg =
+  let cfg () =
     Engine.config ~timeout_per_call:budget ~max_rops:8 ~domains:1
-      ~taps:E.Final_only ~cache ()
+      ~taps:E.Final_only ~cache:(Cache.create ()) ()
   in
-  let wins = ref 0 in
-  let case spec =
-    let t0 = Unix.gettimeofday () in
-    let st = (Stitch.compile cfg spec).Stitch.stitched in
-    let r = Resyn.run ~max_passes:passes spec st.Stitch.circuit in
-    let s = r.Resyn.stats in
-    let c = r.Resyn.circuit in
-    let failures = Schedule.verify (Schedule.plan c) spec in
+  let faster = ref 0 and meets_gate = ref 0 in
+  let row spec =
+    let r, map_s = timed (fun () -> Stitch.compile (cfg ()) spec) in
+    let x, xbar_s = timed (fun () -> Xstitch.compile ~rows ~ports (cfg ()) spec) in
+    let st = r.Stitch.stitched in
+    let c = st.Stitch.circuit in
+    let rs, resyn_s = timed (fun () -> Resyn.run ~max_passes:passes spec c) in
     let hc, _ = Heuristic.synthesize ~timeout_per_block:budget spec in
-    let dt = Unix.gettimeofday () -. t0 in
-    let gate = C.n_steps c <= C.n_steps hc in
-    let ok = failures = [] && s.Resyn.steps_after <= s.Resyn.steps_before in
-    if gate && ok then incr wins;
-    Table.add_row t
-      [ Spec.name spec;
-        string_of_int (Spec.arity spec);
-        string_of_int s.Resyn.steps_before;
-        string_of_int s.Resyn.steps_after;
-        string_of_int (C.n_steps hc);
-        string_of_int s.Resyn.sweep_merged;
-        string_of_int s.Resyn.dce_removed;
+    let heur = C.n_steps hc in
+    let base = C.n_steps (Baseline.nor_network spec) in
+    let verified c = Schedule.verify (Schedule.plan c) spec = [] in
+    let name = Spec.name spec and n = string_of_int (Spec.arity spec) in
+    let ident = [ ("function", Json.String name); ("n", Json.Int (Spec.arity spec)) ] in
+    (* the line array *)
+    let blocks = List.length st.Stitch.placed in
+    let count p = List.length (List.filter p st.Stitch.placed) in
+    let optimal = count (fun p -> p.Stitch.optimal) in
+    let exact = count (fun p -> p.Stitch.exact) in
+    let map_ok = verified c in
+    Table.add_row map_t
+      [ name; n;
+        Printf.sprintf "%d+%d=%d" (C.steps_per_leg c) (C.n_rops c) (C.n_steps c);
+        string_of_int heur; string_of_int base; string_of_int blocks;
+        string_of_int optimal; string_of_int exact;
+        Printf.sprintf "%.1f" map_s;
+        (if map_ok then "yes" else "NO") ];
+    let map_row =
+      Json.Obj
+        (ident
+        @ [ ("mapped_v_steps", Json.Int (C.steps_per_leg c));
+            ("mapped_rops", Json.Int (C.n_rops c));
+            ("mapped_total", Json.Int (C.n_steps c));
+            ("blocks", Json.Int blocks);
+            ("optimal_blocks", Json.Int optimal);
+            ("exact_blocks", Json.Int exact);
+            ("heuristic_total", Json.Int heur);
+            ("baseline_total", Json.Int base);
+            ("time_s", json_s ~digits:2 map_s);
+            ("verified", Json.Bool map_ok) ])
+    in
+    (* the crossbar *)
+    let steps_1d = C.n_steps c in
+    let sc = x.Xstitch.sched and dag = x.Xstitch.stitch.Stitch.dag in
+    let is_faster = x.Xstitch.cycles < steps_1d in
+    if is_faster then incr faster;
+    Table.add_row xbar_t
+      [ name; n; string_of_int steps_1d; string_of_int x.Xstitch.cycles;
+        Printf.sprintf "%d/%d/%d" sc.Xsched.v_cycles sc.Xsched.r_cycles
+          sc.Xsched.t_cycles;
+        string_of_int x.Xstitch.transfers;
+        string_of_int dag.Mapper.depth;
+        string_of_int x.Xstitch.rows_used;
+        Printf.sprintf "-%d" sc.Xsched.polish_gain;
+        Printf.sprintf "%.1f" xbar_s;
+        (if x.Xstitch.verified then "yes" else "NO") ];
+    let xbar_row =
+      Json.Obj
+        (ident
+        @ [ ("steps_1d", Json.Int steps_1d);
+            ("cycles", Json.Int x.Xstitch.cycles);
+            ("v_cycles", Json.Int sc.Xsched.v_cycles);
+            ("r_cycles", Json.Int sc.Xsched.r_cycles);
+            ("t_cycles", Json.Int sc.Xsched.t_cycles);
+            ("transfers", Json.Int x.Xstitch.transfers);
+            ("readout", Json.Int x.Xstitch.readout);
+            ("blocks", Json.Int (Array.length dag.Mapper.blocks));
+            ("block_depth", Json.Int dag.Mapper.depth);
+            ("rows_used", Json.Int x.Xstitch.rows_used);
+            ("cols_used", Json.Int x.Xstitch.cols_used);
+            ("polish_gain", Json.Int sc.Xsched.polish_gain);
+            ("time_s", json_s ~digits:2 xbar_s);
+            ("faster_than_1d", Json.Bool is_faster);
+            ("verified", Json.Bool x.Xstitch.verified) ])
+    in
+    (* resynthesis of the line-array schedule *)
+    let s = rs.Resyn.stats in
+    let gate = C.n_steps rs.Resyn.circuit <= heur in
+    let resyn_ok =
+      verified rs.Resyn.circuit && s.Resyn.steps_after <= s.Resyn.steps_before
+    in
+    if gate && resyn_ok then incr meets_gate;
+    Table.add_row resyn_t
+      [ name; n; string_of_int s.Resyn.steps_before;
+        string_of_int s.Resyn.steps_after; string_of_int heur;
+        string_of_int s.Resyn.sweep_merged; string_of_int s.Resyn.dce_removed;
         string_of_int s.Resyn.v_steps_saved;
-        Printf.sprintf "%.1f" dt;
-        (if ok then "yes" else "NO") ];
-    Json.Obj
-      [ ("function", Json.String (Spec.name spec));
-        ("n", Json.Int (Spec.arity spec));
-        ("mapped_total", Json.Int s.Resyn.steps_before);
-        ("resyn_total", Json.Int s.Resyn.steps_after);
-        ("heuristic_total", Json.Int (C.n_steps hc));
-        ("sweep_merged", Json.Int s.Resyn.sweep_merged);
-        ("dce_removed", Json.Int s.Resyn.dce_removed);
-        ("v_steps_saved", Json.Int s.Resyn.v_steps_saved);
-        ("passes", Json.Int s.Resyn.passes);
-        ("fixed_point", Json.Bool s.Resyn.fixed_point);
-        ("mapped_le_heuristic", Json.Bool gate);
-        ("time_s", json_s dt);
-        ("verified", Json.Bool ok) ]
+        Printf.sprintf "%.1f" resyn_s;
+        (if resyn_ok then "yes" else "NO") ];
+    let resyn_row =
+      Json.Obj
+        (ident
+        @ [ ("mapped_total", Json.Int s.Resyn.steps_before);
+            ("resyn_total", Json.Int s.Resyn.steps_after);
+            ("heuristic_total", Json.Int heur);
+            ("sweep_merged", Json.Int s.Resyn.sweep_merged);
+            ("dce_removed", Json.Int s.Resyn.dce_removed);
+            ("v_steps_saved", Json.Int s.Resyn.v_steps_saved);
+            ("passes", Json.Int s.Resyn.passes);
+            ("fixed_point", Json.Bool s.Resyn.fixed_point);
+            ("mapped_le_heuristic", Json.Bool gate);
+            ("time_s", json_s resyn_s);
+            ("verified", Json.Bool resyn_ok) ])
+    in
+    (map_row, xbar_row, resyn_row)
   in
-  (* in order: the workloads share one cache *)
   let results =
-    List.map case
+    List.map row
       [ Arith.adder_bits 2; Arith.adder_bits 3; Arith.adder_bits 4;
         Arith.majority 5; Arith.majority 6; Arith.majority 7;
         Arith.parity 5; Arith.parity 6; Arith.parity 7; Arith.parity 8 ]
   in
-  Table.print t;
-  let json =
-    Json.Obj
-      [ ( "workload",
-          Json.String
-            "post-mapping resynthesis (sweep + dce + leg compaction) vs \
-             Shannon heuristic" );
-        ("host_cores", Json.Int (Domain.recommended_domain_count ()));
-        ("probe_budget_s", Json.Float budget);
-        ("resyn_passes", Json.Int passes);
-        ( "cost_metric",
-          Json.String "V-steps per leg + R-ops (total schedule steps)" );
-        ("mapped_le_heuristic", Json.Int !wins);
-        ("workloads", Json.Int (List.length results));
-        ("results", Json.List results) ]
+  let workloads = List.length results in
+  let cost_metric =
+    ("cost_metric", Json.String "V-steps per leg + R-ops (total schedule steps)")
   in
-  write_bench "BENCH_resyn.json" json;
+  Printf.printf "Line array (1D steps):\n\n";
+  Table.print map_t;
+  Printf.printf
+    "\nShape: wide xor-heavy functions (parity) gain most — V-op blocks\n\
+     absorb whole sub-trees the two-level baseline pays per-minterm for.\n";
+  write_bench "map" ~budget ~cache:"cold"
+    [ ( "workload",
+        Json.String "technology mapping vs heuristic vs QMC->NOR baseline" );
+      ("resyn_passes", Json.Int 0);
+      cost_metric;
+      ("results", Json.List (List.map (fun (m, _, _) -> m) results)) ];
+  Printf.printf "\nCrossbar (%d rows, %d ports):\n\n" rows ports;
+  Table.print xbar_t;
+  Printf.printf
+    "\nShape: %d/%d workloads need fewer crossbar cycles than 1D steps —\n\
+     the R-op phase parallelizes across rows while placement affinity\n\
+     keeps transfer cycles low.\n"
+    !faster workloads;
+  write_bench "xbar" ~budget ~cache:"cold"
+    [ ( "workload",
+        Json.String
+          "crossbar row-parallel scheduling (balanced-AIG cover) vs serial \
+           1D schedule" );
+      ("resyn_passes", Json.Int 0);
+      ("rows", Json.Int rows);
+      ("ports", Json.Int ports);
+      ( "cycle_metric",
+        Json.String
+          "V broadcast cycles + parallel NOR cycles + transfer cycles \
+           (readout reported separately, matching the 1D step metric)" );
+      ("faster_than_1d", Json.Int !faster);
+      ("workloads", Json.Int workloads);
+      ("results", Json.List (List.map (fun (_, x, _) -> x) results)) ];
+  Printf.printf "\nResynthesis of the line-array schedule:\n\n";
+  Table.print resyn_t;
   Printf.printf
     "\nShape: %d/%d workloads meet the mapped+resyn <= heuristic gate —\n\
      sweeps absorb cross-block duplication and SCS rail compaction\n\
-     reclaims the stitcher's serialization padding; written to\n\
-     BENCH_resyn.json\n"
-    !wins (List.length results)
+     reclaims the stitcher's serialization padding.\n"
+    !meets_gate workloads;
+  write_bench "resyn" ~budget ~cache:"cold"
+    [ ( "workload",
+        Json.String
+          "post-mapping resynthesis (sweep + dce + leg compaction) vs \
+           Shannon heuristic" );
+      ("resyn_passes", Json.Int passes);
+      cost_metric;
+      ("mapped_le_heuristic", Json.Int !meets_gate);
+      ("workloads", Json.Int workloads);
+      ("results", Json.List (List.map (fun (_, _, r) -> r) results)) ]
 
 (* ------------------------------------------------------------------ *)
 (* Engine: NPN-canonicalizing, cached, multicore batch synthesis       *)
@@ -915,18 +859,14 @@ let engine_bench () =
   let module Cache = Mm_engine.Cache in
   section "Engine: batch synthesis over the full 3-input function space";
   let specs = Engine.all_functions ~arity:3 in
-  let tmp suffix =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "mm_engine_bench_%d_%s.cache" (Unix.getpid ()) suffix)
-  in
+  let budget = 30. in
+  let cache_path suffix = tmp_path (Printf.sprintf "engine_%s.cache" suffix) in
   let cleanup = ref [] in
   let run ~label ~domains ~cache_path =
     let cache = Cache.create ~path:cache_path () in
     if not (List.mem cache_path !cleanup) then
       cleanup := cache_path :: !cleanup;
-    let cfg =
-      Engine.config ~timeout_per_call:30. ~domains ~cache ()
-    in
+    let cfg = Engine.config ~timeout_per_call:budget ~domains ~cache () in
     let results, s = Engine.run cfg specs in
     let bad =
       Array.fold_left
@@ -952,11 +892,11 @@ let engine_bench () =
     List.init passes (fun i ->
         let seq =
           run ~label:(Printf.sprintf "sequential, cold #%d:" (i + 1))
-            ~domains:1 ~cache_path:(tmp (Printf.sprintf "seq%d" i))
+            ~domains:1 ~cache_path:(cache_path (Printf.sprintf "seq%d" i))
         in
         let par =
           run ~label:(Printf.sprintf "%d domains, cold #%d:" domains (i + 1))
-            ~domains ~cache_path:(tmp (Printf.sprintf "par%d" i))
+            ~domains ~cache_path:(cache_path (Printf.sprintf "par%d" i))
         in
         (seq, par))
   in
@@ -971,7 +911,7 @@ let engine_bench () =
   let seq = median fst and par = median snd in
   let warm =
     run ~label:(Printf.sprintf "%d domains, warm:" domains) ~domains
-      ~cache_path:(tmp (Printf.sprintf "par%d" (passes - 1)))
+      ~cache_path:(cache_path (Printf.sprintf "par%d" (passes - 1)))
   in
   let speedup = if par.Engine.wall_s > 0. then seq.Engine.wall_s /. par.Engine.wall_s else 0. in
   let hit_rate (s : Engine.summary) =
@@ -982,66 +922,54 @@ let engine_bench () =
       else 0.
     | None -> 0.
   in
-  write_bench "BENCH_engine.json"
-    (Json.Obj
-       [ ("workload", Json.String "all 256 3-input functions, minimize loop");
-         ("host_cores", Json.Int cores);
-         ("domains", Json.Int domains);
-         ("cold_passes", Json.Int passes);
-         ("functions", Json.Int seq.Engine.functions);
-         ("classes", Json.Int seq.Engine.classes);
-         ("sequential_wall_s", json_s ~digits:3 seq.Engine.wall_s);
-         ("parallel_wall_s", json_s ~digits:3 par.Engine.wall_s);
-         ("speedup_vs_sequential", json_s ~digits:2 speedup);
-         ("solves_per_s_sequential", json_s ~digits:1 seq.Engine.solves_per_s);
-         ("solves_per_s_parallel", json_s ~digits:1 par.Engine.solves_per_s);
-         ("warm_wall_s", json_s ~digits:3 warm.Engine.wall_s);
-         ("warm_solves_per_s", json_s ~digits:1 warm.Engine.solves_per_s);
-         ("cold_cache_hit_rate", json_s ~digits:3 (hit_rate par));
-         ("warm_cache_hit_rate", json_s ~digits:3 (hit_rate warm)) ]);
   List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) !cleanup;
   Printf.printf
     "\nspeedup %.2fx on %d cores (%d domains, medians of %d cold passes); \
-     warm hit rate %.0f%%;\nwritten to BENCH_engine.json\n"
-    speedup cores domains passes (100. *. hit_rate warm)
+     warm hit rate %.0f%%\n"
+    speedup cores domains passes (100. *. hit_rate warm);
+  write_bench "engine" ~budget ~cache:"cold+warm"
+    [ ("workload", Json.String "all 256 3-input functions, minimize loop");
+      ("domains", Json.Int domains);
+      ("cold_passes", Json.Int passes);
+      ("functions", Json.Int seq.Engine.functions);
+      ("classes", Json.Int seq.Engine.classes);
+      ("sequential_wall_s", json_s ~digits:3 seq.Engine.wall_s);
+      ("parallel_wall_s", json_s ~digits:3 par.Engine.wall_s);
+      ("speedup_vs_sequential", json_s ~digits:2 speedup);
+      ("solves_per_s_sequential", json_s ~digits:1 seq.Engine.solves_per_s);
+      ("solves_per_s_parallel", json_s ~digits:1 par.Engine.solves_per_s);
+      ("warm_wall_s", json_s ~digits:3 warm.Engine.wall_s);
+      ("warm_solves_per_s", json_s ~digits:1 warm.Engine.solves_per_s);
+      ("cold_cache_hit_rate", json_s ~digits:3 (hit_rate par));
+      ("warm_cache_hit_rate", json_s ~digits:3 (hit_rate warm)) ]
 
 (* ------------------------------------------------------------------ *)
 (* Ladder: incremental assumption sweeps vs monolithic re-encoding     *)
 (* ------------------------------------------------------------------ *)
 
-let ladder_bench ?(budget = 60.) ?(limit = 24) () =
-  let module Npn = Mm_engine.Npn in
+(* A 4-input spec named by its hex truth table. *)
+let npn_spec v =
+  Spec.make ~name:(Printf.sprintf "npn-%04x" v) [| Tt.of_int 4 v |]
+
+let ladder_bench ~budget ~limit () =
   section "Ladder: incremental assumption sweep vs monolithic re-encoding";
-  (* Deterministic sample of 4-input NPN class representatives: enumerate
-     all 2^16 tables, canonicalize, then take an evenly spaced slice of the
-     sorted class list so easy and hard classes are both represented. *)
-  let seen = Hashtbl.create 512 in
-  for v = 0 to 65535 do
-    let rep, _ = Npn.canon (Tt.of_int 4 v) in
-    Hashtbl.replace seen (Tt.to_int rep) ()
-  done;
-  let reps =
-    Array.of_list
-      (List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) seen []))
-  in
+  (* Deterministic sample of 4-input NPN class representatives: an evenly
+     spaced slice of the ascending class list, so easy and hard classes
+     are both represented. *)
+  let reps = Array.of_list (Mm_engine.Npn.class_reps 4) in
   let n_total = Array.length reps in
   let limit = max 1 (min limit n_total) in
-  let sample = Array.init limit (fun i -> reps.(i * n_total / limit)) in
   let specs =
-    Array.map
-      (fun v ->
-        Spec.make ~name:(Printf.sprintf "npn-%04x" v) [| Tt.of_int 4 v |])
-      sample
+    Array.init limit (fun i -> npn_spec (Tt.to_int reps.(i * n_total / limit)))
   in
   (* identical caps on both paths keep the sweeps point-for-point
      comparable: same budget points, same verdicts, different solvers *)
   let sweep ~incremental spec =
-    let t0 = Unix.gettimeofday () in
-    let r =
-      Synth.minimize ~timeout_per_call:budget ~max_rops:4 ~max_steps:3
-        ~incremental spec
+    let r, wall =
+      timed (fun () ->
+          Synth.minimize ~timeout_per_call:budget ~max_rops:4 ~max_steps:3
+            ~incremental spec)
     in
-    let wall = Unix.gettimeofday () -. t0 in
     let conflicts =
       List.fold_left
         (fun acc a -> acc + a.Synth.solver_stats.Mm_sat.Solver.conflicts)
@@ -1136,31 +1064,77 @@ let ladder_bench ?(budget = 60.) ?(limit = 24) () =
   let confl_mono = List.fold_left (fun acc (_, _, c, _) -> acc + c) 0 !finished in
   let confl_inc = List.fold_left (fun acc (_, _, _, c) -> acc + c) 0 !finished in
   let speedup_inc = if wall_inc > 0. then wall_mono /. wall_inc else 0. in
-  let json =
-    Json.Obj
-      [ ("schema", Json.String "mmsynth-bench-ladder-v2");
-        ( "workload",
-          Json.String
-            "4-input NPN class representatives, minimize sweep (max_rops=4, \
-             max_steps=3)" );
-        ("host_cores", Json.Int (Domain.recommended_domain_count ()));
-        ("budget_per_call_s", Json.Float budget);
-        ("classes_total", Json.Int n_total);
-        ("classes_sampled", Json.Int limit);
-        ("classes_over_budget", Json.Int !skipped);
-        ("monolithic_wall_s", json_s wall_mono);
-        ("incremental_wall_s", json_s wall_inc);
-        ("monolithic_conflicts", Json.Int confl_mono);
-        ("incremental_conflicts", Json.Int confl_inc);
-        ("speedup_incremental", Json.Float (Float.round (speedup_inc *. 100.) /. 100.));
-        ("verdict_mismatches", Json.Int !mismatches);
-        ("per_class", Json.List (List.rev !per_class)) ]
-  in
-  write_bench "BENCH_ladder.json" json;
   Printf.printf
     "\nincremental %.2fx vs monolithic (%d/%d classes, %d over budget, %d \
-     mismatches); written to BENCH_ladder.json\n"
-    speedup_inc limit n_total !skipped !mismatches
+     mismatches)\n"
+    speedup_inc limit n_total !skipped !mismatches;
+  write_bench ~version:3 "ladder" ~budget ~cache:"none"
+    [ ( "workload",
+        Json.String
+          "4-input NPN class representatives, minimize sweep (max_rops=4, \
+           max_steps=3)" );
+      ("classes_total", Json.Int n_total);
+      ("classes_sampled", Json.Int limit);
+      ("classes_over_budget", Json.Int !skipped);
+      ("monolithic_wall_s", json_s wall_mono);
+      ("incremental_wall_s", json_s wall_inc);
+      ("monolithic_conflicts", Json.Int confl_mono);
+      ("incremental_conflicts", Json.Int confl_inc);
+      ("speedup_incremental", Json.Float (Float.round (speedup_inc *. 100.) /. 100.));
+      ("verdict_mismatches", Json.Int !mismatches);
+      ("per_class", Json.List (List.rev !per_class)) ]
+
+(* Depth/hardness map of every 4-input NPN class, incremental path only. *)
+let ladder_scan ~budget () =
+  List.iter
+    (fun rep ->
+      let v = Tt.to_int rep in
+      let r, wall =
+        timed (fun () ->
+            Synth.minimize ~timeout_per_call:budget ~max_rops:4 ~max_steps:3
+              (npn_spec v))
+      in
+      let verdict =
+        match r.Synth.best with
+        | Some (_, a) ->
+          Printf.sprintf "N_R=%d N_VS=%d" a.Synth.n_rops a.Synth.steps_per_leg
+        | None -> "none"
+      in
+      Printf.printf "%04x %-14s %5.2fs attempts=%d%s\n%!" v verdict wall
+        (List.length r.Synth.attempts)
+        (if List.exists (fun a -> a.Synth.verdict = Synth.Timeout) r.Synth.attempts
+         then " TIMEOUT"
+         else ""))
+    (Mm_engine.Npn.class_reps 4)
+
+(* Per-attempt diagnostic for one 4-input table, on both ladder paths. *)
+let ladder_probe ~budget table =
+  match int_of_string_opt ("0x" ^ table) with
+  | None ->
+    Printf.eprintf "ladder-probe: %S is not a hex truth table\n" table;
+    exit 2
+  | Some v ->
+    let spec = npn_spec (v land 0xffff) in
+    List.iter
+      (fun (label, incremental) ->
+        let r, wall =
+          timed (fun () ->
+              Synth.minimize ~timeout_per_call:budget ~max_rops:4 ~max_steps:3
+                ~incremental spec)
+        in
+        Printf.printf "%s: %.3fs\n" label wall;
+        List.iter
+          (fun a ->
+            let s = a.Synth.solver_stats in
+            Printf.printf
+              "  N_R=%d N_L=%d N_VS=%d %-7s t=%.3fs confl=%d props=%d \
+               decisions=%d\n"
+              a.Synth.n_rops a.Synth.n_legs a.Synth.steps_per_leg
+              (verdict_string a.Synth.verdict)
+              a.Synth.time_s s.Mm_sat.Solver.conflicts
+              s.Mm_sat.Solver.propagations s.Mm_sat.Solver.decisions)
+          r.Synth.attempts)
+      [ ("mono", false); ("inc", true) ]
 
 (* ------------------------------------------------------------------ *)
 (* Robustness: batch completion and overhead under injected faults     *)
@@ -1175,6 +1149,7 @@ let robustness_bench () =
      injected at increasing rates (deterministic seed); retries + baseline\n\
      fallback must keep the answered fraction at 100%%.\n\n%!";
   let specs = Engine.all_functions ~arity:3 in
+  let budget = 30. in
   let run rate =
     let fault =
       if rate = 0. then None
@@ -1187,7 +1162,7 @@ let robustness_bench () =
              ])
     in
     let cfg =
-      Engine.config ~timeout_per_call:30. ~retries:2 ~retry_backoff_s:0.01
+      Engine.config ~timeout_per_call:budget ~retries:2 ~retry_backoff_s:0.01
         ~fallback:Engine.Use_baseline ?fault ()
     in
     let results, s = Engine.run cfg specs in
@@ -1240,16 +1215,14 @@ let robustness_bench () =
           json_s ~digits:3
             (if base_wall > 0. then s.Engine.wall_s /. base_wall else 0.) ) ]
   in
-  write_bench "BENCH_robustness.json"
-    (Json.Obj
-       [ ( "workload",
-           Json.String
-             "all 256 3-input functions, minimize loop, retries=2, baseline \
-              fallback" );
-         ("host_cores", Json.Int (Domain.recommended_domain_count ()));
-         ("seed", Json.Int 2025);
-         ("points", Json.List (List.map point outcomes)) ]);
-  Printf.printf "\nwritten to BENCH_robustness.json\n"
+  print_newline ();
+  write_bench "robustness" ~budget ~cache:"none"
+    [ ( "workload",
+        Json.String
+          "all 256 3-input functions, minimize loop, retries=2, baseline \
+           fallback" );
+      ("seed", Json.Int 2025);
+      ("points", Json.List (List.map point outcomes)) ]
 
 (* ------------------------------------------------------------------ *)
 (* Serve: daemon throughput/latency under concurrent load, warm vs cold *)
@@ -1262,30 +1235,20 @@ let serve_bench () =
   let module Client = Mm_serve.Client in
   let module Wire = Mm_serve.Wire in
   section "Serve: resident daemon under concurrent load, warm vs cold";
-  let tmp name =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "mm_serve_bench_%d_%s" (Unix.getpid ()) name)
-  in
-  let sock = tmp "sock" in
-  let cache_path = tmp "cache" in
+  let budget = 30. in
+  let sock = tmp_path "serve.sock" in
+  let cache_path = tmp_path "serve.cache" in
   let engine =
-    Engine.config ~timeout_per_call:30.
+    Engine.config ~timeout_per_call:budget
       ~cache:(Cache.create ~path:cache_path ()) ()
   in
-  let cfg = Server.config ~engine ~max_pending:64 ~socket_path:sock () in
+  (* a fixed shard id, so the stats in the file do not name the temp socket *)
   let server =
-    match Server.start cfg with
-    | Ok t -> t
-    | Error msg -> failwith ("serve bench: " ^ msg)
+    start_daemon
+      (Server.config ~engine ~max_pending:64 ~shard_id:"serve" ~socket_path:sock ())
   in
   let specs = Engine.all_functions ~arity:3 in
   let n_specs = Array.length specs in
-  let percentile sorted p =
-    let n = Array.length sorted in
-    if n = 0 then 0.
-    else
-      sorted.(max 0 (min (n - 1) (int_of_float (ceil (p *. float_of_int n)) - 1)))
-  in
   (* one warm-up sweep populates the daemon's cache, so the concurrency
      levels measure serving overhead, not first-time SAT solving *)
   let sweep ?sock:(sk = sock) conc =
@@ -1364,35 +1327,33 @@ let serve_bench () =
         let x i = (row lsr (i - 1)) land 1 = 1 in
         (x 1 && x 2) <> (x 3 || x 4))
   in
-  let median xs =
-    let a = Array.of_list xs in
+  (* the median of [n] timings of [f] *)
+  let median n f =
+    let a = Array.init n (fun _ -> snd (timed f)) in
     Array.sort compare a;
-    a.(Array.length a / 2)
+    a.(n / 2)
   in
-  let warm_client =
-    match Client.wait_ready (Client.Unix_sock sock) with
-    | Ok c -> c
+  (* one request of [spec] to the daemon at [sk] primes it, then five are
+     timed *)
+  let warm_request sk spec =
+    match Client.wait_ready (Client.Unix_sock sk) with
     | Error msg -> failwith ("serve bench: " ^ msg)
+    | Ok c ->
+      let ask () =
+        match Client.synth c spec with
+        | Ok (Wire.Result _) -> ()
+        | Ok (Wire.Err e) -> failwith ("request refused: " ^ e.Wire.msg)
+        | Error msg -> failwith ("request: " ^ msg)
+      in
+      ask ();
+      let s = median 5 ask in
+      Client.close c;
+      s
   in
-  ignore (Client.synth warm_client spec4) (* prime *);
-  let warm_s =
-    median
-      (List.init 5 (fun _ ->
-           let t0 = Unix.gettimeofday () in
-           (match Client.synth warm_client spec4 with
-            | Ok (Wire.Result _) -> ()
-            | Ok (Wire.Err e) -> failwith ("warm request refused: " ^ e.Wire.msg)
-            | Error msg -> failwith ("warm request: " ^ msg));
-           Unix.gettimeofday () -. t0))
-  in
-  Client.close warm_client;
+  let warm_s = warm_request sock spec4 in
   let cold_s =
-    median
-      (List.init 3 (fun _ ->
-           let cfg = Engine.config ~timeout_per_call:30. () in
-           let t0 = Unix.gettimeofday () in
-           ignore (Engine.run cfg [| spec4 |]);
-           Unix.gettimeofday () -. t0))
+    median 3 (fun () ->
+        ignore (Engine.run (Engine.config ~timeout_per_call:budget ()) [| spec4 |]))
   in
   let speedup = if warm_s > 0. then cold_s /. warm_s else 0. in
   Printf.printf
@@ -1403,7 +1364,7 @@ let serve_bench () =
      carries the precomputed NPN atlas tier, so every covered request is
      answered with zero solver calls *)
   let module Atlas = Mm_atlas.Atlas in
-  let atlas_path = tmp "atlas" in
+  let atlas_path = tmp_path "serve.mmatlas" in
   let atlas_goals =
     Atlas.universe ~modes:[ Atlas.Mixed ] ~max_n:3
       ~include_tts:[ Spec.output spec4 0 ] ()
@@ -1430,54 +1391,23 @@ let serve_bench () =
     | Ok a -> Atlas.attach a cache
     | Error e -> failwith (Format.asprintf "atlas load: %a" Atlas.pp_error e)
   in
-  let sock2 = tmp "sock2" in
+  let sock2 = tmp_path "serve2.sock" in
   let cache2 = Cache.create () in
   attach_atlas cache2;
   let server2 =
-    let engine = Engine.config ~timeout_per_call:30. ~cache:cache2 () in
-    match
-      Server.start (Server.config ~engine ~max_pending:64 ~socket_path:sock2 ())
-    with
-    | Ok t -> t
-    | Error msg -> failwith ("serve bench: " ^ msg)
+    let engine = Engine.config ~timeout_per_call:budget ~cache:cache2 () in
+    start_daemon (Server.config ~engine ~max_pending:64 ~socket_path:sock2 ())
   in
   let atlas_level = sweep ~sock:sock2 4 in
   (* atlas round trip for one covered request, measured warm *)
-  let warm_atlas_s =
-    let c =
-      match Client.wait_ready (Client.Unix_sock sock2) with
-      | Ok c -> c
-      | Error msg -> failwith ("serve bench: " ^ msg)
-    in
-    ignore (Client.synth c specs.(0x16));
-    let m =
-      median
-        (List.init 5 (fun _ ->
-             let t0 = Unix.gettimeofday () in
-             (match Client.synth c specs.(0x16) with
-              | Ok (Wire.Result _) -> ()
-              | Ok (Wire.Err e) ->
-                failwith ("atlas request refused: " ^ e.Wire.msg)
-              | Error msg -> failwith ("atlas request: " ^ msg));
-             Unix.gettimeofday () -. t0))
-    in
-    Client.close c;
-    m
-  in
-  let daemon2_stats = Server.stats_json server2 in
+  let warm_atlas_s = warm_request sock2 specs.(0x16) in
+  let engine2 = Json.member "engine" (Server.stats_json server2) in
   Server.stop server2;
-  let json_int path json =
-    let rec go path json =
-      match (path, json) with
-      | [], Json.Int n -> Some n
-      | k :: rest, Json.Obj kvs ->
-        Option.bind (List.assoc_opt k kvs) (go rest)
-      | _ -> None
-    in
-    Option.value ~default:0 (go path json)
+  let engine_count k =
+    Option.value ~default:0 (Option.bind engine2 (Json.get Json.to_int k))
   in
-  let atlas_answered = json_int [ "engine"; "atlas" ] daemon2_stats in
-  let atlas_sat = json_int [ "engine"; "sat" ] daemon2_stats in
+  let atlas_answered = engine_count "atlas" in
+  let atlas_sat = engine_count "sat" in
   let atlas_hit_rate =
     float_of_int atlas_answered
     /. float_of_int (max 1 (atlas_answered + atlas_sat))
@@ -1485,14 +1415,10 @@ let serve_bench () =
   (* cold single-request latency: fresh engine per request, with and
      without opening + attaching the atlas artifact *)
   let cold_atlas_s =
-    median
-      (List.init 3 (fun _ ->
-           let cache = Cache.create () in
-           let t0 = Unix.gettimeofday () in
-           attach_atlas cache;
-           let cfg = Engine.config ~timeout_per_call:30. ~cache () in
-           ignore (Engine.run cfg [| spec4 |]);
-           Unix.gettimeofday () -. t0))
+    median 3 (fun () ->
+        let cache = Cache.create () in
+        attach_atlas cache;
+        ignore (Engine.run (Engine.config ~timeout_per_call:budget ~cache ()) [| spec4 |]))
   in
   Printf.printf
     "atlas sweep: hit rate %.0f%% (%d atlas / %d solved); warm request %.0f \
@@ -1522,41 +1448,36 @@ let serve_bench () =
         ("transport_errors", Json.Int errors);
       ]
   in
-  let json =
-    Json.Obj
-      [
-        ( "workload",
-          Json.String
-            "all 256 3-input functions over the Unix socket, warm cache" );
-        ("host_cores", Json.Int (Domain.recommended_domain_count ()));
-        ("levels", Json.List (List.map level_json levels));
-        ( "warm_vs_cold",
-          Json.Obj
-            [
-              ("spec", Json.String "(x1&x2) xor (x3|x4), repeated");
-              ("warm_daemon_request_s", Json.Float warm_s);
-              ("cold_engine_run_s", Json.Float cold_s);
-              ("warm_speedup", Json.Float speedup);
-            ] );
-        ( "atlas",
-          Json.Obj
-            [
-              ("records", Json.Int atlas_records);
-              ("size_bytes", Json.Int atlas_bytes);
-              ("build_s", Json.Float atlas_build_s);
-              ("level", level_json atlas_level);
-              ("atlas_hit_rate", Json.Float atlas_hit_rate);
-              ("requests_atlas_answered", Json.Int atlas_answered);
-              ("requests_solver_answered", Json.Int atlas_sat);
-              ("warm_request_s", Json.Float warm_atlas_s);
-              ("cold_run_with_atlas_s", Json.Float cold_atlas_s);
-              ("cold_run_without_atlas_s", Json.Float cold_s);
-            ] );
-        ("daemon_stats", Json.Obj [ ("final", daemon_stats) ]);
-      ]
-  in
-  write_bench "BENCH_serve.json" json;
-  Printf.printf "written to BENCH_serve.json\n"
+  write_bench "serve" ~budget ~cache:"cold+warm"
+    [
+      ( "workload",
+        Json.String
+          "all 256 3-input functions over the Unix socket, warm cache" );
+      ("levels", Json.List (List.map level_json levels));
+      ( "warm_vs_cold",
+        Json.Obj
+          [
+            ("spec", Json.String "(x1&x2) xor (x3|x4), repeated");
+            ("warm_daemon_request_s", Json.Float warm_s);
+            ("cold_engine_run_s", Json.Float cold_s);
+            ("warm_speedup", Json.Float speedup);
+          ] );
+      ( "atlas",
+        Json.Obj
+          [
+            ("records", Json.Int atlas_records);
+            ("size_bytes", Json.Int atlas_bytes);
+            ("build_s", Json.Float atlas_build_s);
+            ("level", level_json atlas_level);
+            ("atlas_hit_rate", Json.Float atlas_hit_rate);
+            ("requests_atlas_answered", Json.Int atlas_answered);
+            ("requests_solver_answered", Json.Int atlas_sat);
+            ("warm_request_s", Json.Float warm_atlas_s);
+            ("cold_run_with_atlas_s", Json.Float cold_atlas_s);
+            ("cold_run_without_atlas_s", Json.Float cold_s);
+          ] );
+      ("daemon_stats", Json.Obj [ ("final", daemon_stats) ]);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Storm: open-loop load on a 4-shard cluster with a mid-run kill      *)
@@ -1574,24 +1495,17 @@ let storm_bench () =
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ -> ());
   let n_shards = 4 in
-  let tmp name =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "mm_storm_%d_%s" (Unix.getpid ()) name)
-  in
-  let sock i = tmp (Printf.sprintf "shard%d.sock" i) in
-  let shard_cfg i =
-    (* one warm in-memory cache per shard: the ring partitions by NPN
-       class, so each shard's cache sees its whole slice *)
-    Server.config
-      ~engine:(Engine.config ~timeout_per_call:30. ~cache:(Cache.create ()) ())
-      ~max_pending:64 ~max_batch:16
-      ~shard_id:(Printf.sprintf "shard-%d" i)
-      ~socket_path:(sock i) ()
-  in
+  let budget = 30. in
+  let sock i = tmp_path (Printf.sprintf "storm_shard%d.sock" i) in
+  (* one warm in-memory cache per shard: the ring partitions by NPN class,
+     so each shard's cache sees its whole slice *)
   let boot i =
-    match Server.start (shard_cfg i) with
-    | Ok t -> t
-    | Error msg -> failwith (Printf.sprintf "storm: shard %d: %s" i msg)
+    start_daemon
+      (Server.config
+         ~engine:(Engine.config ~timeout_per_call:budget ~cache:(Cache.create ()) ())
+         ~max_pending:64 ~max_batch:16
+         ~shard_id:(Printf.sprintf "shard-%d" i)
+         ~socket_path:(sock i) ())
   in
   let servers = Array.init n_shards boot in
   let router =
@@ -1614,12 +1528,6 @@ let storm_bench () =
       a.(j) <- t
     done;
     a
-  in
-  let percentile sorted p =
-    let n = Array.length sorted in
-    if n = 0 then 0.
-    else
-      sorted.(max 0 (min (n - 1) (int_of_float (ceil (p *. float_of_int n)) - 1)))
   in
   (* one storm phase: open-loop Poisson arrivals at [rate] req/s — a
      request is launched at its scheduled time whether or not earlier
@@ -1770,27 +1678,22 @@ let storm_bench () =
   let router_stats = Router.stats_json router in
   Router.close router;
   Array.iter (fun s -> Server.stop s) servers;
-  let json =
-    Json.Obj
-      [
-        ( "workload",
-          Json.String
-            "open-loop Poisson arrivals, all 2- and 3-input functions \
-             shuffled, 4 shards, replicas=2, one shard killed mid-warm-run" );
-        ("host_cores", Json.Int (Domain.recommended_domain_count ()));
-        ("n_shards", Json.Int n_shards);
-        ("phases", Json.List [ cold_json; warm_json ]);
-        ("availability_under_kill", Json.Float availability);
-        ("router_stats", router_stats);
-      ]
-  in
-  write_bench "BENCH_cluster.json" json;
-  Printf.printf "written to BENCH_cluster.json\n";
   if availability < 0.99 then
     Printf.printf
       "WARNING: availability %.2f%% under the injected kill is below the \
        99%% target\n"
-      (100. *. availability)
+      (100. *. availability);
+  write_bench "cluster" ~budget ~cache:"cold+warm"
+    [
+      ( "workload",
+        Json.String
+          "open-loop Poisson arrivals, all 2- and 3-input functions \
+           shuffled, 4 shards, replicas=2, one shard killed mid-warm-run" );
+      ("n_shards", Json.Int n_shards);
+      ("phases", Json.List [ cold_json; warm_json ]);
+      ("availability_under_kill", Json.Float availability);
+      ("router_stats", router_stats);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Atlas: offline universe build cost per effort tier + lookup speed   *)
@@ -1799,10 +1702,7 @@ let storm_bench () =
 let atlas_bench () =
   let module Atlas = Mm_atlas.Atlas in
   section "Atlas: offline NPN universe build per effort tier, lookup speed";
-  let tmp name =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "mm_atlas_bench_%d_%s.mmatlas" (Unix.getpid ()) name)
-  in
+  let budget = 10. in
   let goals = Atlas.universe ~max_n:3 () in
   Printf.printf "universe: %d goals (all classes n<=3, both modes, both \
                  polarities)\n\n%!"
@@ -1815,18 +1715,18 @@ let atlas_bench () =
   let tiers =
     List.map
       (fun effort ->
-        let path = tmp (Printf.sprintf "tier%d" effort) in
-        let t0 = Unix.gettimeofday () in
-        let stats =
-          match
-            Atlas.build ~effort ~timeout_per_call:10. ~resume:false ~path
-              goals
-          with
-          | Ok s -> s
-          | Error e ->
-            failwith (Format.asprintf "tier %d build: %a" effort Atlas.pp_error e)
+        let path = tmp_path (Printf.sprintf "atlas_tier%d.mmatlas" effort) in
+        let stats, wall =
+          timed (fun () ->
+              match
+                Atlas.build ~effort ~timeout_per_call:budget ~resume:false ~path
+                  goals
+              with
+              | Ok s -> s
+              | Error e ->
+                failwith
+                  (Format.asprintf "tier %d build: %a" effort Atlas.pp_error e))
         in
-        let wall = Unix.gettimeofday () -. t0 in
         let info =
           match Atlas.info path with
           | Ok i -> i
@@ -1871,15 +1771,14 @@ let atlas_bench () =
   Printf.printf
     "\nlookup: %.1f us per answered minimization (%d lookups, %d misses)\n%!"
     (1e6 *. lookup_s) (reps * 256) !misses;
-  let verify_s =
-    let t0 = Unix.gettimeofday () in
-    (match Atlas.verify lookup_path with
-     | Ok _ -> ()
-     | Error issues ->
-       failwith
-         (Format.asprintf "bench atlas failed verify: %a" Atlas.pp_issue
-            (List.hd issues)));
-    Unix.gettimeofday () -. t0
+  let (), verify_s =
+    timed (fun () ->
+        match Atlas.verify lookup_path with
+        | Ok _ -> ()
+        | Error issues ->
+          failwith
+            (Format.asprintf "bench atlas failed verify: %a" Atlas.pp_issue
+               (List.hd issues)))
   in
   Printf.printf "verify: full re-simulation of every record in %.2fs\n%!"
     verify_s;
@@ -1897,26 +1796,21 @@ let atlas_bench () =
         ("build_wall_s", Json.Float wall);
       ]
   in
-  let json =
-    Json.Obj
-      [
-        ( "workload",
-          Json.String
-            "all NPN classes n<=3, both modes and polarities, per effort \
-             tier; lookups over all 256 3-input functions" );
-        ("host_cores", Json.Int (Domain.recommended_domain_count ()));
-        ("goals", Json.Int (List.length goals));
-        ("tiers", Json.List (List.map tier_json tiers));
-        ("lookup_us", Json.Float (1e6 *. lookup_s));
-        ("lookup_misses", Json.Int !misses);
-        ("verify_s", Json.Float verify_s);
-      ]
-  in
   List.iter
     (fun (_, path, _, _, _) -> try Sys.remove path with Sys_error _ -> ())
     tiers;
-  write_bench "BENCH_atlas.json" json;
-  Printf.printf "written to BENCH_atlas.json\n"
+  write_bench "atlas" ~budget ~cache:"none"
+    [
+      ( "workload",
+        Json.String
+          "all NPN classes n<=3, both modes and polarities, per effort \
+           tier; lookups over all 256 3-input functions" );
+      ("goals", Json.Int (List.length goals));
+      ("tiers", Json.List (List.map tier_json tiers));
+      ("lookup_us", Json.Float (1e6 *. lookup_s));
+      ("lookup_misses", Json.Int !misses);
+      ("verify_s", Json.Float verify_s);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks (one Test.make per table/figure kernel)   *)
@@ -1996,191 +1890,181 @@ let perf () =
   Table.print t
 
 (* ------------------------------------------------------------------ *)
+(* compare: what two runs of one experiment disagree on                *)
+(* ------------------------------------------------------------------ *)
+
+(* Walk two BENCH files side by side, objects by key and lists by index,
+   and print the path of every difference. Counts, verdicts, names and
+   flags must match; float leaves (times, rates) and the host fields
+   [git_rev] and [host_cores] are informational. Exits 1 on any
+   difference. *)
+let compare_bench old_file new_file =
+  let load file =
+    match Json.of_string (In_channel.with_open_text file In_channel.input_all) with
+    | Ok j -> j
+    | Error msg -> failwith (Printf.sprintf "compare: %s: %s" file msg)
+  in
+  let differences = ref 0 in
+  let differ path what =
+    incr differences;
+    Printf.printf "%s: %s\n" path what
+  in
+  let informational k = k = "git_rev" || k = "host_cores" in
+  let rec walk path a b =
+    match (a, b) with
+    | Json.Obj ka, Json.Obj kb ->
+      let key k = if path = "" then k else path ^ "." ^ k in
+      List.iter
+        (fun (k, va) ->
+          if not (informational k) then
+            match List.assoc_opt k kb with
+            | Some vb -> walk (key k) va vb
+            | None -> differ (key k) ("only in " ^ old_file))
+        ka;
+      List.iter
+        (fun (k, _) ->
+          if not (informational k || List.mem_assoc k ka) then
+            differ (key k) ("only in " ^ new_file))
+        kb
+    | Json.List la, Json.List lb ->
+      let rec items i la lb =
+        let p = Printf.sprintf "%s[%d]" path i in
+        match (la, lb) with
+        | a :: la, b :: lb -> walk p a b; items (i + 1) la lb
+        | _ :: la, [] -> differ p ("only in " ^ old_file); items (i + 1) la []
+        | [], _ :: lb -> differ p ("only in " ^ new_file); items (i + 1) [] lb
+        | [], [] -> ()
+      in
+      items 0 la lb
+    | (Json.Float _ | Json.Int _), Json.Float _ | Json.Float _, Json.Int _ -> ()
+    | _ ->
+      if a <> b then differ path (Json.to_string a ^ " -> " ^ Json.to_string b)
+  in
+  walk "" (load old_file) (load new_file);
+  if !differences > 0 then begin
+    Printf.printf "%d difference(s)\n" !differences;
+    exit 1
+  end
+
+(* ------------------------------------------------------------------ *)
 (* driver                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let usage () =
-  print_endline
-    "usage: main.exe [experiment] [options]\n\n\
-     experiments:\n\
-    \  table1       V-op behaviour (Table I)\n\
-    \  table2       V-only AND/NAND/OR/NOR schedules (Table II)\n\
-    \  table3       universality counts (Table III); --full includes the slow cell\n\
-    \  table4       optimal synthesis MM vs R-only (Table IV); --budget SECONDS\n\
-    \  table5       adder comparison with literature (Table V)\n\
-    \  fig1         the GF(2^2) multiplier circuit\n\
-    \  fig2         electrical trace for input 1011\n\
-    \  reliability  MM vs R-only under variation (ablation A); --trials N\n\
-    \  encodings    direct vs compact encoding (ablation B)\n\
-    \  symmetry     symmetry-breaking ablation (ablation C)\n\
-    \  crossbar     line array vs crossbar latency (extension D)\n\
-    \  heuristic    scalable heuristic synthesis (extension E)\n\
-    \  map          cut-based technology mapping onto SAT-optimal blocks\n\
-    \               -> BENCH_map.json; --budget SECONDS per library probe\n\
-    \  xbar         crossbar row-parallel scheduling vs 1D steps on the map\n\
-    \               workloads -> BENCH_xbar.json; --budget SECONDS per probe\n\
-    \  resyn        post-mapping resynthesis (sweep + dce + leg compaction)\n\
-    \               vs heuristic -> BENCH_resyn.json; --budget SECONDS per probe\n\
-    \  engine       batch engine: NPN classes + cache + domain pool -> BENCH_engine.json\n\
-    \  ladder       incremental assumption sweep vs monolithic -> BENCH_ladder.json;\n\
-    \               --budget SECONDS, --limit N classes\n\
-    \  ladder-probe TABLE   per-attempt diagnostic for one 4-input class, both\n\
-    \               paths (all-digit table ids need an x prefix, e.g. x0690)\n\
-    \  ladder-scan  depth/hardness map of all 4-input classes, incremental only\n\
-    \  robustness   completion/overhead under injected faults -> BENCH_robustness.json\n\
-    \  serve        resident daemon load test, warm vs cold, atlas-backed\n\
-    \               level -> BENCH_serve.json\n\
-    \  storm        open-loop storm on a 4-shard cluster with a mid-run\n\
-    \               shard kill -> BENCH_cluster.json\n\
-    \  atlas        NPN atlas build per effort tier + lookup latency\n\
-    \               -> BENCH_atlas.json\n\
-    \  perf         Bechamel micro-benchmarks\n\
-    \  all          everything above (default)"
+type opts = { budget : float option; limit : int; trials : int; full : bool }
+
+(* One experiment: its name, the positional arguments it takes, whether
+   [all] runs it, its usage text and its runner. *)
+type experiment = {
+  name : string;
+  args : string list;
+  in_all : bool;
+  doc : string;
+  run : opts -> string list -> unit;
+}
+
+let entry ?(args = []) ?(in_all = true) name doc run =
+  { name; args; in_all = in_all && args = []; doc; run }
+
+(* the --budget of an experiment whose own default is [default] *)
+let budget o default = Option.value o.budget ~default
+
+let experiments =
+  [ entry "table1" "V-op behaviour (Table I)" (fun _ _ -> table1 ());
+    entry "table2" "V-only AND/NAND/OR/NOR schedules (Table II)" (fun o _ ->
+        table2 ~budget:(budget o 120.) ());
+    entry "table3" "universality counts (Table III); --full includes the slow cell"
+      (fun o _ -> table3 ~full:o.full ());
+    entry "table4" "optimal synthesis MM vs R-only (Table IV)" (fun o _ ->
+        table4 ~budget:(budget o 120.) ());
+    entry "table5" "adder comparison with literature (Table V)" (fun _ _ ->
+        table5 ());
+    entry "fig1" "the GF(2^2) multiplier circuit" (fun _ _ -> fig1 ());
+    entry "fig2" "electrical trace for input 1011" (fun _ _ -> fig2 ());
+    entry "reliability" "MM vs R-only under variation (ablation A); --trials N"
+      (fun o _ -> reliability ~trials:o.trials ());
+    entry "encodings" "direct vs compact encoding (ablation B)" (fun o _ ->
+        encodings ~budget:(budget o 120.) ());
+    entry "symmetry" "symmetry-breaking ablation (ablation C)" (fun o _ ->
+        symmetry ~budget:(budget o 120.) ());
+    entry "crossbar" "line array vs crossbar latency (extension D)" (fun _ _ ->
+        crossbar ());
+    entry "heuristic" "scalable heuristic synthesis (extension E)" (fun _ _ ->
+        heuristic_bench ());
+    entry "map"
+      "technology mapping, the crossbar backend and resynthesis, one\n\
+       compile per backend and workload -> BENCH_map.json,\n\
+       BENCH_xbar.json, BENCH_resyn.json (budget 0.5 s per probe)"
+      (fun o _ -> map_bench ~budget:(budget o 0.5) ());
+    entry "engine"
+      "batch engine: NPN classes + cache + domain pool -> BENCH_engine.json"
+      (fun _ _ -> engine_bench ());
+    entry "ladder"
+      "incremental assumption sweep vs monolithic -> BENCH_ladder.json\n\
+       (budget 60 s); --limit N classes"
+      (fun o _ -> ladder_bench ~budget:(budget o 60.) ~limit:o.limit ());
+    entry "ladder-scan" ~in_all:false
+      "depth/hardness map of all 4-input classes, incremental only\n\
+       (budget 3 s)"
+      (fun o _ -> ladder_scan ~budget:(budget o 3.) ());
+    entry "ladder-probe" ~args:[ "TABLE" ]
+      "per-attempt diagnostic for one 4-input hex table, both paths\n\
+       (budget 10 s)"
+      (fun o args -> ladder_probe ~budget:(budget o 10.) (List.hd args));
+    entry "robustness"
+      "completion/overhead under injected faults -> BENCH_robustness.json"
+      (fun _ _ -> robustness_bench ());
+    entry "serve"
+      "resident daemon load test, warm vs cold, atlas-backed level\n\
+       -> BENCH_serve.json"
+      (fun _ _ -> serve_bench ());
+    entry "storm"
+      "open-loop storm on a 4-shard cluster with a mid-run shard kill\n\
+       -> BENCH_cluster.json"
+      (fun _ _ -> storm_bench ());
+    entry "atlas" "NPN atlas build per effort tier + lookup latency\n-> BENCH_atlas.json"
+      (fun _ _ -> atlas_bench ());
+    entry "perf" "Bechamel micro-benchmarks" (fun _ _ -> perf ());
+    entry "compare" ~args:[ "OLD"; "NEW" ]
+      "the counts two BENCH files disagree on, by path; exits 1 on any"
+      (fun _ args -> compare_bench (List.nth args 0) (List.nth args 1)) ]
+
+let usage =
+  let line e =
+    let first = String.concat " " (e.name :: e.args) in
+    let doc = String.split_on_char '\n' e.doc in
+    (* a name too wide for its column gets a line of its own *)
+    let doc = if String.length first > 14 then "" :: doc else doc in
+    String.concat ("\n" ^ String.make 17 ' ')
+      (Printf.sprintf "  %-14s %s" first (List.hd doc) :: List.tl doc)
+  in
+  String.concat "\n"
+    ([ "usage: main.exe [experiment] [options]"; ""; "experiments:" ]
+    @ List.map line experiments
+    @ [ Printf.sprintf "  %-14s %s" "all"
+          "every experiment above that takes no argument, but ladder-scan\n\
+          \                 (the default)";
+        "";
+        "options:" ])
 
 let () =
-  let args = Array.to_list Sys.argv in
-  let has flag = List.mem flag args in
-  let value flag default =
-    let rec go = function
-      | a :: b :: _ when a = flag -> (try float_of_string b with _ -> default)
-      | _ :: rest -> go rest
-      | [] -> default
-    in
-    go args
+  let budget = ref None and limit = ref 24 and trials = ref 40 in
+  let full = ref false and words = ref [] in
+  let options =
+    Arg.align
+      [ ( "--budget",
+          Arg.Float (fun b -> budget := Some b),
+          "SECONDS per solver call (each experiment has its own default)" );
+        ("--limit", Arg.Set_int limit, "N classes that ladder samples (24)");
+        ("--trials", Arg.Set_int trials, "N Monte Carlo trials of reliability (40)");
+        ("--full", Arg.Set full, " include table3's slow cell") ]
   in
-  let budget = value "--budget" 120. in
-  let trials = int_of_float (value "--trials" 40.) in
-  let limit = int_of_float (value "--limit" 24.) in
-  let full = has "--full" in
-  let run_all () =
-    table1 ();
-    table2 ~budget ();
-    table3 ~full ();
-    table4 ~budget ();
-    table5 ();
-    fig1 ();
-    fig2 ();
-    reliability ~trials ();
-    encodings ~budget ();
-    symmetry ~budget ();
-    crossbar ();
-    heuristic_bench ();
-    map_bench ();
-    xbar_bench ();
-    resyn_bench ();
-    engine_bench ();
-    ladder_bench ~budget:60. ~limit ();
-    robustness_bench ();
-    serve_bench ();
-    storm_bench ();
-    atlas_bench ();
-    perf ()
-  in
-  let positional =
-    (* drop flags and their numeric values *)
-    List.filter
-      (fun a ->
-        String.length a > 0 && a.[0] <> '-' && float_of_string_opt a = None)
-      (List.tl args)
-  in
-  match positional with
-  | [] | [ "all" ] -> run_all ()
-  | [ "table1" ] -> table1 ()
-  | [ "table2" ] -> table2 ~budget ()
-  | [ "table3" ] -> table3 ~full ()
-  | [ "table4" ] -> table4 ~budget ()
-  | [ "table5" ] -> table5 ()
-  | [ "fig1" ] -> fig1 ()
-  | [ "fig2" ] -> fig2 ()
-  | [ "reliability" ] -> reliability ~trials ()
-  | [ "encodings" ] -> encodings ~budget ()
-  | [ "symmetry" ] -> symmetry ~budget ()
-  | [ "crossbar" ] -> crossbar ()
-  | [ "heuristic" ] -> heuristic_bench ()
-  | [ "map" ] -> map_bench ~budget:(value "--budget" 0.5) ()
-  | [ "xbar" ] -> xbar_bench ~budget:(value "--budget" 0.5) ()
-  | [ "resyn" ] -> resyn_bench ~budget:(value "--budget" 0.5) ()
-  | [ "engine" ] -> engine_bench ()
-  | [ "ladder" ] ->
-    ladder_bench ~budget:(value "--budget" 60.) ~limit ()
-  | [ "ladder-scan" ] ->
-    (* depth/hardness map of all 4-input NPN classes, incremental path only *)
-    let module Npn = Mm_engine.Npn in
-    let seen = Hashtbl.create 512 in
-    for v = 0 to 65535 do
-      let rep, _ = Npn.canon (Tt.of_int 4 v) in
-      Hashtbl.replace seen (Tt.to_int rep) ()
-    done;
-    let reps =
-      List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) seen [])
-    in
-    List.iter
-      (fun v ->
-        let spec =
-          Spec.make ~name:(Printf.sprintf "npn-%04x" v) [| Tt.of_int 4 v |]
-        in
-        let t0 = Unix.gettimeofday () in
-        let r =
-          Synth.minimize ~timeout_per_call:(value "--budget" 3.) ~max_rops:4
-            ~max_steps:3 spec
-        in
-        let wall = Unix.gettimeofday () -. t0 in
-        let verdict =
-          match r.Synth.best with
-          | Some (_, a) ->
-            Printf.sprintf "N_R=%d N_VS=%d" a.Synth.n_rops a.Synth.steps_per_leg
-          | None -> "none"
-        in
-        Printf.printf "%04x %-14s %5.2fs attempts=%d%s\n%!" v verdict wall
-          (List.length r.Synth.attempts)
-          (if
-             List.exists
-               (fun a -> a.Synth.verdict = Synth.Timeout)
-               r.Synth.attempts
-           then " TIMEOUT"
-           else ""))
-      reps
-  | [ "ladder-probe"; hex ] ->
-    (* per-attempt diagnostic for one 4-input class, both paths; an all-digit
-       table id must be written with an `x` prefix (e.g. x0690) or it is
-       swallowed by the numeric-option filter above *)
-    let hex =
-      if String.length hex > 0 && hex.[0] = 'x' then
-        String.sub hex 1 (String.length hex - 1)
-      else hex
-    in
-    let v = int_of_string ("0x" ^ hex) land 0xffff in
-    let spec =
-      Spec.make ~name:(Printf.sprintf "npn-%04x" v) [| Tt.of_int 4 v |]
-    in
-    List.iter
-      (fun (label, incremental) ->
-        let t0 = Unix.gettimeofday () in
-        let r =
-          Synth.minimize ~timeout_per_call:(value "--budget" 10.) ~max_rops:4
-            ~max_steps:3 ~incremental spec
-        in
-        Printf.printf "%s: %.3fs\n" label (Unix.gettimeofday () -. t0);
-        List.iter
-          (fun a ->
-            let s = a.Synth.solver_stats in
-            Printf.printf
-              "  N_R=%d N_L=%d N_VS=%d %-7s t=%.3fs confl=%d props=%d \
-               decisions=%d\n"
-              a.Synth.n_rops a.Synth.n_legs a.Synth.steps_per_leg
-              (match a.Synth.verdict with
-               | Synth.Sat _ -> "SAT"
-               | Synth.Unsat -> "UNSAT"
-               | Synth.Timeout -> "timeout")
-              a.Synth.time_s s.Mm_sat.Solver.conflicts
-              s.Mm_sat.Solver.propagations s.Mm_sat.Solver.decisions)
-          r.Synth.attempts)
-      [ ("mono", false); ("inc", true) ]
-  | [ "robustness" ] -> robustness_bench ()
-  | [ "serve" ] -> serve_bench ()
-  | [ "storm" ] -> storm_bench ()
-  | [ "atlas" ] -> atlas_bench ()
-  | [ "perf" ] -> perf ()
-  | _ ->
-    usage ();
-    exit 1
+  Arg.parse options (fun w -> words := w :: !words) usage;
+  let o = { budget = !budget; limit = !limit; trials = !trials; full = !full } in
+  match List.rev !words with
+  | [] | [ "all" ] -> List.iter (fun e -> if e.in_all then e.run o []) experiments
+  | name :: args -> (
+    match List.find_opt (fun e -> e.name = name) experiments with
+    | Some e when List.length args = List.length e.args -> e.run o args
+    | _ ->
+      Arg.usage options usage;
+      exit 2)

@@ -687,12 +687,15 @@ let window_verdict ~ports (p : Place.t) cycles ~lo ~w =
   let solver, _ = encode g ~ports us (clashes p g (be_table p) us) (w - 1) in
   Sat.solve solver
 
-let polish ?(window = 8) ?(max_calls = 128) (p : Place.t) ~ports cycles =
-  let g = build_graph p in
-  let be_of = be_table p in
+(* The polish's window width, and its cap on window solves per schedule. *)
+let window = 8
+let max_window_calls = 128
+
+(* Slide the window over [cycles], repacking it in place while it shrinks. *)
+let repack (p : Place.t) g be_of ~ports cycles =
   let cycles = ref cycles and calls = ref 0 in
   let lo = ref 0 in
-  while !lo + window <= Array.length !cycles && !calls < max_calls do
+  while !lo + window <= Array.length !cycles && !calls < max_window_calls do
     incr calls;
     match try_window p g be_of ~ports !cycles !lo window with
     | Some better -> cycles := better (* retry the same position *)
@@ -702,9 +705,7 @@ let polish ?(window = 8) ?(max_calls = 128) (p : Place.t) ~ports cycles =
 
 (* ------------------------------------------------------------------ *)
 
-let polish_pass = polish
-
-let build ?(ports = 4) ?(polish = true) ?(sat_window = 8) (p : Place.t) =
+let build ?(ports = 4) ?(polish = true) (p : Place.t) =
   if ports < 1 then invalid_arg "Xsched.build: ports < 1";
   let g = build_graph p in
   let be_of = be_table p in
@@ -713,8 +714,8 @@ let build ?(ports = 4) ?(polish = true) ?(sat_window = 8) (p : Place.t) =
   | Ok () -> ()
   | Error m -> failwith ("Xsched.build: greedy schedule illegal: " ^ m));
   let final =
-    if polish && Array.length greedy > sat_window then
-      polish_pass ~window:sat_window p ~ports greedy
+    if polish && Array.length greedy > window then
+      repack p g be_of ~ports greedy
     else greedy
   in
   (match check ~ports p final with

@@ -51,11 +51,12 @@ val counts : cycle array -> int * int * int
     defaults to unlimited. *)
 val check : ?ports:int -> Place.t -> cycle array -> (unit, string) result
 
-(** [build ~ports ~polish ~sat_window place] — greedy list schedule plus
-    (by default) the SAT window polish. Defaults: [ports = 4],
-    [polish = true], [sat_window = 8]. The result always passes {!check}.
+(** [build ~ports ~polish place] — greedy list schedule plus (by default)
+    the SAT window polish, which slides an 8-cycle window over the
+    schedule, at most 128 window solves per schedule. Defaults:
+    [ports = 4], [polish = true]. The result always passes {!check}.
     Raises [Invalid_argument] if [ports < 1]. *)
-val build : ?ports:int -> ?polish:bool -> ?sat_window:int -> Place.t -> t
+val build : ?ports:int -> ?polish:bool -> Place.t -> t
 
 (** {2 Window polish internals}
 

@@ -4,8 +4,8 @@
     threads may have requests in flight on the same connection — frame
     writes are serialized under a mutex, and a dedicated reader thread
     demultiplexes replies to their waiters by frame id (the daemon answers
-    some frames on its reader at once and others in threads of their own,
-    so replies can arrive in any order).
+    some frames on its reader at once and others later, when a queued
+    synthesis ends, so replies can arrive in any order).
     All failures are returned, never raised: transport problems
     ([Error msg]) are distinct from typed daemon refusals ([Ok (Err _)]).
 

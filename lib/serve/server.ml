@@ -470,6 +470,10 @@ let once f =
   let called = Atomic.make false in
   fun x -> if Atomic.compare_and_set called false true then f x
 
+(* The most reply bytes one connection's backlog holds. A client that writes
+   4,000 frames before it reads a reply backs up about 2 MB of them. *)
+let max_backlog_bytes = 8 * 1024 * 1024
+
 (* One reader thread per connection. It reads each frame and serves it with
    the frame's answer, a continuation that any thread may call, at once or
    later; only its first call is written. Replies are matched by frame id,
@@ -482,29 +486,37 @@ let once f =
    that answers blocks in a write, and a client that writes many frames
    before it reads any reply is still read. A failed write drops the
    connection: a frame cut short leaves the stream without a boundary to
-   resume from. Each frame counts as in flight, for the drain, from the
-   moment it is read until its reply is written. The reader closes the fd
-   only once every frame it read is answered and its reply written (a
-   write to a closed-and-reused descriptor could hit an unrelated
-   socket). *)
+   resume from. So does a backlog past [max_backlog_bytes], the mark of a
+   client that writes and never reads: its replies would otherwise grow
+   the daemon's memory without bound. A dropped connection's replies are
+   discarded, and count as written. Each frame counts as in flight, for
+   the drain, from the moment it is read until its reply is written. The
+   reader closes the fd only once every frame it read is answered and its
+   reply written (a write to a closed-and-reused descriptor could hit an
+   unrelated socket). *)
 let conn_loop t fd conn_id =
   let reqs = ref 0 in
-  let m = Mutex.create () in  (* guards [pending], [backlog] and [writing] *)
+  let m = Mutex.create () in
+  (* guards [pending], [backlog], [queued] and [writing] *)
   let pending = ref 0 in  (* frames read whose reply is not yet written *)
   let settled = Condition.create () in  (* [pending] dropped to 0 *)
   let backlog = Queue.create () in  (* replies waiting for the writer *)
+  let queued = ref 0 in  (* bytes in [backlog] *)
   let writing = ref false in  (* a writer thread drains [backlog] *)
-  let broken = ref false in  (* a write failed; read by the writing thread *)
+  let broken = Atomic.make false in  (* the connection was dropped *)
+  let drop () =
+    if Atomic.compare_and_set broken false true then begin
+      Stats.note_conn_dropped t.stats;
+      (try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
+    end
+  in
   (* One thread writes at a time: one that holds [m] while no writer runs,
      else the writer. *)
   let put payload =
-    if not !broken then
+    if not (Atomic.get broken) then
       match Wire.write_frame fd payload with
       | Ok () -> ()
-      | Error _ ->
-        broken := true;
-        Stats.note_conn_dropped t.stats;
-        (try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
+      | Error _ -> drop ()
   in
   let written () =
     Atomic.decr t.inflight;
@@ -515,7 +527,9 @@ let conn_loop t fd conn_id =
     let next =
       Mutex.protect m (fun () ->
           let next = Queue.take_opt backlog in
-          if next = None then writing := false;
+          (match next with
+           | Some payload -> queued := !queued - String.length payload
+           | None -> writing := false);
           next)
     in
     match next with
@@ -533,13 +547,26 @@ let conn_loop t fd conn_id =
     let payload = Json.to_string response in
     let start_writer =
       Mutex.protect m (fun () ->
-          if (not !writing) && writable fd then begin
+          if Atomic.get broken then begin
+            written ();
+            false
+          end
+          else if (not !writing) && writable fd then begin
             put payload;
+            written ();
+            false
+          end
+          else if !queued + String.length payload > max_backlog_bytes then begin
+            drop ();
+            Queue.iter (fun _ -> written ()) backlog;
+            Queue.clear backlog;
+            queued := 0;
             written ();
             false
           end
           else begin
             Queue.push payload backlog;
+            queued := !queued + String.length payload;
             let idle = not !writing in
             writing := true;
             idle

@@ -28,10 +28,14 @@
       polls writable and no earlier reply waits; otherwise it joins the
       connection's backlog, which one writer thread drains. So no thread
       that answers — the reader, the dispatcher, a router thread — blocks
-      in a write, and a client may write any number of frames before it
-      reads a reply. Only a frame's first answer is written. A failed write
-      drops the connection, as a frame cut short leaves no boundary to
-      resume from.
+      in a write, and a client may write many frames before it reads a
+      reply. Only a frame's first answer is written. A failed write drops
+      the connection, as a frame cut short leaves no boundary to resume
+      from. So does a backlog past 8 MiB of replies (4,000 pipelined
+      3-input answers back up about 2 MB): a client that writes and never
+      reads cannot grow the daemon's memory without bound. The drop is
+      counted once in [connections.dropped], and the connection's queued
+      replies are discarded.
     - Each frame counts as in flight, for the drain, from the moment it is
       read until its reply is written; a reader closes its connection only
       once every frame it read is answered. An exception while serving a

@@ -19,10 +19,12 @@ let tmp_path =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "mm_atlas_test_%d_%d.mmatlas" (Unix.getpid ()) !counter)
 
-(* one small universe per run, shared by the tests below *)
+(* one small universe per run, shared by the tests below and removed when
+   the run exits *)
 let built =
   lazy
     (let path = tmp_path () in
+     at_exit (fun () -> try Sys.remove path with Sys_error _ -> ());
      let goals = Atlas.universe ~max_n:2 () in
      match
        Atlas.build ~effort:2 ~domains:2 ~timeout_per_call:10. ~path goals

@@ -944,6 +944,46 @@ let recv_reply fd =
     | Ok reply -> reply
     | Error msg -> Alcotest.failf "reply %s: %s" payload msg)
 
+let test_backlog_cap () =
+  (* a raw client writes atlas-hit frames and never reads: once its replies
+     back up past the daemon's cap, the daemon drops the connection, counts
+     the drop once, and still serves a second connection *)
+  with_server ~engine:(atlas_engine ()) (fun sock t ->
+      let dropped () = stat_int [ "connections"; "dropped" ] t in
+      let before = dropped () in
+      (* replies of about 0.5 KB each: twice the frames that fill the
+         daemon's 8 MiB cap, all read by a daemon that queues every reply *)
+      let limit = 32_000 in
+      let sent =
+        with_raw_socket sock (fun fd ->
+            let rec send id =
+              if id > limit then id
+              else
+                let req =
+                  Wire.Synth
+                    { spec = spec_of 3 (id land 0xff); params = Wire.no_params }
+                in
+                match
+                  Wire.write_frame fd
+                    (Json.to_string (Wire.request_to_json ~id req))
+                with
+                | Ok () -> send (id + 1)
+                | Error _ -> id (* the daemon shut the connection down *)
+            in
+            send 1)
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "writes refused after %d frames" sent)
+        true (sent <= limit);
+      Alcotest.(check (option int)) "dropped once"
+        (Option.map succ before) (dropped ());
+      let c = connect sock in
+      (match Client.ping c with
+       | Ok (Wire.Result _) -> ()
+       | Ok (Wire.Err e) -> Alcotest.failf "ping: %s" e.Wire.msg
+       | Error msg -> Alcotest.failf "second connection: %s" msg);
+      Client.close c)
+
 let test_queued_misses_hold_no_thread () =
   (* misses pipelined on one connection behind a busy dispatcher wait in
      the queue as jobs, not as threads: only the connection's reader is
@@ -1144,6 +1184,8 @@ let () =
             test_inline_stats;
           Alcotest.test_case "client that writes before it reads" `Quick
             test_write_all_then_read;
+          Alcotest.test_case "client that never reads is dropped" `Quick
+            test_backlog_cap;
           Alcotest.test_case "overlapping batch keeps its cache counts" `Quick
             test_overlap_keeps_batch_counts;
         ] );
